@@ -9,15 +9,14 @@ from .modules import (HomologyData, ModuleMap, NormalForm, PresentedModule,
                       module_is_projective, preimage_generators,
                       relations_among)
 from .rings import QQ, ZZ, BaseRing, Zmod
-from .smith import (field_rank, in_column_span, integer_rank, kernel_basis,
-                    matrix_is_invertible, smith_normal_form, solve,
-                    solve_matrix)
+from .smith import (field_rank, kernel_basis, matrix_is_invertible,
+                    smith_normal_form, solve, solve_matrix)
 
 __all__ = [
     "BaseRing", "ZZ", "QQ", "Zmod",
     "Matrix",
     "smith_normal_form", "kernel_basis", "solve", "solve_matrix",
-    "in_column_span", "matrix_is_invertible", "field_rank", "integer_rank",
+    "matrix_is_invertible", "field_rank",
     "PresentedModule", "ModuleMap", "NormalForm", "HomologyData",
     "cokernel_presentation", "module_is_projective", "module_is_injective",
     "preimage_generators", "relations_among", "coordinates_mod",

@@ -1,19 +1,26 @@
 """Smith normal form, kernels, and linear solving over the supported rings.
 
-The integer Smith normal form is the workhorse: computations over Z/p^k
-lift entries to canonical integer representatives, run the integer
-reduction, and push the transforms back down (scaling rows by units so
-the diagonal consists of powers of p).  Over the two fields (Q and Z/p)
-Gaussian elimination is used where a Smith form is not required.
+Each ring has one elimination kernel, and its arithmetic stays in that ring:
+
+* Z: the integer Smith normal form ``_snf_int``, by division with remainder;
+* Z/p^k: the local Smith form ``_snf_local``.  Every nonzero element is a
+  power of p times a unit, so an entry of least p-adic valuation divides
+  every other entry: scaling its row by the inverse of its unit part and
+  one sweep clear its row and column.  Entries stay in [0, p^k), and the
+  diagonal comes out as powers of p (or 0);
+* Q and Z/p: reduced row echelon form ``_rref``, on the raw entries
+  (Fractions over Q, ints mod p over Z/p).
+
+Over Z and Z/p^k one decomposition U*M*V = S serves kernels (from V and
+the diagonal), solving (from all three) and invertibility (from the
+diagonal alone).
 """
 
 from __future__ import annotations
 
-from math import gcd
-
 from ..errors import UnsupportedRing
 from .matrix import Matrix
-from .rings import INTEGERS, INTEGERS_MOD, RATIONALS, BaseRing, ZZ
+from .rings import INTEGERS, RATIONALS
 
 
 # ---------------------------------------------------------------------------
@@ -129,39 +136,98 @@ def _snf_int(entries, rows, cols):
     return A, U, V
 
 
+# ---------------------------------------------------------------------------
+# local Smith normal form over Z/p^k
+# ---------------------------------------------------------------------------
+
+def _snf_local(entries, rows, cols, p, m):
+    """Return (S, U, V) as dense lists over Z/m, m = p^k, with U*M*V = S.
+
+    ``entries`` are canonical, in [0, m).  The diagonal of S is p^v for
+    nondecreasing v < k, then zeros; every entry of S, U and V lies in
+    [0, m).  A zero matrix is left untouched.
+    """
+    A = [list(entries[i * cols:(i + 1) * cols]) for i in range(rows)]
+    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    VT = [[int(i == j) for j in range(cols)] for i in range(cols)]  # columns of V
+
+    for t in range(min(rows, cols)):
+        # a pivot of least p-adic valuation in A[t:, t:]
+        best = None
+        for i in range(t, rows):
+            Ai = A[i]
+            for j in range(t, cols):
+                x = Ai[j]
+                if x:
+                    v = 0
+                    while x % p == 0:
+                        x //= p
+                        v += 1
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+                        if v == 0:
+                            break
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        v, i, j = best
+        if i != t:
+            A[t], A[i] = A[i], A[t]
+            U[t], U[i] = U[i], U[t]
+        if j != t:
+            for row in A[t:]:  # rows above t vanish in these columns
+                row[t], row[j] = row[j], row[t]
+            VT[t], VT[j] = VT[j], VT[t]
+        d = p ** v
+        At, Ut = A[t], U[t]
+        unit = At[t] // d
+        if unit != 1:  # scale the pivot to d by the inverse of its unit part
+            inv = pow(unit, -1, m)
+            At[:] = [x * inv % m for x in At]
+            Ut[:] = [x * inv % m for x in Ut]
+        support = [k for k in range(t + 1, cols) if At[k]]
+        usupport = [k for k in range(rows) if Ut[k]]
+        # clear column t; the pivot divides every entry below it
+        for i in range(t + 1, rows):
+            Ai = A[i]
+            x = Ai[t]
+            if x:
+                c = x // d
+                Ai[t] = 0
+                for k in support:
+                    Ai[k] = (Ai[k] - c * At[k]) % m
+                Ui = U[i]
+                for k in usupport:
+                    Ui[k] = (Ui[k] - c * Ut[k]) % m
+        # clear row t; column t is now zero off the pivot, so only V moves
+        Vt = VT[t]
+        vsupport = [r for r in range(cols) if Vt[r]]
+        for k in support:
+            c = At[k] // d
+            At[k] = 0
+            Vk = VT[k]
+            for r in vsupport:
+                Vk[r] = (Vk[r] - c * Vt[r]) % m
+
+    return A, U, [list(row) for row in zip(*VT)]
+
+
 def smith_normal_form(M: Matrix):
     """(S, U, V) with U*M*V = S over Z or Z/p^k.
 
     The diagonal satisfies d1 | d2 | ...; over Z the entries are >= 0,
-    over Z/p^k they are canonical powers of p (or 0).  Raises
+    over Z/p^k they are powers of p below p^k (or 0).  Raises
     UnsupportedRing over Q, where Gaussian elimination applies instead.
     """
     ring = M.ring
     if ring.kind == RATIONALS:
         raise UnsupportedRing("Smith normal form is for Z and Z/p^k")
-    S, U, V = _snf_int([int(x) for x in M.entries], M.rows, M.cols)
     if ring.kind == INTEGERS:
-        flat = [x for row in S for x in row]
-        return (Matrix(ring, M.rows, M.cols, flat),
-                Matrix(ring, M.rows, M.rows, [x for r in U for x in r]),
-                Matrix(ring, M.cols, M.cols, [x for r in V for x in r]))
-    # Z/p^k: normalize each diagonal entry to its p-power part.
-    p, k, m = ring.prime, ring.exponent, ring.modulus
-    for t in range(min(M.rows, M.cols)):
-        d = S[t][t]
-        if d == 0:
-            continue
-        v = 0
-        while d % p == 0:
-            d //= p
-            v += 1
-        if v >= k:
-            S[t][t] = 0
-            continue
-        u_inv = pow(d % m, -1, m)  # d = p^v * unit
-        S[t][t] = p ** v
-        for j in range(M.rows):
-            U[t][j] = (U[t][j] * u_inv) % m
+        S, U, V = _snf_int(M.entries, M.rows, M.cols)
+    else:
+        S, U, V = _snf_local(M.entries, M.rows, M.cols, ring.prime,
+                             ring.modulus)
     return (Matrix(ring, M.rows, M.cols, [x for row in S for x in row]),
             Matrix(ring, M.rows, M.rows, [x for r in U for x in r]),
             Matrix(ring, M.cols, M.cols, [x for r in V for x in r]))
@@ -172,30 +238,50 @@ def smith_normal_form(M: Matrix):
 # ---------------------------------------------------------------------------
 
 def _rref(M: Matrix):
-    """Reduced row echelon form over a field; returns (rows, pivot cols)."""
-    ring = M.ring
+    """Reduced row echelon form over a field; returns (rows, pivot cols).
+
+    Works on the raw entries: Fraction arithmetic over Q, ints reduced
+    mod p over Z/p.  A row operation touches only the columns where the
+    pivot row is nonzero.
+    """
+    p = M.ring.modulus  # None over Q
+    rows, cols = M.rows, M.cols
     A = M.to_lists()
     pivots = []
     r = 0
-    for j in range(M.cols):
-        pivot_row = None
-        for i in range(r, M.rows):
-            if A[i][j] != ring.zero:
-                pivot_row = i
+    for j in range(cols):
+        if r == rows:
+            break
+        for i in range(r, rows):
+            if A[i][j]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        A[r], A[pivot_row] = A[pivot_row], A[r]
-        inv = ring.inv(A[r][j])
-        A[r] = [ring.mul(inv, x) for x in A[r]]
-        for i in range(M.rows):
-            if i != r and A[i][j] != ring.zero:
-                c = A[i][j]
-                A[i] = [ring.sub(x, ring.mul(c, y)) for x, y in zip(A[i], A[r])]
+        A[r], A[i] = A[i], A[r]
+        Ar = A[r]
+        support = [k for k in range(j, cols) if Ar[k]]
+        x = Ar[j]
+        if x != 1:
+            if p is None:
+                inv = 1 / x
+                for k in support:
+                    Ar[k] *= inv
+            else:
+                inv = pow(x, -1, p)
+                for k in support:
+                    Ar[k] = Ar[k] * inv % p
+        for i in range(rows):
+            Ai = A[i]
+            c = Ai[j]
+            if c and i != r:
+                if p is None:
+                    for k in support:
+                        Ai[k] -= c * Ar[k]
+                else:
+                    for k in support:
+                        Ai[k] = (Ai[k] - c * Ar[k]) % p
         pivots.append(j)
         r += 1
-        if r == M.rows:
-            break
     return A, pivots
 
 
@@ -234,11 +320,6 @@ def _field_solve_matrix(M: Matrix, B: Matrix):
     return Matrix(ring, M.cols, B.cols, [x for row in out for x in row])
 
 
-def _field_solve(M: Matrix, b: Matrix):
-    X = _field_solve_matrix(M, b)
-    return None if X is None else X
-
-
 # ---------------------------------------------------------------------------
 # kernels and solving over every supported ring
 # ---------------------------------------------------------------------------
@@ -252,113 +333,57 @@ def kernel_basis(M: Matrix) -> Matrix:
     ring = M.ring
     if ring.is_field:
         return _field_kernel(M)
-    if ring.kind == INTEGERS:
-        S, _, V = smith_normal_form(M)
-        t = min(M.rows, M.cols)
-        idx = [i for i in range(t) if S[i, i] == 0] + list(range(t, M.cols))
-        return V.take_columns(idx)
-    # Z/p^k (including the field case k = 1, for canonical generators)
-    m = ring.modulus
     S, _, V = smith_normal_form(M)
     t = min(M.rows, M.cols)
-    gens = []
-    for i in range(t):
-        d = int(S[i, i])
+    if ring.kind == INTEGERS:
+        idx = [i for i in range(t) if S[i, i] == 0] + list(range(t, M.cols))
+        return V.take_columns(idx)
+    # Z/p^k: x_i is free where d_i = 0, and a multiple of m/d_i where d_i = p^v
+    m = ring.modulus
+    scales = [m // d if d else 1 for d in (S[i, i] for i in range(t))]
+    scales += [1] * (M.cols - t)
+    gens = [i for i, c in enumerate(scales) if c != m]
+    return Matrix(ring, M.cols, len(gens),
+                  [V[r, i] * scales[i] for r in range(M.cols) for i in gens])
+
+
+def _solve_matrix(M: Matrix, B: Matrix):
+    # solve and solve_matrix both call this body rather than each other, so
+    # that a traced run counts one elimination per public call
+    if B.cols == 0:
+        return Matrix.zeros(M.ring, M.cols, 0)
+    if M.ring.is_field:
+        return _field_solve_matrix(M, B)
+    # U*M*V = S, so M*X = B is S*Y = U*B with X = V*Y.  Each diagonal entry
+    # d divides its row of U*B exactly when the system is consistent: over
+    # Z/p^k, d = p^v and the canonical representative is divisible as an int.
+    S, U, V = smith_normal_form(M)
+    t = min(M.rows, M.cols)
+    C = U * B
+    Y = [[0] * B.cols for _ in range(M.cols)]
+    for i in range(M.rows):
+        d = S[i, i] if i < t else 0
+        row = C.row(i)
         if d == 0:
-            gens.append((i, 1))
-        else:
-            g = gcd(d, m)
-            if g != 1:
-                gens.append((i, m // g))
-    gens.extend((i, 1) for i in range(t, M.cols))
-    cols = [V.column_matrix(i).scale(c) for i, c in gens]
-    if not cols:
-        return Matrix.zeros(ring, M.cols, 0)
-    return Matrix.hstack(cols)
+            if any(row):
+                return None
+            continue
+        if any(c % d for c in row):
+            return None
+        Y[i] = [c // d for c in row]
+    return V * Matrix(M.ring, M.cols, B.cols, [y for row in Y for y in row])
 
 
 def solve(M: Matrix, b: Matrix):
     """A particular solution x of Mx = b (as a column), or None."""
-    ring = M.ring
     if b.rows != M.rows or b.cols != 1:
         raise UnsupportedRing("solve expects a conformal column")
-    if ring.is_field:
-        return _field_solve(M, b)
-    S, U, V = smith_normal_form(M)
-    c = U * b
-    t = min(M.rows, M.cols)
-    y = [ring.zero] * M.cols
-    if ring.kind == INTEGERS:
-        for i in range(M.rows):
-            ci = c[i, 0]
-            d = S[i, i] if i < t else 0
-            if d == 0:
-                if ci != 0:
-                    return None
-            else:
-                if ci % d:
-                    return None
-                y[i] = ci // d
-    else:
-        m = ring.modulus
-        for i in range(M.rows):
-            ci = int(c[i, 0])
-            d = int(S[i, i]) if i < t else 0
-            if d == 0:
-                if ci % m:
-                    return None
-            else:
-                g = gcd(d, m)
-                if ci % g:
-                    return None
-                y[i] = ((ci // g) * pow(d // g, -1, m // g)) % m
-    return V * Matrix.column(ring, y)
+    return _solve_matrix(M, b)
 
 
 def solve_matrix(M: Matrix, B: Matrix):
     """X with M*X = B, or None; one decomposition shared by all columns."""
-    ring = M.ring
-    if B.cols == 0:
-        return Matrix.zeros(ring, M.cols, 0)
-    if ring.is_field:
-        return _field_solve_matrix(M, B)
-    # share one Smith decomposition across all columns
-    S, U, V = smith_normal_form(M)
-    t = min(M.rows, M.cols)
-    C = U * B
-    m = ring.modulus if ring.kind == INTEGERS_MOD else None
-    Y = []
-    for j in range(B.cols):
-        y = [ring.zero] * M.cols
-        for i in range(M.rows):
-            ci = C[i, j]
-            d = S[i, i] if i < t else ring.zero
-            if ring.kind == INTEGERS:
-                if d == 0:
-                    if ci != 0:
-                        return None
-                else:
-                    if ci % d:
-                        return None
-                    y[i] = ci // d
-            else:
-                ci, d = int(ci), int(d)
-                if d == 0:
-                    if ci % m:
-                        return None
-                else:
-                    g = gcd(d, m)
-                    if ci % g:
-                        return None
-                    y[i] = ((ci // g) * pow(d // g, -1, m // g)) % m
-        Y.append(y)
-    Ym = Matrix(ring, M.cols, B.cols,
-                [Y[j][i] for i in range(M.cols) for j in range(B.cols)])
-    return V * Ym
-
-
-def in_column_span(M: Matrix, b: Matrix) -> bool:
-    return solve(M, b) is not None
+    return _solve_matrix(M, B)
 
 
 def matrix_is_invertible(M: Matrix) -> bool:
@@ -370,10 +395,3 @@ def matrix_is_invertible(M: Matrix) -> bool:
         return field_rank(M) == M.rows
     S, _, _ = smith_normal_form(M)
     return all(ring.is_unit(S[i, i]) for i in range(M.rows))
-
-
-def integer_rank(M: Matrix) -> int:
-    if M.ring != ZZ:
-        raise UnsupportedRing("integer_rank wants a matrix over Z")
-    S, _, _ = smith_normal_form(M)
-    return sum(1 for i in range(min(M.rows, M.cols)) if S[i, i] != 0)

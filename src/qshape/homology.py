@@ -460,19 +460,27 @@ def derived_homology(X: Representation, q, side: str = SIDE_CN,
     return {i: d.module for i, d in data.items()}
 
 
+def _derived_maps(phi: RepMorphism, q, side: str, degrees,
+                  max_degree: int) -> dict:
+    """Induced maps on the listed derived homology degrees, all built from
+    one computation of each end's derived homology data."""
+    res = resolve_stalk(phi.source.category, q, side, max_degree + 1)
+    dx = derived_homology_data(phi.source, q, side, max_degree)
+    dy = derived_homology_data(phi.target, q, side, max_degree)
+    ring = phi.source.ring
+    out = {}
+    for i in degrees:
+        block = Matrix.block_diag(ring, [phi.component(r) for r in res.terms[i]])
+        out[i] = induced_on_homology(dx[i], dy[i], block)
+    return out
+
+
 def derived_homology_map(phi: RepMorphism, q, side: str, degree: int,
                          max_degree: int | None = None) -> ModuleMap:
     """The induced map on one derived homology group."""
     if max_degree is None:
         max_degree = max(degree, 2)
-    res = resolve_stalk(phi.source.category, q, side, max_degree + 1)
-    dx = derived_homology_data(phi.source, q, side, max_degree)
-    dy = derived_homology_data(phi.target, q, side, max_degree)
-    level = res.terms[degree]
-    ring = phi.source.ring
-    block = Matrix.block_diag(ring, [phi.component(r) for r in level]) \
-        if level else Matrix.zeros(ring, 0, 0)
-    return induced_on_homology(dx[degree], dy[degree], block)
+    return _derived_maps(phi, q, side, (degree,), max_degree)[degree]
 
 
 # ---------------------------------------------------------------------------
@@ -598,17 +606,39 @@ def zero_test(X: Representation) -> dict:
             "witness": witness}
 
 
+def _resolutions_fit(C: MeshCategory, q, sides, length: int) -> bool:
+    """Whether the stalk resolutions at q on every side stay in the window."""
+    try:
+        for side in sides:
+            resolve_stalk(C, q, side, length)
+    except WindowTooSmall:
+        return False
+    return True
+
+
 def homology_report(X: Representation, vertices=None, max_degree: int = 2,
                     sides=(SIDE_CN, SIDE_CO)) -> dict:
     """Mesh homology plus derived (co)homology per vertex, as normal forms.
 
     Keys: "mesh" maps vertex labels to module descriptions; "H_" and
     "H^" map "i at vertex" to descriptions for i = 0..max_degree.
+
+    Without ``vertices`` the report covers every interior vertex whose
+    stalk resolutions on the requested sides fit in the window out to
+    length max_degree + 1; "skipped" then lists the interior vertices
+    whose resolutions do not (the key is absent when there are none).
     """
     C = X.category
+    skipped = []
     if vertices is None:
-        vertices = [q for q in C.vertices if C.is_interior(q)]
+        vertices = []
+        for q in C.vertices:
+            if C.is_interior(q):
+                fits = _resolutions_fit(C, q, sides, max_degree + 1)
+                (vertices if fits else skipped).append(q)
     report = {"mesh": {}, "H_": {}, "H^": {}}
+    if skipped:
+        report["skipped"] = [format_vertex(q) for q in skipped]
     for q in vertices:
         label = format_vertex(q)
         if C.is_interior(q):
@@ -634,8 +664,9 @@ def is_weak_equivalence(phi: RepMorphism, max_degree: int = 2) -> dict:
     verdict = True
     degree_one = True
     for q in _cn_probes(phi.source, phi.target, max_degree):
-        for i in range(1, max_degree + 1):
-            f = derived_homology_map(phi, q, SIDE_CN, i, max_degree)
+        maps = _derived_maps(phi, q, SIDE_CN, range(1, max_degree + 1),
+                             max_degree)
+        for i, f in maps.items():
             iso = f.is_isomorphism()
             table[(format_vertex(q), i)] = iso
             if not iso:

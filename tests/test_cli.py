@@ -1,6 +1,7 @@
 """Command-line surface: schemas, exit codes, determinism, round trips."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,10 @@ from qshape.fixtures import counter_morphism
 from qshape.io import (SchemaError, dumps, morphism_json, parse_category,
                        parse_morphism, parse_representation,
                        representation_json)
+from qshape.quiver import format_vertex
 from qshape.repmod import free_at
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def run(capsys, *argv):
@@ -194,6 +198,23 @@ class TestCommands:
         assert code == 0
         assert data["tables"]["mesh"]["2"] == "Z/2 + Z"
         assert data["tables"]["H_"]["1 at 2"] == "Z/2 + Z"
+
+    def test_homology_without_vertex_skips_what_leaves_the_window(self, capsys):
+        path = (FIXTURES / "counter_X.json").as_posix()
+        code, out = run(capsys, "homology", "--input", path)
+        assert code == 0
+        tables = json.loads(out)["tables"]
+        assert "1@-8" in tables["skipped"]
+        X = parse_representation(json.loads(Path(path).read_text()))
+        interior = {format_vertex(q)
+                    for q in X.category.quiver.interior_vertices()}
+        assert set(tables["mesh"]) | set(tables["skipped"]) == interior
+        assert not set(tables["mesh"]) & set(tables["skipped"])
+        code, out = run(capsys, "homology", "--input", path, "--vertex", "2@0")
+        single = json.loads(out)["tables"]
+        for key in ("mesh", "H_", "H^"):
+            for k, v in single[key].items():
+                assert tables[key][k] == v
 
     def test_classify(self, capsys, rep_file):
         code, out = run(capsys, "classify", "--input", rep_file)

@@ -1,6 +1,7 @@
 """Exact linear algebra core: Smith forms, kernels, presented modules."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,12 @@ import pytest
 from qshape.errors import InvalidParameter, NotWellDefined, UnsupportedRing
 from qshape.exactalg import (Matrix, ModuleMap, PresentedModule, QQ, ZZ, Zmod,
                              brute_force_injective, brute_force_projective,
-                             cokernel_presentation,
+                             cokernel_presentation, field_rank,
                              induced_map_on_subquotient, kernel_basis,
                              matrix_is_invertible, middle_homology,
                              module_is_injective, module_is_projective,
                              smith_normal_form, solve, solve_matrix)
+from qshape.exactalg.smith import _snf_int, _snf_local
 
 
 def snf_diag(M):
@@ -303,3 +305,173 @@ class TestMiddleHomology:
         f = ModuleMap(z, z, Matrix.identity(ZZ, 1))
         g = ModuleMap.zero(z, z)
         assert middle_homology(f, g).module.is_zero
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the local Smith form and raw-value RREF
+# ---------------------------------------------------------------------------
+
+LOCAL_RINGS = (Zmod(4), Zmod(8), Zmod(9), Zmod(27))
+FIELDS = (QQ, Zmod(3), Zmod(5))
+
+
+def lifted_diagonal(M):
+    """The Smith diagonal over Z/p^k the way it was first computed: the
+    integer Smith form of the lifted entries, each entry reduced to its
+    p-power part (0 from p^k on)."""
+    ring = M.ring
+    S, _, _ = _snf_int([int(x) for x in M.entries], M.rows, M.cols)
+    out = []
+    for t in range(min(M.rows, M.cols)):
+        d, v = S[t][t], 0
+        while d and d % ring.prime == 0:
+            d //= ring.prime
+            v += 1
+        out.append(ring.prime ** v if d and v < ring.exponent else 0)
+    return out
+
+
+def random_entries(rng, ring, count):
+    if ring.kind == "Q":
+        return [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                for _ in range(count)]
+    return [rng.randrange(ring.modulus) for _ in range(count)]
+
+
+def random_matrix(rng, ring, rows, cols):
+    return Matrix(ring, rows, cols, random_entries(rng, ring, rows * cols))
+
+
+def unit_triangular(rng, ring, n, lower):
+    """Random entries on one side of a diagonal of ones: invertible."""
+    return Matrix(ring, n, n, [1 if i == j else
+                               random_entries(rng, ring, 1)[0] if (i > j) == lower
+                               else 0 for i in range(n) for j in range(n)])
+
+
+def column_span_size(M):
+    """|im M| over Z/p^k, from the lifted diagonal."""
+    m = M.ring.modulus
+    size = 1
+    for d in lifted_diagonal(M):
+        size *= m // (d if d else m)
+    return size
+
+
+def kernel_size(M):
+    """|ker M| over Z/p^k, from the lifted diagonal."""
+    m = M.ring.modulus
+    diag = lifted_diagonal(M)
+    size = m ** (M.cols - len(diag))
+    for d in diag:
+        size *= d if d else m
+    return size
+
+
+def inconsistent_system(rng, ring, rows, cols):
+    """(M, b) with M*x = b unsolvable: M = P*M0 for invertible P, where the
+    last row of M0 lies in p times the ring (0 over Q) and b = P*e_last."""
+    scale = ring.prime if ring.kind == "mod" else 0
+    M0 = random_matrix(rng, ring, rows, cols)
+    M0 = Matrix(ring, rows, cols, list(M0.entries[:(rows - 1) * cols]) +
+                [scale * x for x in M0.row(rows - 1)])
+    P = unit_triangular(rng, ring, rows, True) * \
+        unit_triangular(rng, ring, rows, False)
+    e_last = Matrix.column(ring, [0] * (rows - 1) + [1])
+    return P * M0, P * e_last
+
+
+class TestLocalSmith:
+    def test_diagonal_matches_the_lifted_integer_form(self):
+        rng = random.Random(2024)
+        for ring in LOCAL_RINGS:
+            for _ in range(40):
+                r, c = rng.randint(0, 8), rng.randint(0, 8)
+                M = random_matrix(rng, ring, r, c)
+                assert snf_diag(M) == lifted_diagonal(M), M
+
+    def test_diagonal_of_low_rank_products(self):
+        # products through a narrow middle have zeros and p-powers in
+        # their diagonal, which uniform random matrices rarely show
+        rng = random.Random(77)
+        for ring in LOCAL_RINGS:
+            for _ in range(30):
+                r, c, k = rng.randint(1, 8), rng.randint(1, 8), rng.randint(0, 4)
+                A = random_matrix(rng, ring, r, k)
+                B = Matrix(ring, k, c, [ring.prime ** rng.randint(0, 1) * x
+                                        for x in random_entries(rng, ring, k * c)])
+                M = A * B if k else Matrix.zeros(ring, r, c)
+                assert snf_diag(M) == lifted_diagonal(M), M
+
+    def test_kernel_is_the_whole_kernel(self):
+        rng = random.Random(5150)
+        for ring in LOCAL_RINGS:
+            for _ in range(25):
+                r, c = rng.randint(1, 8), rng.randint(1, 8)
+                M = random_matrix(rng, ring, r, c)
+                K = kernel_basis(M)
+                assert K.rows == c
+                if K.cols:
+                    assert (M * K).is_zero
+                    # im K lies in ker M, so equal sizes make them equal
+                    assert column_span_size(K) == kernel_size(M)
+                else:
+                    assert kernel_size(M) == 1
+
+    @pytest.mark.parametrize("ring", LOCAL_RINGS + FIELDS, ids=repr)
+    def test_solve_matrix_consistent_and_inconsistent(self, ring):
+        rng = random.Random(f"solve {ring!r}")
+        for _ in range(25):
+            r, c, k = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 3)
+            M = random_matrix(rng, ring, r, c)
+            B = M * random_matrix(rng, ring, c, k)
+            X = solve_matrix(M, B)
+            assert X is not None and M * X == B
+            x = solve(M, B.column_matrix(0))
+            assert x is not None and M * x == B.column_matrix(0)
+            M, b = inconsistent_system(rng, ring, r, c)
+            assert solve_matrix(M, b) is None
+            assert solve(M, b) is None
+            assert solve_matrix(M, Matrix.hstack([B, b])) is None
+
+    @pytest.mark.parametrize("ring", FIELDS, ids=repr)
+    def test_field_rank_plus_nullity(self, ring):
+        rng = random.Random(f"rank {ring!r}")
+        for _ in range(40):
+            r, c, k = rng.randint(0, 8), rng.randint(0, 8), rng.randint(0, 8)
+            # a product through k columns has rank at most k
+            M = random_matrix(rng, ring, r, k) * random_matrix(rng, ring, k, c)
+            K = kernel_basis(M)
+            assert field_rank(M) + K.cols == c
+            assert field_rank(M) <= min(k, r, c)
+            if K.cols:
+                assert (M * K).is_zero
+                assert field_rank(K) == K.cols
+
+    @pytest.mark.parametrize("ring", FIELDS, ids=repr)
+    def test_field_rank_against_sympy(self, ring):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+        domain = sympy.QQ if ring.kind == "Q" else sympy.GF(ring.modulus)
+        rng = random.Random(f"sympy {ring!r}")
+        for _ in range(30):
+            r, c, k = rng.randint(1, 8), rng.randint(1, 8), rng.randint(0, 8)
+            M = random_matrix(rng, ring, r, k) * random_matrix(rng, ring, k, c) \
+                if k else Matrix.zeros(ring, r, c)
+            rows = [[domain(x.numerator, x.denominator) if ring.kind == "Q"
+                     else domain(x) for x in M.row(i)] for i in range(r)]
+            assert field_rank(M) == DomainMatrix(rows, (r, c), domain).rank()
+
+    def test_transforms_stay_reduced_on_16x16_over_z9(self):
+        # the lifted integer route grew 50,000-bit transform entries here
+        rng = random.Random(16)
+        ring = Zmod(9)
+        start = time.perf_counter()
+        for _ in range(10):
+            M = random_matrix(rng, ring, 16, 16)
+            S, U, V = _snf_local(M.entries, 16, 16, 3, 9)
+            assert all(0 <= x < 9 for rows in (S, U, V) for row in rows
+                       for x in row)
+            Sm, Um, Vm = smith_normal_form(M)
+            assert Um * M * Vm == Sm
+        assert time.perf_counter() - start < 5.0

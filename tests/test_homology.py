@@ -1,12 +1,14 @@
 """Corner functors, mesh homology, resolutions, and the decision procedures."""
 
 import random
+import time
 
 import pytest
 
 from qshape import Matrix, MeshCategory, PresentedModule, QQ, ZZ, Zmod, \
     build_double_an, build_repetitive_an
 from qshape.errors import BoundaryVertex
+from qshape import homology
 from qshape.exactalg import kernel_basis, solve
 from qshape.fixtures import COUNTER_LABELS, counter_morphism
 from qshape.homology import (SIDE_CN, SIDE_CO, classify_object,
@@ -14,6 +16,7 @@ from qshape.homology import (SIDE_CN, SIDE_CO, classify_object,
                              derived_homology_map, is_weak_equivalence,
                              mesh_homology, mesh_homology_map,
                              radical_filtration, resolve_stalk, zero_test)
+from qshape.quiver import format_vertex
 from qshape.repmod import (cofree_at, free_at, identity_morphism,
                            kernel_of_morphism, random_free_representation,
                            random_morphism, random_representation,
@@ -246,6 +249,24 @@ class TestDerived:
                         hx[i].direct_sum(hy[i]).normal_form()
 
 
+    def test_z9_draws_that_ran_for_minutes(self):
+        # draws 1 and 8 of random.Random(9) on double A_4 over Z/9 ran for
+        # minutes while the Smith form over Z/p^k went through Z
+        C = double_cat(4, Zmod(9))
+        rng = random.Random(9)
+        draws = [random_representation(C, rng) for _ in range(9)]
+        start = time.perf_counter()
+        for X in (draws[1], draws[8]):
+            for q in C.vertices:
+                hcn = derived_homology(X, q, SIDE_CN, 3)
+                hco = derived_homology(X, q, SIDE_CO, 3)
+                corner = corner_functors(X, q)
+                assert hcn[1].isomorphic(mesh_homology(X, q))
+                assert hcn[0].isomorphic(corner.C)
+                assert hco[0].isomorphic(corner.K)
+        assert time.perf_counter() - start < 20.0
+
+
 class TestClassification:
     def test_free_projective_all_rings(self):
         for ring in (ZZ, Zmod(3), Zmod(4)):
@@ -324,6 +345,26 @@ class TestWeakEquivalence:
             phi = random_morphism(X, Y, rng)
             r = is_weak_equivalence(phi)
             assert r["routes_agree"]
+
+
+    def test_derived_data_computed_once_per_probe(self, monkeypatch):
+        _, _, phi = counter_morphism(QQ)
+        calls = []
+        original = homology.derived_homology_data
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+        monkeypatch.setattr(homology, "derived_homology_data", counting)
+        result = is_weak_equivalence(phi, 2)
+        probes = homology._cn_probes(phi.source, phi.target, 2)
+        assert len(calls) == 2 * len(probes)
+        assert set(calls) == set(probes)
+        for q in probes:
+            for i in (1, 2):
+                f = derived_homology_map(phi, q, SIDE_CN, i, 2)
+                assert result["iso_table"][(format_vertex(q), i)] == \
+                    f.is_isomorphism()
 
 
 class TestCounterExample:
