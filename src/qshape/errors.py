@@ -35,11 +35,3 @@ class WindowTooSmall(QShapeError):
 
 class InvalidMorphism(QShapeError):
     """A representation morphism fails naturality."""
-
-
-class UnsupportedValues(QShapeError):
-    """Representation values are outside the supported class."""
-
-
-class NonFreeKernel(QShapeError):
-    """Internal invariant breach: a kernel expected to be free is not."""

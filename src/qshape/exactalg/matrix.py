@@ -230,5 +230,14 @@ class Matrix:
     def from_json(ring: BaseRing, data) -> "Matrix":
         if not isinstance(data, dict) or {"rows", "cols", "entries"} - set(data):
             raise InvalidParameter("matrix object needs rows/cols/entries")
-        entries = [ring.parse_entry(x) for x in data["entries"]]
-        return Matrix(ring, data["rows"], data["cols"], entries)
+        rows, cols = data["rows"], data["cols"]
+        if not all(isinstance(x, int) and not isinstance(x, bool)
+                   for x in (rows, cols)):
+            raise InvalidParameter("rows and cols must be integers")
+        if not isinstance(data["entries"], list):
+            raise InvalidParameter("entries must be a list")
+        try:
+            entries = [ring.parse_entry(x) for x in data["entries"]]
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            raise InvalidParameter(f"bad matrix entry: {exc}") from None
+        return Matrix(ring, rows, cols, entries)

@@ -173,9 +173,6 @@ class PresentedModule:
         rel = Matrix.block_diag(self.ring, [self.relations, other.relations])
         return PresentedModule(self.ring, self.generators + other.generators, rel)
 
-    def contains_in_relations(self, v: Matrix) -> bool:
-        return solve(self.relations, v) is not None
-
     # -- brute force over finite rings -------------------------------------------
 
     def elements(self):

@@ -199,7 +199,10 @@ class BaseRing:
         if data == RATIONALS:
             return QQ
         if isinstance(data, dict) and set(data) == {"mod"}:
-            return Zmod(data["mod"])
+            m = data["mod"]
+            if isinstance(m, bool) or not isinstance(m, int):
+                raise InvalidParameter(f"modulus must be an integer, got {m!r}")
+            return Zmod(m)
         raise InvalidParameter(f"unrecognized ring spec {data!r}")
 
 

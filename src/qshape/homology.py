@@ -11,10 +11,13 @@ The two corner functors at a vertex q are
 Derived versions are computed from projective resolutions of the two
 stalk functors at q: the covariant one is resolved by representable
 summands Q(r, -), the contravariant one by summands Q(-, r).  Both
-resolutions start from the canonical basis-indexed presentation and are
-extended degreewise by covering vertexwise kernels with representables;
-exactness at every computed level holds by construction and is asserted
-in the test suite.
+resolutions start with one summand per arrow at q and are extended
+degreewise: each vertexwise kernel K is covered by lifts of generators
+of its corners K(s) / Σ im K(t -> s), which generate K because the
+pseudo-radical is nilpotent.  Over a field the result is the minimal
+resolution.  The canonical basis-indexed resolution, one summand per
+radical-basis morphism, is kept as a test oracle.  Exactness at every
+computed level holds by construction and is asserted in the test suite.
 
 Everything is desk-scale exact arithmetic: homology groups come back as
 presented modules in invariant-factor normal form.
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .errors import BoundaryVertex, InvalidMorphism, WindowTooSmall
 from .exactalg import (Matrix, ModuleMap, PresentedModule, kernel_basis,
-                       middle_homology, induced_on_homology)
+                       middle_homology, induced_on_homology, solve)
 from .exactalg.modules import HomologyData, coordinates_mod
 from .meshcat import MeshCategory
 from .quiver import DOUBLE_AN, REPETITIVE_AN, format_vertex
@@ -256,49 +259,67 @@ def _assemble(ring, blocks, row_dims, col_dims):
     return Matrix(ring, rows, cols, [x for row in out for x in row])
 
 
-def resolve_stalk(C: MeshCategory, q, side: str, length: int) -> StalkResolution:
-    """Projective resolution of the stalk functor at q, out to the given length.
-
-    The head is the basis-indexed presentation: level one has one
-    representable summand for every radical-basis morphism out of
-    (side co) or into (side cn) the vertex q.  Further levels cover the
-    vertexwise kernels.  Results are cached on the category.
-    """
-    key = (q, side)
-    cached = C._resolution_cache.get(key)
-    if cached is not None and cached.length() >= length:
-        return cached
-    eng = _Side(C, side)
+def _start_resolution(eng: _Side, q, head) -> StalkResolution:
+    """Levels zero and one: the vertex q and one summand per head element."""
+    C = eng.C
     if not eng.margin_ok(q):
         raise WindowTooSmall(f"stalk resolution at {format_vertex(q)} "
                              "reaches outside the window")
-    terms = [[q]]
-    boundaries = [None]
-    head = eng.radical_head(q)
     for _, r in head:
         if not eng.margin_ok(r):
             raise WindowTooSmall("resolution summand too close to the window edge")
-    terms.append([r for _, r in head])
     bd1 = {}
     for b, (e, r) in enumerate(head):
         basis = eng.entry_basis(q, r)
-        coeffs = [C.ring.one if x == e else C.ring.zero for x in basis]
-        bd1[(0, b)] = tuple(coeffs)
-    boundaries.append(bd1)
-    res = StalkResolution(side, q, terms, boundaries, eng)
-    _extend_resolution(res, length)
+        bd1[(0, b)] = tuple(C.ring.one if x == e else C.ring.zero for x in basis)
+    return StalkResolution(eng.side, q, [[q], [r for _, r in head]],
+                           [None, bd1], eng)
+
+
+def resolve_stalk(C: MeshCategory, q, side: str, length: int) -> StalkResolution:
+    """Projective resolution of the stalk functor at q, out to the given length.
+
+    Level one has one representable summand per arrow out of (side co)
+    or into (side cn) the vertex q.  Each further level covers the
+    vertexwise kernels by lifts of generators of their corners (see
+    _corner_cover); over a field the resolution is minimal.  Results are
+    cached on the category, and a cached resolution is extended in place
+    when a longer one is asked for.
+    """
+    key = (q, side)
+    res = C._resolution_cache.get(key)
+    if res is None:
+        eng = _Side(C, side)
+        res = _start_resolution(
+            eng, q, [(e, r) for e, r in eng.radical_head(q) if e.degree == 1])
+    _extend_resolution(res, length, _corner_cover)
     C._resolution_cache[key] = res
     return res
 
 
-def _extend_resolution(res: StalkResolution, length: int):
+def basis_indexed_resolution(C: MeshCategory, q, side: str,
+                             length: int) -> StalkResolution:
+    """The canonical basis-indexed resolution, kept as a test oracle.
+
+    Level one has one representable summand for every radical-basis
+    morphism out of (side co) or into (side cn) q, and further levels
+    are greedy covers of the vertexwise kernels.  Nothing is cached.
+    """
+    eng = _Side(C, side)
+    res = _start_resolution(eng, q, eng.radical_head(q))
+    _extend_resolution(res, length, _greedy_cover)
+    return res
+
+
+def _extend_resolution(res: StalkResolution, length: int, cover):
     eng = res._engine
     C = eng.C
     while res.length() < length:
         i = res.length()
         cur = res.terms[i]
         # vertices where the level can be nonzero; the translate of the
-        # resolved vertex goes first so the mesh syzygy summand is chosen
+        # resolved vertex goes first, so the mesh syzygy summand comes
+        # first and the greedy cover of the oracle picks it
         spots = [s for s in C.vertices
                  if any(eng.value_dim(r, s) for r in cur)]
         if C.quiver.has_tau(res.vertex):
@@ -306,7 +327,7 @@ def _extend_resolution(res: StalkResolution, length: int):
             if tau_v in spots:
                 spots = [tau_v] + [s for s in spots if s != tau_v]
         kernels = {s: kernel_basis(res.level_matrix(i, s)) for s in spots}
-        chosen = _greedy_cover(eng, cur, spots, kernels)
+        chosen = cover(eng, cur, spots, kernels)
         new_terms = []
         new_entries = {}
         dims_at = {s: [eng.value_dim(r, s) for r in cur] for s in spots}
@@ -323,16 +344,54 @@ def _extend_resolution(res: StalkResolution, length: int):
         res.boundaries.append(new_entries)
 
 
+def _corner_cover(eng: _Side, cur, spots, kernels):
+    """Lifts of generators of the corners K(s) / Σ im K(t -> s).
+
+    Every radical morphism into s factors through a degree-one one, so
+    the images of the neighbouring kernels under the degree-one
+    morphisms t -> s span the radical part of K(s).  A kernel column is
+    kept when it is outside that span and the columns kept before it.
+    The kept columns and the radical give K = cover + rad K, and the
+    pseudo-radical is nilpotent, so the cover generates K over every
+    ring (graded Nakayama); over a field it is minimal.
+    """
+    ring = eng.C.ring
+    chosen = []
+    for s in spots:
+        K = kernels[s]
+        if K.cols == 0:
+            continue
+        images = [Matrix.zeros(ring, K.rows, 0)]
+        for t in spots:
+            if kernels[t].cols == 0:
+                continue
+            for h in eng.entry_basis(t, s):
+                if h.degree == 1:
+                    act = Matrix.block_diag(
+                        ring, [eng.orbit_action(h, r, t, s) for r in cur])
+                    images.append(act * kernels[t])
+        span = Matrix.hstack(images)
+        for col in range(K.cols):
+            v = K.column_matrix(col)
+            if v.is_zero or (span.cols and solve(span, v) is not None):
+                continue
+            if not eng.margin_ok(s):
+                raise WindowTooSmall(
+                    "resolution kernel reaches the window edge; widen the window")
+            chosen.append((s, K.col(col)))
+            span = Matrix.hstack([span, v])
+    return chosen
+
+
 def _greedy_cover(eng: _Side, cur, spots, kernels):
     """Vertexwise kernel generators not already generated by earlier picks.
 
     The subfunctor generated by elements v_j at vertices r_j has, at s,
     exactly the span of their images under the hom bases Q(r_j, s) in
     the engine direction, so membership is one linear solve; picks are
-    repeated until a full pass adds nothing.
+    repeated until a full pass adds nothing.  Only the basis-indexed
+    oracle uses this cover.
     """
-    from .exactalg import solve
-    ring = eng.C.ring
     chosen = []
     changed = True
     while changed:

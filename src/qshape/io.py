@@ -27,6 +27,11 @@ class SchemaError(InvalidParameter):
         super().__init__(f"{path}: {message}")
 
 
+def _is_int(x) -> bool:
+    """JSON integers only: true and false are not counts."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_category(data, path="") -> MeshCategory:
     if not isinstance(data, dict):
         raise SchemaError(path or "/", "category spec must be an object")
@@ -36,7 +41,7 @@ def parse_category(data, path="") -> MeshCategory:
         raise SchemaError(path + "/ring", str(exc)) from None
     flavor = data.get("flavor")
     n = data.get("n")
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise SchemaError(path + "/n", "n must be an integer")
     if flavor == "double_an":
         try:
@@ -46,7 +51,7 @@ def parse_category(data, path="") -> MeshCategory:
     if flavor == "repetitive_an":
         window = data.get("window")
         if (not isinstance(window, (list, tuple)) or len(window) != 2
-                or not all(isinstance(x, int) for x in window)):
+                or not all(_is_int(x) for x in window)):
             raise SchemaError(path + "/window", "window must be [i_min, i_max]")
         try:
             return MeshCategory(build_repetitive_an(n, tuple(window)), ring)
@@ -67,7 +72,7 @@ def parse_value(ring, data, path) -> PresentedModule:
     if not isinstance(data, dict) or "rank" not in data:
         raise SchemaError(path, "value must be an object with a rank")
     rank = data["rank"]
-    if not isinstance(rank, int) or rank < 0:
+    if not _is_int(rank) or rank < 0:
         raise SchemaError(path + "/rank", "rank must be a nonnegative integer")
     relations = None
     if "relations" in data:

@@ -58,12 +58,6 @@ class Representation:
                                 self.value(arrow.source).generators)
         return M
 
-    def arrow_map(self, arrow) -> ModuleMap:
-        if isinstance(arrow, str):
-            arrow = self.category.quiver.arrow(arrow)
-        return ModuleMap(self.value(arrow.source), self.value(arrow.target),
-                         self.arrow_matrix(arrow), check=False)
-
     # -- evaluation on arbitrary morphisms of the category ---------------------
 
     def evaluate_matrix(self, coeff, elt: BasisElement) -> Matrix:
@@ -74,10 +68,6 @@ class Representation:
             out = self.arrow_matrix(name) * out
         scale = self.ring.mul(coeff, sign)
         return out.scale(scale)
-
-    def evaluate_map(self, coeff, elt: BasisElement) -> ModuleMap:
-        return ModuleMap(self.value(elt.source), self.value(elt.target),
-                         self.evaluate_matrix(coeff, elt), check=False)
 
     # -- constructions -----------------------------------------------------------
 

@@ -103,6 +103,38 @@ class TestExitCodes:
         assert code == 1
         assert "/values/9" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("ring, value, n, path", [
+        ("Z", {"rank": 1, "relations": {"rows": 1, "cols": 1,
+                                        "entries": ["abc"]}}, 2,
+         "/values/1/relations"),
+        ("Q", {"rank": 1, "relations": {"rows": 1, "cols": 1,
+                                        "entries": ["1/0"]}}, 2,
+         "/values/1/relations"),
+        ("Z", {"rank": 1, "relations": {"rows": "1", "cols": 1,
+                                        "entries": ["2"]}}, 2,
+         "/values/1/relations"),
+        ("Z", {"rank": 1, "relations": {"rows": 1, "cols": 2,
+                                        "entries": "12"}}, 2,
+         "/values/1/relations"),
+        ({"mod": "9"}, {"rank": 1}, 2, "/category/ring"),
+        ("Z", {"rank": True}, 2, "/values/1/rank"),
+        ("Z", {"rank": 1}, True, "/category/n"),
+    ], ids=["entry abc over Z", "entry 1/0 over Q", "rows as a string",
+            "entries as a string", "modulus as a string", "rank true",
+            "n true"])
+    def test_malformed_input_is_exit_one_with_path(self, capsys, monkeypatch,
+                                                   ring, value, n, path):
+        import io as _io
+        text = json.dumps({"category": {"flavor": "double_an", "n": n,
+                                        "ring": ring},
+                           "values": {"1": value}})
+        monkeypatch.setattr("sys.stdin", _io.StringIO(text))
+        code, out = run(capsys, "validate", "--input", "-")
+        assert code == 1
+        report = json.loads(out)
+        assert set(report) == {"error", "path"}
+        assert report["path"] == path
+
     def test_mesh_violation_is_exit_two(self, capsys, tmp_path):
         f = tmp_path / "rep.json"
         f.write_text(json.dumps({

@@ -7,16 +7,17 @@ import pytest
 
 from qshape import Matrix, MeshCategory, PresentedModule, QQ, ZZ, Zmod, \
     build_double_an, build_repetitive_an
-from qshape.errors import BoundaryVertex
+from qshape.errors import BoundaryVertex, WindowTooSmall
 from qshape import homology
 from qshape.exactalg import kernel_basis, solve
 from qshape.fixtures import COUNTER_LABELS, counter_morphism
-from qshape.homology import (SIDE_CN, SIDE_CO, classify_object,
-                             corner_functors, derived_homology,
+from qshape.homology import (SIDE_CN, SIDE_CO, basis_indexed_resolution,
+                             classify_object, corner_functors,
+                             derived_homology,
                              derived_homology_map, is_weak_equivalence,
                              mesh_homology, mesh_homology_map,
                              radical_filtration, resolve_stalk, zero_test)
-from qshape.quiver import format_vertex
+from qshape.quiver import DOUBLE_AN, format_vertex
 from qshape.repmod import (cofree_at, free_at, identity_morphism,
                            kernel_of_morphism, random_free_representation,
                            random_morphism, random_representation,
@@ -24,8 +25,40 @@ from qshape.repmod import (cofree_at, free_at, identity_morphism,
                            validate_representation, zero_morphism)
 
 
+ALL_RINGS = (ZZ, QQ, Zmod(3), Zmod(4), Zmod(9))
+
+
 def double_cat(n, ring=ZZ):
     return MeshCategory(build_double_an(n), ring)
+
+
+def repetitive_cats(ring):
+    return [MeshCategory(build_repetitive_an(2, (-6, 6)), ring),
+            MeshCategory(build_repetitive_an(3, (-8, 8)), ring)]
+
+
+def fitting(construct, C, q, side, length):
+    """The resolution, or None where it does not fit the window."""
+    try:
+        return construct(C, q, side, length)
+    except WindowTooSmall:
+        return None
+
+
+def assert_exact(C, q, res):
+    ring = C.ring
+    for s in C.vertices:
+        d1 = res.level_matrix(1, s)
+        coker = PresentedModule(ring, d1.rows, d1).normal_form()
+        want = PresentedModule.free(ring, 1 if s == q else 0).normal_form()
+        assert coker == want, (q, s)
+        for i in range(1, res.length()):
+            ei = res.level_matrix(i, s)
+            en = res.level_matrix(i + 1, s)
+            assert (ei * en).is_zero
+            K = kernel_basis(ei)
+            for j in range(K.cols):
+                assert solve(en, K.column_matrix(j)) is not None
 
 
 class TestCorners:
@@ -136,10 +169,60 @@ class TestResolutions:
         for n in (3, 4):
             C = double_cat(n)
             for q in C.vertices:
-                res = resolve_stalk(C, q, SIDE_CO, 1)
+                res = basis_indexed_resolution(C, q, SIDE_CO, 1)
                 assert len(res.terms[1]) == len(C.radical_out(q))
-                res = resolve_stalk(C, q, SIDE_CN, 1)
+                res = basis_indexed_resolution(C, q, SIDE_CN, 1)
                 assert len(res.terms[1]) == len(C.radical_in(q))
+
+    def test_head_has_one_summand_per_arrow(self):
+        for ring in ALL_RINGS:
+            cats = [double_cat(n, ring) for n in (2, 3, 5)] + repetitive_cats(ring)
+            for C in cats:
+                for q in C.quiver.interior_vertices():
+                    heads = {SIDE_CO: [a.target for a in C.quiver.arrows_out_of(q)],
+                             SIDE_CN: [a.source for a in C.quiver.arrows_into(q)]}
+                    for side, want in heads.items():
+                        res = fitting(resolve_stalk, C, q, side, 1)
+                        if res is not None:
+                            assert sorted(res.terms[1], key=format_vertex) == \
+                                sorted(want, key=format_vertex)
+
+    def test_periodic_level_sizes(self):
+        # the double A_n mesh category is the preprojective algebra of A_n,
+        # whose minimal resolutions of simples have period [1, 2, 1] inside
+        # and [1, 1, 1] at the ends (Brenner-Butler-King 2002)
+        for ring in ALL_RINGS:
+            for n in (3, 4, 5, 6):
+                C = double_cat(n, ring)
+                for q in C.vertices:
+                    want = [1] * 7 if q in (1, n) else [1, 2, 1, 1, 2, 1, 1]
+                    for side in (SIDE_CN, SIDE_CO):
+                        res = resolve_stalk(C, q, side, 6)
+                        assert [len(t) for t in res.terms] == want, (ring, n, q)
+
+    def test_corner_cover_skips_columns_spanned_by_earlier_picks(self):
+        # no kernel met by the stalk resolutions of these mesh categories
+        # has a corner of rank two, so the rule is shown on a hand-made
+        # kernel at one spot with no neighbours
+        C = double_cat(3, QQ)
+        eng = homology._Side(C, SIDE_CO)
+        K = Matrix.from_rows(QQ, [[1, 2, 0], [0, 0, 1]])
+        chosen = homology._corner_cover(eng, [2], [2], {2: K})
+        assert chosen == [(2, K.col(0)), (2, K.col(2))]
+
+    def test_cached_resolution_extends_in_place(self):
+        C = double_cat(4, QQ)
+        short = resolve_stalk(C, 2, SIDE_CN, 2)
+        long = resolve_stalk(C, 2, SIDE_CN, 5)
+        assert long is short and long.length() == 5
+        assert resolve_stalk(C, 2, SIDE_CN, 3) is long
+        fresh = resolve_stalk(double_cat(4, QQ), 2, SIDE_CN, 5)
+        assert fresh.terms == long.terms and fresh.boundaries == long.boundaries
+
+    def test_oracle_is_not_cached(self):
+        C = double_cat(3)
+        basis_indexed_resolution(C, 2, SIDE_CN, 3)
+        assert C._resolution_cache == {}
 
     def test_translate_summand_present_at_level_two(self):
         for n in (2, 3, 4):
@@ -149,20 +232,24 @@ class TestResolutions:
                 assert q in res.terms[2]  # tau is the identity here
 
     def test_exactness_all_levels(self):
-        for ring in (ZZ, Zmod(3), Zmod(4)):
-            for n in (2, 3):
-                C = double_cat(n, ring)
-                for q in C.vertices:
-                    for side in (SIDE_CN, SIDE_CO):
-                        res = resolve_stalk(C, q, side, 3)
-                        for i in range(1, res.length()):
-                            for s in C.vertices:
-                                ei = res.level_matrix(i, s)
-                                en = res.level_matrix(i + 1, s)
-                                assert (ei * en).is_zero
-                                K = kernel_basis(ei)
-                                for j in range(K.cols):
-                                    assert solve(en, K.column_matrix(j)) is not None
+        for construct in (resolve_stalk, basis_indexed_resolution):
+            for ring in (ZZ, Zmod(3), Zmod(4), QQ, Zmod(9)):
+                for n in (2, 3):
+                    C = double_cat(n, ring)
+                    for q in C.vertices:
+                        for side in (SIDE_CN, SIDE_CO):
+                            assert_exact(C, q, construct(C, q, side, 3))
+        fitted = 0
+        for construct in (resolve_stalk, basis_indexed_resolution):
+            for ring in (ZZ, Zmod(3), Zmod(4)):
+                for C in repetitive_cats(ring):
+                    for q in C.quiver.interior_vertices():
+                        for side in (SIDE_CN, SIDE_CO):
+                            res = fitting(construct, C, q, side, 3)
+                            if res is not None:
+                                fitted += 1
+                                assert_exact(C, q, res)
+        assert fitted > 100
 
 
 class TestDerived:
@@ -248,6 +335,49 @@ class TestDerived:
                     assert hs[i].normal_form() == \
                         hx[i].direct_sum(hy[i]).normal_form()
 
+
+    def test_minimal_and_basis_indexed_resolutions_agree(self, monkeypatch):
+        # every H_i/H^i normal form through the corner-cover resolution
+        # equals the one through the basis-indexed oracle, wherever the
+        # oracle fits the window
+        compared = 0
+        for ring in ALL_RINGS:
+            for C in [double_cat(3, ring)] + repetitive_cats(ring):
+                rng = random.Random(f"differential:{ring!r}:{C.quiver.flavor}:{C.n}")
+                oracles = {}
+                for q in C.quiver.interior_vertices():
+                    for side in (SIDE_CN, SIDE_CO):
+                        res = fitting(basis_indexed_resolution, C, q, side, 3)
+                        if res is not None:
+                            oracles[(q, side)] = res
+                for _ in range(12 if C.flavor == DOUBLE_AN else 3):
+                    X = random_representation(C, rng)
+                    for (q, side), oracle in oracles.items():
+                        minimal = derived_homology(X, q, side, 2)
+                        with monkeypatch.context() as m:
+                            m.setattr(homology, "resolve_stalk",
+                                      lambda *args, oracle=oracle: oracle)
+                            indexed = derived_homology(X, q, side, 2)
+                        for i in range(3):
+                            assert minimal[i].normal_form() == \
+                                indexed[i].normal_form(), (ring, C, q, side, i)
+                        compared += 1
+        assert compared > 1000
+
+    def test_double_a8_to_degree_three_within_budget(self):
+        # the basis-indexed resolution did not finish this in minutes
+        for ring in ALL_RINGS:
+            C = double_cat(8, ring)
+            X = random_representation(C, random.Random(8))
+            start = time.perf_counter()
+            for q in C.vertices:
+                hcn = derived_homology(X, q, SIDE_CN, 3)
+                hco = derived_homology(X, q, SIDE_CO, 3)
+                corner = corner_functors(X, q)
+                assert hcn[0].isomorphic(corner.C)
+                assert hco[0].isomorphic(corner.K)
+                assert hcn[1].isomorphic(mesh_homology(X, q))
+            assert time.perf_counter() - start < 10.0, ring
 
     def test_z9_draws_that_ran_for_minutes(self):
         # draws 1 and 8 of random.Random(9) on double A_4 over Z/9 ran for
