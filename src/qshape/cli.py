@@ -11,6 +11,11 @@ oracle mismatch, a mesh residual, an invariant breach).
 
 QSHAPE_MAX_DEGREE overrides the derived-homology depth; the
 --max-degree flag wins over the environment.
+
+Input is bounded: --n and a JSON "n" are at most 32 (``io.MAX_N``), and
+a ring modulus, from "mod:M" or a JSON {"mod": M}, is below 2**31
+(``exactalg.rings.MAX_MODULUS``).  Larger values end in exit 1 with a
+path.
 """
 
 from __future__ import annotations
@@ -22,13 +27,13 @@ import random
 import sys
 from dataclasses import dataclass, field
 
-from .errors import InvalidMorphism, QShapeError
+from .errors import InvalidMorphism, InvalidParameter, QShapeError
 from .exactalg import BaseRing, PresentedModule, ZZ
 from .fixtures import COUNTER_LABELS, counter_morphism
 from .homology import (SIDE_CN, SIDE_CO, classify_object, corner_functors,
                        derived_homology, homology_report, is_weak_equivalence,
                        mesh_homology, mesh_homology_map, zero_test)
-from .io import (SchemaError, category_bundle, dumps, parse_category,
+from .io import (MAX_N, SchemaError, category_bundle, dumps, parse_category,
                  parse_morphism, parse_representation)
 from .meshcat import MeshCategory
 from .quiver import build_double_an, build_repetitive_an, format_vertex
@@ -88,9 +93,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_ring(text: str) -> BaseRing:
-    if text.startswith("mod:"):
-        return BaseRing.from_json({"mod": int(text.split(":", 1)[1])})
-    return BaseRing.from_json(text)
+    try:
+        if text.startswith("mod:"):
+            return BaseRing.from_json({"mod": int(text.split(":", 1)[1])})
+        return BaseRing.from_json(text)
+    except (InvalidParameter, ValueError) as exc:
+        raise SchemaError("--ring", str(exc)) from None
 
 
 def _load_json(path: str):
@@ -103,6 +111,8 @@ def _load_json(path: str):
 
 def _category_from_args(args) -> MeshCategory:
     ring = _parse_ring(args.ring)
+    if args.n > MAX_N:
+        raise SchemaError("--n", f"n must be at most {MAX_N}")
     if args.flavor == "double_an":
         return MeshCategory(build_double_an(args.n), ring)
     window = tuple(args.window) if args.window else (-2 * args.n, 2 * args.n)

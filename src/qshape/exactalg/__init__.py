@@ -3,11 +3,9 @@
 from .matrix import Matrix
 from .modules import (HomologyData, ModuleMap, NormalForm, PresentedModule,
                       brute_force_injective, brute_force_projective,
-                      cokernel_presentation, coordinates_mod,
-                      induced_map_on_subquotient, induced_on_homology,
-                      middle_homology, module_is_injective,
-                      module_is_projective, preimage_generators,
-                      relations_among)
+                      coordinates_mod, induced_map_on_subquotient,
+                      induced_on_homology, middle_homology,
+                      preimage_generators)
 from .rings import QQ, ZZ, BaseRing, Zmod
 from .smith import (field_rank, kernel_basis, matrix_is_invertible,
                     smith_normal_form, solve, solve_matrix)
@@ -18,8 +16,7 @@ __all__ = [
     "smith_normal_form", "kernel_basis", "solve", "solve_matrix",
     "matrix_is_invertible", "field_rank",
     "PresentedModule", "ModuleMap", "NormalForm", "HomologyData",
-    "cokernel_presentation", "module_is_projective", "module_is_injective",
-    "preimage_generators", "relations_among", "coordinates_mod",
+    "preimage_generators", "coordinates_mod",
     "induced_map_on_subquotient", "middle_homology", "induced_on_homology",
     "brute_force_projective", "brute_force_injective",
 ]

@@ -1,8 +1,20 @@
 """Immutable exact matrices over a base ring.
 
-Entries are stored row-major as a flat tuple of canonical ring elements.
-All operations return new matrices; a Matrix is hashable and safe to
-share between threads.
+Entries are stored row-major as a flat tuple of canonical ring elements
+(see ``BaseRing.canon``): ints over Z, ints in [0, m) over Z/m, Fractions
+over Q.  Every operation relies on that invariant, and all operations
+return new matrices; a Matrix is hashable and safe to share between
+threads.
+
+There are two ways to build one:
+
+* ``Matrix(ring, rows, cols, entries)`` is the public constructor.  It
+  takes values from outside the library, refuses inexact ones (floats,
+  bools, non-integral Fractions over Z or Z/m) and canonicalises the rest.
+* ``Matrix._trusted(ring, rows, cols, entries)`` is for entries the
+  library has just produced in canonical form: products, stacks,
+  selections and elimination outputs.  It stores them as they are, so a
+  caller that hands it a non-canonical entry breaks the invariant.
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ class Matrix:
     def __init__(self, ring: BaseRing, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
             raise InvalidParameter("matrix dimensions must be nonnegative")
-        entries = tuple(ring.canon(x) for x in entries)
+        entries = tuple(map(ring.element, entries))
         if len(entries) != rows * cols:
             raise InvalidParameter(
                 f"expected {rows * cols} entries, got {len(entries)}")
@@ -25,6 +37,16 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.entries = entries
+
+    @staticmethod
+    def _trusted(ring: BaseRing, rows: int, cols: int, entries) -> "Matrix":
+        """A matrix on entries that are already canonical, stored unchecked."""
+        M = object.__new__(Matrix)
+        M.ring = ring
+        M.rows = rows
+        M.cols = cols
+        M.entries = tuple(entries)
+        return M
 
     # -- constructors --------------------------------------------------------
 
@@ -39,13 +61,13 @@ class Matrix:
 
     @staticmethod
     def zeros(ring: BaseRing, rows: int, cols: int) -> "Matrix":
-        return Matrix(ring, rows, cols, [ring.zero] * (rows * cols))
+        return Matrix._trusted(ring, rows, cols, (ring.zero,) * (rows * cols))
 
     @staticmethod
     def identity(ring: BaseRing, n: int) -> "Matrix":
-        return Matrix(ring, n, n,
-                      [ring.one if i == j else ring.zero
-                       for i in range(n) for j in range(n)])
+        return Matrix._trusted(ring, n, n,
+                               [ring.one if i == j else ring.zero
+                                for i in range(n) for j in range(n)])
 
     @staticmethod
     def column(ring: BaseRing, data) -> "Matrix":
@@ -65,7 +87,7 @@ class Matrix:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def column_matrix(self, j) -> "Matrix":
-        return Matrix(self.ring, self.rows, 1, self.col(j))
+        return Matrix._trusted(self.ring, self.rows, 1, self.col(j))
 
     def columns(self):
         return [self.col(j) for j in range(self.cols)]
@@ -103,24 +125,24 @@ class Matrix:
     def __add__(self, other) -> "Matrix":
         self._same_shape(other)
         add = self.ring.add
-        return Matrix(self.ring, self.rows, self.cols,
-                      [add(a, b) for a, b in zip(self.entries, other.entries)])
+        return Matrix._trusted(self.ring, self.rows, self.cols,
+                               [add(a, b) for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other) -> "Matrix":
         self._same_shape(other)
         sub = self.ring.sub
-        return Matrix(self.ring, self.rows, self.cols,
-                      [sub(a, b) for a, b in zip(self.entries, other.entries)])
+        return Matrix._trusted(self.ring, self.rows, self.cols,
+                               [sub(a, b) for a, b in zip(self.entries, other.entries)])
 
     def __neg__(self) -> "Matrix":
         neg = self.ring.neg
-        return Matrix(self.ring, self.rows, self.cols,
-                      [neg(a) for a in self.entries])
+        return Matrix._trusted(self.ring, self.rows, self.cols,
+                               [neg(a) for a in self.entries])
 
     def scale(self, c) -> "Matrix":
         mul = self.ring.mul
-        return Matrix(self.ring, self.rows, self.cols,
-                      [mul(c, a) for a in self.entries])
+        return Matrix._trusted(self.ring, self.rows, self.cols,
+                               [mul(c, a) for a in self.entries])
 
     def __mul__(self, other) -> "Matrix":
         if self.ring != other.ring or self.cols != other.rows:
@@ -128,22 +150,25 @@ class Matrix:
         ring = self.ring
         n, m, k = self.rows, other.cols, self.cols
         a, b = self.entries, other.entries
+        zero = ring.zero
         out = []
         for i in range(n):
-            arow = a[i * k:(i + 1) * k]
+            nonzero = [(t * m, x) for t, x in enumerate(a[i * k:(i + 1) * k]) if x]
             for j in range(m):
-                s = 0
-                for t in range(k):
-                    x = arow[t]
-                    if x:
-                        s += x * b[t * m + j]
-                out.append(ring.canon(s))
-        return Matrix(ring, n, m, out)
+                s = zero
+                for off, x in nonzero:
+                    s += x * b[off + j]
+                out.append(s)
+        # sums of products of canonical entries are canonical over Z and Q
+        modulus = ring.modulus
+        if modulus is not None:
+            out = [s % modulus for s in out]
+        return Matrix._trusted(ring, n, m, out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.ring, self.cols, self.rows,
-                      [self.entries[i * self.cols + j]
-                       for j in range(self.cols) for i in range(self.rows)])
+        return Matrix._trusted(self.ring, self.cols, self.rows,
+                               [self.entries[i * self.cols + j]
+                                for j in range(self.cols) for i in range(self.rows)])
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; (self ⊗ other)[(i,k),(j,l)] = self[i,j]*other[k,l]."""
@@ -159,7 +184,7 @@ class Matrix:
                     base = (i * other.rows + k) * C + j * other.cols
                     for l in range(other.cols):
                         out[base + l] = ring.mul(a, other.entries[k * other.cols + l])
-        return Matrix(ring, R, C, out)
+        return Matrix._trusted(ring, R, C, out)
 
     # -- assembly -----------------------------------------------------------------
 
@@ -175,7 +200,7 @@ class Matrix:
         for i in range(rows):
             for m in matrices:
                 out.extend(m.row(i))
-        return Matrix(ring, rows, sum(m.cols for m in matrices), out)
+        return Matrix._trusted(ring, rows, sum(m.cols for m in matrices), out)
 
     @staticmethod
     def vstack(matrices) -> "Matrix":
@@ -188,7 +213,7 @@ class Matrix:
         out = []
         for m in matrices:
             out.extend(m.entries)
-        return Matrix(ring, sum(m.rows for m in matrices), cols, out)
+        return Matrix._trusted(ring, sum(m.rows for m in matrices), cols, out)
 
     @staticmethod
     def block_diag(ring: BaseRing, matrices) -> "Matrix":
@@ -203,7 +228,7 @@ class Matrix:
                     out[(r0 + i) * C + (c0 + j)] = m.entries[i * m.cols + j]
             r0 += m.rows
             c0 += m.cols
-        return Matrix(ring, R, C, out)
+        return Matrix._trusted(ring, R, C, out)
 
     def take_columns(self, indices) -> "Matrix":
         indices = list(indices)
@@ -211,14 +236,14 @@ class Matrix:
         for i in range(self.rows):
             row = self.row(i)
             out.extend(row[j] for j in indices)
-        return Matrix(self.ring, self.rows, len(indices), out)
+        return Matrix._trusted(self.ring, self.rows, len(indices), out)
 
     def take_rows(self, indices) -> "Matrix":
         indices = list(indices)
         out = []
         for i in indices:
             out.extend(self.row(i))
-        return Matrix(self.ring, len(indices), self.cols, out)
+        return Matrix._trusted(self.ring, len(indices), self.cols, out)
 
     # -- serialization ---------------------------------------------------------------
 

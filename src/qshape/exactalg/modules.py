@@ -250,7 +250,7 @@ class ModuleMap:
     def kernel(self):
         """(K, incl) with K a presented module and incl: K gens -> source gens."""
         gens = preimage_generators(self.matrix, self.target.relations)
-        rel = relations_among(gens, self.source.relations)
+        rel = preimage_generators(gens, self.source.relations)
         return PresentedModule(self.source.ring, gens.cols, rel), gens
 
     def cokernel(self) -> PresentedModule:
@@ -267,19 +267,6 @@ class ModuleMap:
         return solve_matrix(self.target.relations, self.matrix) is not None
 
 
-def cokernel_presentation(M: Matrix) -> PresentedModule:
-    """The target of M modulo its column span, one generator per row."""
-    return PresentedModule(M.ring, M.rows, M)
-
-
-def module_is_projective(module: PresentedModule) -> bool:
-    return module.is_projective()
-
-
-def module_is_injective(module: PresentedModule) -> bool:
-    return module.is_injective()
-
-
 # ---------------------------------------------------------------------------
 # subquotient plumbing
 # ---------------------------------------------------------------------------
@@ -291,11 +278,6 @@ def preimage_generators(big: Matrix, target_relations: Matrix) -> Matrix:
     stacked = Matrix.hstack([big, target_relations])
     ker = kernel_basis(stacked)
     return ker.take_rows(range(big.cols))
-
-
-def relations_among(gens: Matrix, submodule: Matrix) -> Matrix:
-    """Columns generating {c : gens*c lies in the span of submodule}."""
-    return preimage_generators(gens, submodule)
 
 
 def coordinates_mod(gens: Matrix, relations: Matrix, vectors: Matrix) -> Matrix | None:
@@ -319,8 +301,8 @@ def induced_map_on_subquotient(big: Matrix,
     """The map (span sub_src / span rel_src) -> (span sub_tgt / span rel_tgt)
     induced by ``big``; raises NotWellDefined when containments fail."""
     ring = big.ring
-    source = PresentedModule(ring, sub_src.cols, relations_among(sub_src, rel_src))
-    target = PresentedModule(ring, sub_tgt.cols, relations_among(sub_tgt, rel_tgt))
+    source = PresentedModule(ring, sub_src.cols, preimage_generators(sub_src, rel_src))
+    target = PresentedModule(ring, sub_tgt.cols, preimage_generators(sub_tgt, rel_tgt))
     image = big * sub_src
     coords = coordinates_mod(sub_tgt, rel_tgt, image)
     if coords is None:

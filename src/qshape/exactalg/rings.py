@@ -24,6 +24,11 @@ INTEGERS = "Z"
 RATIONALS = "Q"
 INTEGERS_MOD = "mod"
 
+# Moduli read from input lie below this cap: checking that m is a prime
+# power takes trial division up to sqrt(m), which is instant below 2**31
+# and runs for minutes near 10**20.
+MAX_MODULUS = 2 ** 31
+
 
 def _prime_power_base(m: int) -> int | None:
     """Return p if m = p**k for a prime p, else None."""
@@ -42,7 +47,7 @@ def _prime_power_base(m: int) -> int | None:
 class BaseRing:
     """One of Z, Q, or Z/p^k, with canonical element representatives."""
 
-    __slots__ = ("kind", "modulus", "prime", "exponent")
+    __slots__ = ("kind", "modulus", "prime", "exponent", "zero", "one")
 
     def __init__(self, kind: str, modulus: int | None = None):
         self.kind = kind
@@ -65,13 +70,15 @@ class BaseRing:
             self.exponent = e
         elif kind not in (INTEGERS, RATIONALS):
             raise InvalidParameter(f"unknown ring kind {kind!r}")
+        self.zero = self.canon(0)
+        self.one = self.canon(1)
 
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other):
-        return (isinstance(other, BaseRing)
-                and self.kind == other.kind
-                and self.modulus == other.modulus)
+        return self is other or (isinstance(other, BaseRing)
+                                 and self.kind == other.kind
+                                 and self.modulus == other.modulus)
 
     def __hash__(self):
         return hash((self.kind, self.modulus))
@@ -108,13 +115,18 @@ class BaseRing:
             return Fraction(x)
         return int(x) % self.modulus
 
-    @property
-    def zero(self):
-        return self.canon(0)
+    def element(self, x):
+        """Canonical representative of a value given from outside the library.
 
-    @property
-    def one(self):
-        return self.canon(1)
+        Only exact values are accepted: ints and Fractions, the latter
+        integral unless the ring is Q.  A float, a bool or a non-integral
+        Fraction over Z or Z/m raises InvalidParameter instead of being
+        truncated or rounded.
+        """
+        exact = isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+        if not exact or (x.denominator != 1 and self.kind != RATIONALS):
+            raise InvalidParameter(f"{x!r} is not an exact element of {self!r}")
+        return self.canon(x)
 
     def add(self, a, b):
         return self.canon(a + b)
@@ -202,6 +214,8 @@ class BaseRing:
             m = data["mod"]
             if isinstance(m, bool) or not isinstance(m, int):
                 raise InvalidParameter(f"modulus must be an integer, got {m!r}")
+            if m >= MAX_MODULUS:
+                raise InvalidParameter(f"modulus must be below 2**31, got {m}")
             return Zmod(m)
         raise InvalidParameter(f"unrecognized ring spec {data!r}")
 

@@ -228,9 +228,9 @@ def smith_normal_form(M: Matrix):
     else:
         S, U, V = _snf_local(M.entries, M.rows, M.cols, ring.prime,
                              ring.modulus)
-    return (Matrix(ring, M.rows, M.cols, [x for row in S for x in row]),
-            Matrix(ring, M.rows, M.rows, [x for r in U for x in r]),
-            Matrix(ring, M.cols, M.cols, [x for r in V for x in r]))
+    return (Matrix._trusted(ring, M.rows, M.cols, [x for row in S for x in row]),
+            Matrix._trusted(ring, M.rows, M.rows, [x for r in U for x in r]),
+            Matrix._trusted(ring, M.cols, M.cols, [x for r in V for x in r]))
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +301,8 @@ def _field_kernel(M: Matrix) -> Matrix:
         for r, pj in enumerate(pivots):
             v[pj] = ring.neg(A[r][f])
         cols.append(v)
-    return Matrix(ring, M.cols, len(cols),
-                  [cols[j][i] for i in range(M.cols) for j in range(len(cols))])
+    return Matrix._trusted(ring, M.cols, len(cols),
+                           [cols[j][i] for i in range(M.cols) for j in range(len(cols))])
 
 
 def _field_solve_matrix(M: Matrix, B: Matrix):
@@ -317,7 +317,7 @@ def _field_solve_matrix(M: Matrix, B: Matrix):
     for r, pj in enumerate(pivots_in_M):
         for j in range(B.cols):
             out[pj][j] = A[r][M.cols + j]
-    return Matrix(ring, M.cols, B.cols, [x for row in out for x in row])
+    return Matrix._trusted(ring, M.cols, B.cols, [x for row in out for x in row])
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +343,8 @@ def kernel_basis(M: Matrix) -> Matrix:
     scales = [m // d if d else 1 for d in (S[i, i] for i in range(t))]
     scales += [1] * (M.cols - t)
     gens = [i for i, c in enumerate(scales) if c != m]
-    return Matrix(ring, M.cols, len(gens),
-                  [V[r, i] * scales[i] for r in range(M.cols) for i in gens])
+    return Matrix._trusted(ring, M.cols, len(gens),
+                           [V[r, i] * scales[i] % m for r in range(M.cols) for i in gens])
 
 
 def _solve_matrix(M: Matrix, B: Matrix):
@@ -371,7 +371,7 @@ def _solve_matrix(M: Matrix, B: Matrix):
         if any(c % d for c in row):
             return None
         Y[i] = [c // d for c in row]
-    return V * Matrix(M.ring, M.cols, B.cols, [y for row in Y for y in row])
+    return V * Matrix._trusted(M.ring, M.cols, B.cols, [y for row in Y for y in row])
 
 
 def solve(M: Matrix, b: Matrix):

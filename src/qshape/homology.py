@@ -256,7 +256,7 @@ def _assemble(ring, blocks, row_dims, col_dims):
                     out[r0 + i][c0 + j] = blk[i, j]
             c0 += cd
         r0 += rd
-    return Matrix(ring, rows, cols, [x for row in out for x in row])
+    return Matrix._trusted(ring, rows, cols, [x for row in out for x in row])
 
 
 def _start_resolution(eng: _Side, q, head) -> StalkResolution:

@@ -19,6 +19,12 @@ from .quiver import (build_double_an, build_repetitive_an, format_vertex,
 from .repmod import Representation, RepMorphism
 
 
+# Categories read from input have n <= MAX_N.  At n = 32 the largest
+# reports (build, serre-check) take a few seconds; the cost and the output
+# of build grow about as n**4.
+MAX_N = 32
+
+
 class SchemaError(InvalidParameter):
     """Bad input with a JSON-pointer-ish path to the offending field."""
 
@@ -43,6 +49,8 @@ def parse_category(data, path="") -> MeshCategory:
     n = data.get("n")
     if not _is_int(n):
         raise SchemaError(path + "/n", "n must be an integer")
+    if n > MAX_N:
+        raise SchemaError(path + "/n", f"n must be at most {MAX_N}")
     if flavor == "double_an":
         try:
             return MeshCategory(build_double_an(n), ring)

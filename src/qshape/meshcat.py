@@ -243,8 +243,8 @@ class MeshCategory:
             if res is not None:
                 c, elt = res
                 M[self.basis_index(elt)][j] = self.ring.mul(coeff, c)
-        out = Matrix(self.ring, len(tgt_basis), len(src_basis),
-                     [x for row in M for x in row])
+        out = Matrix._trusted(self.ring, len(tgt_basis), len(src_basis),
+                              [x for row in M for x in row])
         self._left_mult_cache[key] = out
         return out
 
@@ -262,8 +262,8 @@ class MeshCategory:
             if res is not None:
                 c, elt = res
                 M[self.basis_index(elt)][j] = self.ring.mul(coeff, c)
-        out = Matrix(self.ring, len(tgt_basis), len(src_basis),
-                     [x for row in M for x in row])
+        out = Matrix._trusted(self.ring, len(tgt_basis), len(src_basis),
+                              [x for row in M for x in row])
         self._right_mult_cache[key] = out
         return out
 

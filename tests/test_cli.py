@@ -1,6 +1,7 @@
 """Command-line surface: schemas, exit codes, determinism, round trips."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,37 @@ class TestExitCodes:
         report = json.loads(out)
         assert set(report) == {"error", "path"}
         assert report["path"] == path
+
+    @pytest.mark.parametrize("argv, category, path", [
+        (["dims", "--n", "1000"], None, "--n"),
+        (["serre-check", "--n", "3", "--ring", f"mod:{10 ** 20 + 39}"], None,
+         "--ring"),
+        (None, {"flavor": "double_an", "n": 1000, "ring": "Z"}, "/category/n"),
+        (None, {"flavor": "double_an", "n": 2, "ring": {"mod": 10 ** 20 + 39}},
+         "/category/ring"),
+    ], ids=["--n 1000", "--ring prime near 1e20", "JSON n 1000",
+            "JSON prime near 1e20"])
+    def test_oversized_input_is_refused_quickly(self, capsys, tmp_path,
+                                                argv, category, path):
+        # dims --n 1000 took 2 s and printed 12.6 MB; checking that a prime
+        # near 1e20 is a prime power took about 20 minutes of trial division
+        if argv is None:
+            f = tmp_path / "rep.json"
+            f.write_text(json.dumps({"category": category, "values": {}}))
+            argv = ["validate", "--input", str(f)]
+        start = time.perf_counter()
+        code, out = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        report = json.loads(out)
+        assert set(report) == {"error", "path"}
+        assert report["path"] == path
+
+    def test_inputs_at_the_caps_are_accepted(self, capsys):
+        code, out = run(capsys, "dims", "--n", "32")
+        assert code == 0 and json.loads(out)["verdicts"]["ok"] is True
+        code, _ = run(capsys, "dims", "--n", "2", "--ring", f"mod:{2 ** 31 - 1}")
+        assert code == 0
 
     def test_mesh_violation_is_exit_two(self, capsys, tmp_path):
         f = tmp_path / "rep.json"

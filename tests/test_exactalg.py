@@ -9,11 +9,10 @@ import pytest
 from qshape.errors import InvalidParameter, NotWellDefined, UnsupportedRing
 from qshape.exactalg import (Matrix, ModuleMap, PresentedModule, QQ, ZZ, Zmod,
                              brute_force_injective, brute_force_projective,
-                             cokernel_presentation, field_rank,
-                             induced_map_on_subquotient, kernel_basis,
-                             matrix_is_invertible, middle_homology,
-                             module_is_injective, module_is_projective,
-                             smith_normal_form, solve, solve_matrix)
+                             field_rank, induced_map_on_subquotient,
+                             kernel_basis, matrix_is_invertible,
+                             middle_homology, smith_normal_form, solve,
+                             solve_matrix)
 from qshape.exactalg.smith import _snf_int, _snf_local
 
 
@@ -48,6 +47,24 @@ class TestRings:
     def test_hereditary_flags(self):
         assert ZZ.is_hereditary and QQ.is_hereditary and Zmod(5).is_hereditary
         assert not Zmod(4).is_hereditary and not Zmod(9).is_hereditary
+
+    @pytest.mark.parametrize("ring, x", [
+        (QQ, 0.1), (ZZ, 2.7), (Zmod(9), 2.5), (ZZ, True), (QQ, False),
+        (ZZ, Fraction(5, 2)), (Zmod(9), Fraction(1, 2)), (ZZ, "3"),
+    ])
+    def test_inexact_entries_are_refused(self, ring, x):
+        # before, 2.7 was stored as 2 and 0.1 as its binary expansion
+        with pytest.raises(InvalidParameter):
+            Matrix(ring, 1, 1, [x])
+        with pytest.raises(InvalidParameter):
+            Matrix.from_rows(ring, [[1, x]])
+
+    def test_exact_entries_are_canonicalised(self):
+        assert Matrix(ZZ, 1, 2, [Fraction(6, 3), -4]).entries == (2, -4)
+        assert type(Matrix(ZZ, 1, 1, [Fraction(6, 3)]).entries[0]) is int
+        assert Matrix(Zmod(9), 1, 2, [-1, Fraction(18, 2)]).entries == (8, 0)
+        assert Matrix(QQ, 1, 2, [3, Fraction(2, 4)]).entries == \
+            (Fraction(3), Fraction(1, 2))
 
 
 class TestSmith:
@@ -181,12 +198,12 @@ class TestPresentedModule:
                 diag = [S[i, i] for i in range(min(r, c))]
                 expected = PresentedModule.from_invariant_factors(
                     ring, diag + [0] * (r - len(diag)))
-                assert cokernel_presentation(M).normal_form() == \
+                assert PresentedModule(ring, r, M).normal_form() == \
                     expected.normal_form()
 
     def test_named_predicate_functions(self):
-        assert module_is_projective(PresentedModule.free(ZZ, 2))
-        assert not module_is_injective(PresentedModule.free(ZZ, 1))
+        assert PresentedModule.free(ZZ, 2).is_projective()
+        assert not PresentedModule.free(ZZ, 1).is_injective()
 
     def test_mod4_normal_forms(self):
         ring = Zmod(4)
