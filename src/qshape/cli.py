@@ -9,8 +9,9 @@ uses the exit code contract: 0 success, 1 bad input (with a JSON path
 pointing at the offending field), 2 when a verification step fails (an
 oracle mismatch, a mesh residual, an invariant breach).
 
-QSHAPE_MAX_DEGREE overrides the derived-homology depth; the
---max-degree flag wins over the environment.
+--max-degree sets the derived-homology depth (default 2).  It is at
+least 0 for homology and at least 1 for weq, whose verdict compares
+degrees 1 and up; a smaller value ends in exit 1 with a path.
 
 Input is bounded: --n and a JSON "n" are at most 32 (``io.MAX_N``), and
 a ring modulus, from "mod:M" or a JSON {"mod": M}, is below 2**31
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from dataclasses import dataclass, field
@@ -119,11 +119,10 @@ def _category_from_args(args) -> MeshCategory:
     return MeshCategory(build_repetitive_an(args.n, window), ring)
 
 
-def _max_degree(args) -> int:
-    if getattr(args, "max_degree", None) is not None:
-        return args.max_degree
-    env = os.environ.get("QSHAPE_MAX_DEGREE")
-    return int(env) if env else 2
+def _max_degree(args, least: int) -> int:
+    if args.max_degree < least:
+        raise SchemaError("--max-degree", f"must be at least {least}")
+    return args.max_degree
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +219,11 @@ def _rejection(command, result) -> Report:
 
 
 def cmd_homology(args):
+    max_degree = _max_degree(args, 0)
     X = parse_representation(_load_json(args.input))
     result = validate_representation(X)
     if not result.ok:
         return _rejection("homology", result), EXIT_VERIFICATION
-    max_degree = _max_degree(args)
     vertices = None
     if args.vertex:
         from .quiver import parse_vertex
@@ -254,13 +253,14 @@ def cmd_classify(args):
 
 
 def cmd_weq(args):
+    max_degree = _max_degree(args, 1)
     phi = parse_morphism(_load_json(args.input))
     for rep, label in ((phi.source, "source"), (phi.target, "target")):
         check = validate_representation(rep)
         if not check.ok:
             return _rejection(f"weq ({label})", check), EXIT_VERIFICATION
     try:
-        result = is_weak_equivalence(phi, _max_degree(args))
+        result = is_weak_equivalence(phi, max_degree)
     except InvalidMorphism as exc:
         return Report("weq", verdicts={"ok": False},
                       witnesses={"not_natural": str(exc)}), EXIT_VERIFICATION
@@ -386,7 +386,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("homology", help="mesh and derived homology tables")
     p.add_argument("--input", required=True)
     p.add_argument("--vertex")
-    p.add_argument("--max-degree", type=int)
+    p.add_argument("--max-degree", type=int, default=2)
     p.add_argument("--side", choices=["both", "cn", "co"], default="both")
     p.set_defaults(func=cmd_homology)
 
@@ -396,7 +396,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("weq", help="weak equivalence test for a morphism file")
     p.add_argument("--input", required=True)
-    p.add_argument("--max-degree", type=int)
+    p.add_argument("--max-degree", type=int, default=2)
     p.set_defaults(func=cmd_weq)
 
     p = sub.add_parser("demo", help="built-in demonstrations")

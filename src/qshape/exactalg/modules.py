@@ -19,7 +19,7 @@ from math import gcd
 
 from ..errors import InvalidParameter, NotWellDefined
 from .matrix import Matrix
-from .rings import INTEGERS, INTEGERS_MOD, RATIONALS, BaseRing
+from .rings import INTEGERS, INTEGERS_MOD, BaseRing
 from .smith import (field_rank, kernel_basis, smith_normal_form, solve,
                     solve_matrix)
 
@@ -53,21 +53,13 @@ class NormalForm:
         """Human-readable shape, e.g. 'Z/2 + Z' or 'Q^3' or '0'."""
         if self.is_zero:
             return "0"
-        if ring.kind == RATIONALS:
-            return "Q" if self.free_rank == 1 else f"Q^{self.free_rank}"
-        if ring.kind == INTEGERS:
-            parts = [f"Z/{d}" for d in self.torsion]
-            if self.free_rank == 1:
-                parts.append("Z")
-            elif self.free_rank > 1:
-                parts.append(f"Z^{self.free_rank}")
-            return " + ".join(parts)
-        m = ring.modulus
+        name = ring.kind if ring.modulus is None else f"Z/{ring.modulus}"
         parts = [f"Z/{d}" for d in self.torsion]
         if self.free_rank == 1:
-            parts.append(f"Z/{m}")
+            parts.append(name)
         elif self.free_rank > 1:
-            parts.append(f"(Z/{m})^{self.free_rank}")
+            power = name if ring.modulus is None else f"({name})"
+            parts.append(f"{power}^{self.free_rank}")
         return " + ".join(parts)
 
 
@@ -115,27 +107,15 @@ class PresentedModule:
         ring = self.ring
         if ring.is_field:
             nf = NormalForm(self.generators - field_rank(self.relations))
-        elif ring.kind == INTEGERS:
-            S, _, _ = smith_normal_form(self.relations)
-            t = min(S.rows, S.cols)
-            diag = [S[i, i] for i in range(t)]
-            torsion = [d for d in diag if d >= 2]
-            rank = self.generators - sum(1 for d in diag if d != 0)
-            nf = NormalForm(rank, torsion)
         else:
+            # Z and Z/p^k: every nonzero diagonal entry kills a generator,
+            # and the non-units among them (a unit comes out as 1) are the
+            # torsion factors
             S, _, _ = smith_normal_form(self.relations)
-            t = min(S.rows, S.cols)
-            m = ring.modulus
-            torsion = []
-            killed = 0
-            for i in range(t):
-                d = int(S[i, i])
-                if d == 1:
-                    killed += 1
-                elif d != 0:
-                    torsion.append(d)  # a power of p below m
-            nf = NormalForm(self.generators - killed - len(torsion),
-                            sorted(torsion))
+            diag = [S[i, i] for i in range(min(S.rows, S.cols))]
+            nonzero = [d for d in diag if d != 0]
+            nf = NormalForm(self.generators - len(nonzero),
+                            sorted(d for d in nonzero if d != 1))
         self._normal_form = nf
         return nf
 

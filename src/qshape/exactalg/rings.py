@@ -168,18 +168,6 @@ class BaseRing:
         g = gcd(a, self.modulus)  # (a) = (gcd(a, m)) in Z/m
         return b % g == 0
 
-    def exact_div(self, b, a):
-        """Some c with c*a = b; assumes divides(a, b)."""
-        a, b = self.canon(a), self.canon(b)
-        if self.kind == RATIONALS:
-            return b / a if a != 0 else Fraction(0)
-        if self.kind == INTEGERS:
-            return 0 if a == 0 else b // a
-        m = self.modulus
-        g = gcd(a, m)
-        # Solve c*a = b (mod m): c = (b/g) * inv(a/g) modulo m/g.
-        return ((b // g) * pow(a // g, -1, m // g)) % m if g != m else 0
-
     # -- serialization --------------------------------------------------------
 
     def format_entry(self, x) -> "str | int":

@@ -335,14 +335,14 @@ def kernel_basis(M: Matrix) -> Matrix:
         return _field_kernel(M)
     S, _, V = smith_normal_form(M)
     t = min(M.rows, M.cols)
-    if ring.kind == INTEGERS:
-        idx = [i for i in range(t) if S[i, i] == 0] + list(range(t, M.cols))
-        return V.take_columns(idx)
-    # Z/p^k: x_i is free where d_i = 0, and a multiple of m/d_i where d_i = p^v
-    m = ring.modulus
+    # x_i is free where d_i = 0 and a multiple of m/d_i otherwise, with m = 0
+    # over Z: there a nonzero d_i forces x_i = 0, and the column is dropped
+    m = ring.modulus or 0
     scales = [m // d if d else 1 for d in (S[i, i] for i in range(t))]
     scales += [1] * (M.cols - t)
     gens = [i for i, c in enumerate(scales) if c != m]
+    if not m:  # over Z every kept column has scale 1
+        return V.take_columns(gens)
     return Matrix._trusted(ring, M.cols, len(gens),
                            [V[r, i] * scales[i] % m for r in range(M.cols) for i in gens])
 

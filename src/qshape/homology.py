@@ -9,9 +9,12 @@ The two corner functors at a vertex q are
   basis morphisms f into q.
 
 Derived versions are computed from projective resolutions of the two
-stalk functors at q: the covariant one is resolved by representable
-summands Q(r, -), the contravariant one by summands Q(-, r).  Both
-resolutions start with one summand per arrow at q and are extended
+stalk functors at q.  Side co resolves the covariant stalk by summands
+Q(r, -) and derives H^i; side cn resolves the contravariant stalk by
+summands Q(-, r) and derives H_i.  Each side is the other read in Q^op,
+so the engine is written once: a pair (a, b) read on side co is read as
+(b, a) on side cn, and _Side.ends is the only place that decides it.
+Both resolutions start with one summand per arrow at q and are extended
 degreewise: each vertexwise kernel K is covered by lifts of generators
 of its corners K(s) / Σ im K(t -> s), which generate K because the
 pseudo-radical is nilpotent.  Over a field the result is the minimal
@@ -26,8 +29,9 @@ presented modules in invariant-factor normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
-from .errors import BoundaryVertex, InvalidMorphism, WindowTooSmall
+from .errors import InvalidMorphism, InvalidParameter, WindowTooSmall
 from .exactalg import (Matrix, ModuleMap, PresentedModule, kernel_basis,
                        middle_homology, induced_on_homology, solve)
 from .exactalg.modules import HomologyData, coordinates_mod
@@ -131,77 +135,71 @@ def mesh_homology_map(phi: RepMorphism, q) -> ModuleMap:
 # ---------------------------------------------------------------------------
 
 class _Side:
-    """Direction-dependent plumbing shared by the resolution engine."""
+    """The one place the side of a resolution is decided.
+
+    Side co resolves the covariant stalk by summands Q(r, -), side cn the
+    contravariant stalk by summands Q(-, r); each is the other read in
+    Q^op.  ``ends(a, b)`` orders a pair the way side co reads it, (a, b),
+    or reversed, (b, a), on side cn, and ``oriented`` applies the same rule
+    to a two-argument map.  Everything below has one body: a boundary entry
+    between summands a and b lies in Q(ends(a, b)), and the r-summand's
+    value at s has rank d(ends(r, s)).
+    """
 
     def __init__(self, C: MeshCategory, side: str):
         self.C = C
         self.side = side
+        co = side == SIDE_CO
 
-    def entry_basis(self, a, b):
-        """Basis of the homs a boundary entry between summands a, b lives in."""
-        return self.C.hom_basis(a, b) if self.side == SIDE_CO \
-            else self.C.hom_basis(b, a)
+        def oriented(f):
+            return f if co else (lambda a, b: f(b, a))
+        self.ends = oriented(lambda a, b: (a, b))
+        # entry_basis(a, b): basis of the homs a boundary entry between
+        # summands a, b lies in; value_dim(r, s): rank of the r-summand's
+        # value at the vertex s
+        self.entry_basis = oriented(C.hom_basis)
+        self.value_dim = oriented(C.d)
+        # entries act on a summand's values by precomposition on side co
+        # (values Q(r, s)) and by postcomposition on side cn (values Q(s, r))
+        self._entry_mult = C.right_mult_matrix if co else C.left_mult_matrix
+        self._orbit_mult = C.left_mult_matrix if co else C.right_mult_matrix
+        self._radical = C.radical_out if co else C.radical_in
+        # summands reach n-1 columns below (co) or above (cn) their vertex
+        self._reach = (1 - C.n) if co else (C.n - 1)
 
-    def value_dim(self, r, s):
-        """Rank of the r-summand's value at vertex s."""
-        return self.C.d(r, s) if self.side == SIDE_CO else self.C.d(s, r)
+    def _terms(self, entry, a, b, act) -> Matrix:
+        """Sum of act(coeff, e) over the nonzero coefficients of a stored
+        boundary entry, which always has one."""
+        zero = self.C.ring.zero
+        terms = [act(coeff, e) for coeff, e in zip(entry, self.entry_basis(a, b))
+                 if coeff != zero]
+        return sum(terms[1:], terms[0])
 
     def act_matrix(self, entry, a, b, s) -> Matrix:
         """Component at s of the boundary entry: summand-b coords to summand-a."""
-        ring = self.C.ring
-        rows = self.value_dim(a, s)
-        cols = self.value_dim(b, s)
-        out = Matrix.zeros(ring, rows, cols)
-        for coeff, e in zip(entry, self.entry_basis(a, b)):
-            if coeff == ring.zero:
-                continue
-            if self.side == SIDE_CO:
-                out = out + self.C.right_mult_matrix(coeff, e, s)
-            else:
-                out = out + self.C.left_mult_matrix(coeff, e, s)
-        return out
+        return self._terms(entry, a, b,
+                           lambda coeff, e: self._entry_mult(coeff, e, s))
 
     def radical_head(self, q):
         """(basis element, new summand vertex) for the degree-one boundary."""
-        if self.side == SIDE_CO:
-            return [(e, e.target) for e in self.C.radical_out(q)]
-        return [(e, e.source) for e in self.C.radical_in(q)]
+        return [(e, self.ends(e.source, e.target)[1]) for e in self._radical(q)]
 
     def margin_ok(self, r) -> bool:
         """Summand supports must stay inside the window for exactness."""
         if self.C.flavor == DOUBLE_AN:
             return True
         i_min, i_max = self.C.quiver.window
-        col = r[1]
-        if self.side == SIDE_CO:
-            return col - (self.C.n - 1) >= i_min
-        return col + (self.C.n - 1) <= i_max
+        return i_min <= r[1] + self._reach <= i_max
 
-    def orbit_action(self, h, comp_vertex, src, dst) -> Matrix:
-        """Action of the engine-direction morphism h: src -> dst on the
-        comp_vertex component of a level value, in value coordinates."""
-        if self.side == SIDE_CO:
-            return self.C.left_mult_matrix(self.C.ring.one, h, comp_vertex)
-        return self.C.right_mult_matrix(self.C.ring.one, h, comp_vertex)
+    def orbit_action(self, h, comp_vertex) -> Matrix:
+        """Action of the engine-direction morphism h on the comp_vertex
+        component of a level value, in value coordinates."""
+        return self._orbit_mult(self.C.ring.one, h, comp_vertex)
 
     def x_value_block(self, X: Representation, entry, a, b) -> Matrix:
-        """X applied to a boundary entry.
-
-        co: entry in Q(a, b) gives X(a) -> X(b).
-        cn: entry in Q(b, a) gives X(b) -> X(a).
-        """
-        ring = self.C.ring
-        if self.side == SIDE_CO:
-            rows = X.value(b).generators
-            cols = X.value(a).generators
-        else:
-            rows = X.value(a).generators
-            cols = X.value(b).generators
-        out = Matrix.zeros(ring, rows, cols)
-        for coeff, e in zip(entry, self.entry_basis(a, b)):
-            if coeff != ring.zero:
-                out = out + X.evaluate_matrix(coeff, e)
-        return out
+        """X applied to a boundary entry in Q(ends(a, b)): X(a) -> X(b) on
+        side co, X(b) -> X(a) on side cn."""
+        return self._terms(entry, a, b, X.evaluate_matrix)
 
 
 @dataclass
@@ -225,38 +223,26 @@ class StalkResolution:
         """The boundary P_i -> P_{i-1} evaluated at the vertex s."""
         eng = self._engine
         prev, cur = self.terms[i - 1], self.terms[i]
-        blocks = []
-        for a, ra in enumerate(prev):
-            row = []
-            for b, rb in enumerate(cur):
-                entry = self.boundaries[i].get((a, b))
-                if entry is None:
-                    row.append(Matrix.zeros(eng.C.ring,
-                                            eng.value_dim(ra, s),
-                                            eng.value_dim(rb, s)))
-                else:
-                    row.append(eng.act_matrix(entry, ra, rb, s))
-            blocks.append(row)
+        blocks = {(a, b): eng.act_matrix(entry, prev[a], cur[b], s)
+                  for (a, b), entry in self.boundaries[i].items()}
         return _assemble(eng.C.ring, blocks,
                          [eng.value_dim(r, s) for r in prev],
                          [eng.value_dim(r, s) for r in cur])
 
 
 def _assemble(ring, blocks, row_dims, col_dims):
-    rows = sum(row_dims)
-    cols = sum(col_dims)
-    out = [[ring.zero] * cols for _ in range(rows)]
-    r0 = 0
-    for a, rd in enumerate(row_dims):
-        c0 = 0
-        for b, cd in enumerate(col_dims):
-            blk = blocks[a][b]
-            for i in range(rd):
-                for j in range(cd):
-                    out[r0 + i][c0 + j] = blk[i, j]
-            c0 += cd
-        r0 += rd
-    return Matrix._trusted(ring, rows, cols, [x for row in out for x in row])
+    """The block matrix with blocks[(row block, col block)]; absent blocks
+    are zero."""
+    row_off = [0, *accumulate(row_dims)]
+    col_off = [0, *accumulate(col_dims)]
+    rows, cols = row_off[-1], col_off[-1]
+    out = [ring.zero] * (rows * cols)
+    for (a, b), blk in blocks.items():
+        r0, c0 = row_off[a], col_off[b]
+        for i in range(blk.rows):
+            for j in range(blk.cols):
+                out[(r0 + i) * cols + c0 + j] = blk[i, j]
+    return Matrix._trusted(ring, rows, cols, out)
 
 
 def _start_resolution(eng: _Side, q, head) -> StalkResolution:
@@ -368,7 +354,7 @@ def _corner_cover(eng: _Side, cur, spots, kernels):
             for h in eng.entry_basis(t, s):
                 if h.degree == 1:
                     act = Matrix.block_diag(
-                        ring, [eng.orbit_action(h, r, t, s) for r in cur])
+                        ring, [eng.orbit_action(h, r) for r in cur])
                     images.append(act * kernels[t])
         span = Matrix.hstack(images)
         for col in range(K.cols):
@@ -433,7 +419,7 @@ def _spanned_at(eng: _Side, cur, chosen, s):
                 d = eng.value_dim(rb, r)
                 piece = Matrix.column(ring, vec[off:off + d])
                 off += d
-                act = eng.orbit_action(h, rb, r, s)
+                act = eng.orbit_action(h, rb)
                 image.extend((act * piece).col(0))
             cols.append(image)
     if not cols:
@@ -449,10 +435,10 @@ def _spanned_at(eng: _Side, cur, chosen, s):
 def _complex_from_resolution(res: StalkResolution, X: Representation):
     """Presented-module complex obtained by pairing the resolution with X.
 
-    Level i carries ⊕_a X(r_a); for side co the differentials run
-    upward (a cochain complex), for side cn downward (a chain complex).
-    Returns (modules, maps) with maps[i]: level i -> level i+1 (co) or
-    level i -> level i-1 (cn, for i >= 1).
+    Level i carries ⊕_a X(r_a).  maps[i] runs between the levels
+    ends(i-1, i): upward on side co (a cochain complex), downward on side
+    cn (a chain complex); maps[0] is the zero map between level 0 and 0.
+    Returns (modules, maps).
     """
     eng = res._engine
     ring = eng.C.ring
@@ -462,54 +448,26 @@ def _complex_from_resolution(res: StalkResolution, X: Representation):
         for r in level:
             mod = mod.direct_sum(X.value(r))
         modules.append(mod)
-    maps = {}
+    maps = {0: ModuleMap.zero(*eng.ends(PresentedModule.free(ring, 0),
+                                        modules[0]))}
     for i in range(1, len(res.terms)):
         prev, cur = res.terms[i - 1], res.terms[i]
-        if res.side == SIDE_CO:
-            blocks = [[None] * len(prev) for _ in range(len(cur))]
-            for b, rb in enumerate(cur):
-                for a, ra in enumerate(prev):
-                    entry = res.boundaries[i].get((a, b))
-                    blocks[b][a] = (eng.x_value_block(X, entry, ra, rb)
-                                    if entry is not None else
-                                    Matrix.zeros(ring, X.value(rb).generators,
-                                                 X.value(ra).generators))
-            M = _assemble(ring, blocks,
-                          [X.value(r).generators for r in cur],
-                          [X.value(r).generators for r in prev])
-            maps[i - 1] = ModuleMap(modules[i - 1], modules[i], M, check=False)
-        else:
-            blocks = [[None] * len(cur) for _ in range(len(prev))]
-            for a, ra in enumerate(prev):
-                for b, rb in enumerate(cur):
-                    entry = res.boundaries[i].get((a, b))
-                    blocks[a][b] = (eng.x_value_block(X, entry, ra, rb)
-                                    if entry is not None else
-                                    Matrix.zeros(ring, X.value(ra).generators,
-                                                 X.value(rb).generators))
-            M = _assemble(ring, blocks,
-                          [X.value(r).generators for r in prev],
-                          [X.value(r).generators for r in cur])
-            maps[i] = ModuleMap(modules[i], modules[i - 1], M, check=False)
+        blocks = {eng.ends(b, a): eng.x_value_block(X, entry, prev[a], cur[b])
+                  for (a, b), entry in res.boundaries[i].items()}
+        src, dst = eng.ends(i - 1, i)
+        M = _assemble(ring, blocks,
+                      [X.value(r).generators for r in res.terms[dst]],
+                      [X.value(r).generators for r in res.terms[src]])
+        maps[i] = ModuleMap(modules[src], modules[dst], M, check=False)
     return modules, maps
 
 
 def derived_homology_data(X: Representation, q, side: str, max_degree: int = 2):
     """HomologyData per degree 0..max_degree for one side at one vertex."""
     res = resolve_stalk(X.category, q, side, max_degree + 1)
-    modules, maps = _complex_from_resolution(res, X)
-    ring = X.ring
-    zero = PresentedModule.free(ring, 0)
-    out = {}
-    for i in range(max_degree + 1):
-        if side == SIDE_CO:
-            incoming = maps[i - 1] if i >= 1 else ModuleMap.zero(zero, modules[0])
-            outgoing = maps[i]
-        else:
-            incoming = maps[i + 1]
-            outgoing = maps[i] if i >= 1 else ModuleMap.zero(modules[0], zero)
-        out[i] = middle_homology(incoming, outgoing)
-    return out
+    _, maps = _complex_from_resolution(res, X)
+    return {i: middle_homology(*res._engine.ends(maps[i], maps[i + 1]))
+            for i in range(max_degree + 1)}
 
 
 def derived_homology(X: Representation, q, side: str = SIDE_CN,
@@ -702,12 +660,10 @@ def homology_report(X: Representation, vertices=None, max_degree: int = 2,
         label = format_vertex(q)
         if C.is_interior(q):
             report["mesh"][label] = mesh_homology(X, q).describe()
-        if SIDE_CN in sides:
-            for i, mod in derived_homology(X, q, SIDE_CN, max_degree).items():
-                report["H_"][f"{i} at {label}"] = mod.describe()
-        if SIDE_CO in sides:
-            for i, mod in derived_homology(X, q, SIDE_CO, max_degree).items():
-                report["H^"][f"{i} at {label}"] = mod.describe()
+        for side, key in ((SIDE_CN, "H_"), (SIDE_CO, "H^")):
+            if side in sides:
+                for i, mod in derived_homology(X, q, side, max_degree).items():
+                    report[key][f"{i} at {label}"] = mod.describe()
     return report
 
 
@@ -715,6 +671,9 @@ def is_weak_equivalence(phi: RepMorphism, max_degree: int = 2) -> dict:
     """Whether H_i(phi) is an isomorphism for i = 1..max_degree at every
     vertex; degrees one and two decide (and when the radical squares to
     zero, degree one alone does, which is cross-checked)."""
+    if max_degree < 1:
+        raise InvalidParameter("max_degree must be at least 1: the verdict "
+                               "compares degrees 1 and up")
     check = validate_morphism(phi)
     if not check["ok"]:
         raise InvalidMorphism(str(check["failures"]))

@@ -392,16 +392,6 @@ def complex_to_rep(C: MeshCategory, complex_: ChainComplex) -> Representation:
     return Representation(C, values, arrows)
 
 
-def chain_complex_bridge(C: MeshCategory, direction: str, payload):
-    """Fixed bijection between bounded complexes and repetitive A_2
-    representations; direction is "to_representation" or "to_complex"."""
-    if direction == "to_representation":
-        return complex_to_rep(C, payload)
-    if direction == "to_complex":
-        return rep_to_complex(payload)
-    raise InvalidParameter(f"unknown bridge direction {direction!r}")
-
-
 def rep_to_complex(X: Representation) -> ChainComplex:
     C = X.category
     if C.flavor != REPETITIVE_AN or C.n != 2:
@@ -469,7 +459,7 @@ def random_complex(ring, rng, max_length=6, max_rank=4, bound=3) -> ChainComplex
     return ChainComplex(ring, modules, diffs)
 
 
-def random_representation(C: MeshCategory, rng, summands=3, max_rank=2):
+def random_representation(C: MeshCategory, rng, summands=3):
     """Random finitely presented representation over a field.
 
     Built as the cokernel of a random morphism between sums of
@@ -479,8 +469,8 @@ def random_representation(C: MeshCategory, rng, summands=3, max_rank=2):
     verts = list(C.vertices)
     sources = [rng.choice(verts) for _ in range(rng.randint(1, summands))]
     targets = [rng.choice(verts) for _ in range(rng.randint(1, summands))]
-    P = representable_sum(C, targets, max_rank=1)
-    Pprime = representable_sum(C, sources, max_rank=1)
+    P = representable_sum(C, targets)
+    Pprime = representable_sum(C, sources)
     comps = {}
     for v in set(P.values) | set(Pprime.values):
         rows = P.value(v).generators
@@ -514,7 +504,7 @@ def random_representation(C: MeshCategory, rng, summands=3, max_rank=2):
     return cokernel_of_morphism(phi)
 
 
-def representable_sum(C: MeshCategory, vertices, max_rank=1) -> Representation:
+def representable_sum(C: MeshCategory, vertices) -> Representation:
     out = None
     for v in vertices:
         rep = representable_rep(C, v)
@@ -550,7 +540,6 @@ def random_free_representation(C: MeshCategory, rng, max_dim=3) -> Representatio
     dims = {v: rng.randint(0, max_dim) for v in C.vertices}
     arrows = list(C.quiver.arrows)
     down = [a for a in arrows if "*" not in a.name]
-    up = [a for a in arrows if "*" in a.name]
     mats = {}
     for a in down:
         r, c = dims[a.target], dims[a.source]

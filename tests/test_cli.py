@@ -161,6 +161,24 @@ class TestExitCodes:
         assert set(report) == {"error", "path"}
         assert report["path"] == path
 
+    def test_weq_below_degree_one_is_refused(self, capsys):
+        # depth 0 compared no degree at all and called the counterexample a
+        # weak equivalence, with an empty table
+        code, out = run(capsys, "weq", "--input", str(FIXTURES / "counter.json"),
+                        "--max-degree", "0")
+        assert code == 1
+        assert json.loads(out)["path"] == "--max-degree"
+
+    def test_homology_below_degree_zero_is_refused(self, capsys, rep_file):
+        # a negative depth printed empty H_ and H^ tables
+        code, out = run(capsys, "homology", "--input", rep_file,
+                        "--max-degree", "-3")
+        assert code == 1
+        assert json.loads(out)["path"] == "--max-degree"
+        code, out = run(capsys, "homology", "--input", rep_file,
+                        "--max-degree", "0")
+        assert code == 0 and json.loads(out)["verdicts"]["max_degree"] == 0
+
     def test_inputs_at_the_caps_are_accepted(self, capsys):
         code, out = run(capsys, "dims", "--n", "32")
         assert code == 0 and json.loads(out)["verdicts"]["ok"] is True
@@ -326,10 +344,9 @@ class TestDeterminismAndRoundTrip:
         report = Report.from_json(json.loads(out))
         assert json.loads(report.render("json")) == json.loads(out)
 
-    def test_env_var_sets_depth_and_flag_wins(self, capsys, monkeypatch, rep_file):
-        monkeypatch.setenv("QSHAPE_MAX_DEGREE", "1")
+    def test_max_degree_defaults_to_two_and_flag_sets_it(self, capsys, rep_file):
         _, out = run(capsys, "homology", "--input", rep_file)
-        assert json.loads(out)["verdicts"]["max_degree"] == 1
+        assert json.loads(out)["verdicts"]["max_degree"] == 2
         _, out = run(capsys, "homology", "--input", rep_file,
                      "--max-degree", "3")
         assert json.loads(out)["verdicts"]["max_degree"] == 3

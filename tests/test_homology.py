@@ -7,7 +7,7 @@ import pytest
 
 from qshape import Matrix, MeshCategory, PresentedModule, QQ, ZZ, Zmod, \
     build_double_an, build_repetitive_an
-from qshape.errors import BoundaryVertex, WindowTooSmall
+from qshape.errors import BoundaryVertex, InvalidParameter, WindowTooSmall
 from qshape import homology
 from qshape.exactalg import kernel_basis, solve
 from qshape.fixtures import COUNTER_LABELS, counter_morphism
@@ -209,6 +209,15 @@ class TestResolutions:
         K = Matrix.from_rows(QQ, [[1, 2, 0], [0, 0, 1]])
         chosen = homology._corner_cover(eng, [2], [2], {2: K})
         assert chosen == [(2, K.col(0)), (2, K.col(2))]
+
+    def test_vertex_outside_the_window_is_refused_on_both_sides(self):
+        # side co used to check only the lower edge, and resolved 1@100 on
+        # the window (-6, 6) as if the vertex were inside it
+        C = MeshCategory(build_repetitive_an(2, (-6, 6)), ZZ)
+        for q in ((1, 100), (2, -100)):
+            for side in (SIDE_CN, SIDE_CO):
+                with pytest.raises(WindowTooSmall):
+                    resolve_stalk(C, q, side, 1)
 
     def test_cached_resolution_extends_in_place(self):
         C = double_cat(4, QQ)
@@ -476,6 +485,12 @@ class TestWeakEquivalence:
             r = is_weak_equivalence(phi)
             assert r["routes_agree"]
 
+
+    def test_depth_below_one_is_refused(self):
+        _, _, phi = counter_morphism(QQ)
+        for depth in (0, -3):
+            with pytest.raises(InvalidParameter):
+                is_weak_equivalence(phi, depth)
 
     def test_derived_data_computed_once_per_probe(self, monkeypatch):
         _, _, phi = counter_morphism(QQ)

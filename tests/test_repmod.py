@@ -8,7 +8,7 @@ from qshape import Matrix, MeshCategory, PresentedModule, QQ, ZZ, Zmod, \
     build_double_an, build_repetitive_an
 from qshape.errors import UnsupportedFlavor, WindowTooSmall
 from qshape.repmod import (ChainComplex, Representation, RepMorphism,
-                           chain_complex_bridge, cofree_at, complex_to_rep,
+                           cofree_at, complex_to_rep,
                            free_at, hom_space_basis, identity_morphism,
                            kernel_of_morphism, random_complex,
                            random_free_representation, random_morphism,
@@ -194,13 +194,6 @@ class TestBridge:
         C = double_cat(2)
         with pytest.raises(UnsupportedFlavor):
             complex_to_rep(C, ChainComplex(ZZ, {}, {}))
-
-    def test_bridge_dispatcher(self):
-        C = rep_a2()
-        cc = ChainComplex(ZZ, {0: PresentedModule.free(ZZ, 2)}, {})
-        X = chain_complex_bridge(C, "to_representation", cc)
-        back = chain_complex_bridge(C, "to_complex", X)
-        assert back.module(0).normal_form() == cc.module(0).normal_form()
 
     def test_d_squared_zero_iff_mesh(self):
         # a non-complex pushed through the vertex/arrow assignment fails the mesh check
