@@ -27,7 +27,8 @@ import random
 import sys
 from dataclasses import dataclass, field
 
-from .errors import InvalidMorphism, InvalidParameter, QShapeError
+from .errors import (InvalidMorphism, InvalidParameter, QShapeError,
+                     WindowTooSmall)
 from .exactalg import BaseRing, PresentedModule, ZZ
 from .fixtures import COUNTER_LABELS, counter_morphism
 from .homology import (SIDE_CN, SIDE_CO, classify_object, corner_functors,
@@ -36,7 +37,8 @@ from .homology import (SIDE_CN, SIDE_CO, classify_object, corner_functors,
 from .io import (MAX_N, SchemaError, category_bundle, dumps, parse_category,
                  parse_morphism, parse_representation)
 from .meshcat import MeshCategory
-from .quiver import build_double_an, build_repetitive_an, format_vertex
+from .quiver import (build_double_an, build_repetitive_an, format_vertex,
+                     parse_vertex)
 from .repmod import (complex_to_rep, kernel_of_morphism, random_complex,
                      validate_representation, vertex_degree)
 
@@ -119,6 +121,16 @@ def _category_from_args(args) -> MeshCategory:
     return MeshCategory(build_repetitive_an(args.n, window), ring)
 
 
+def _vertex_arg(text: str, quiver):
+    try:
+        v = parse_vertex(text)
+    except ValueError:
+        raise SchemaError("--vertex", "a vertex is q or q@i") from None
+    if not quiver.has_vertex(v):
+        raise SchemaError("--vertex", f"no vertex {text} in the quiver")
+    return v
+
+
 def _max_degree(args, least: int) -> int:
     if args.max_degree < least:
         raise SchemaError("--max-degree", f"must be at least {least}")
@@ -157,9 +169,7 @@ def cmd_dims(args):
 def cmd_mult(args):
     C = _category_from_args(args)
     if args.flavor != "double_an":
-        return Report("mult", verdicts={"ok": False},
-                      witnesses={"error": "closed forms exist for double_an only"}), \
-            EXIT_BAD_INPUT
+        raise SchemaError("--flavor", "closed forms exist for double_an only")
     ok = True
     tables = {}
     for p in C.vertices:
@@ -225,11 +235,13 @@ def cmd_homology(args):
     if not result.ok:
         return _rejection("homology", result), EXIT_VERIFICATION
     vertices = None
-    if args.vertex:
-        from .quiver import parse_vertex
-        vertices = [parse_vertex(args.vertex)]
+    if args.vertex is not None:
+        vertices = [_vertex_arg(args.vertex, X.category.quiver)]
     sides = {"both": (SIDE_CN, SIDE_CO), "cn": (SIDE_CN,), "co": (SIDE_CO,)}
-    tables = homology_report(X, vertices, max_degree, sides[args.side])
+    try:
+        tables = homology_report(X, vertices, max_degree, sides[args.side])
+    except WindowTooSmall as exc:  # only a vertex given by --vertex can leave
+        raise SchemaError("--vertex", str(exc)) from None
     return Report("homology", verdicts={"max_degree": max_degree},
                   tables=tables), EXIT_OK
 

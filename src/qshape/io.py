@@ -38,6 +38,15 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _object(data: dict, key: str, path: str) -> dict:
+    """data[key] when present, which must then be an object; else {}."""
+    if key not in data:
+        return {}
+    if not isinstance(data[key], dict):
+        raise SchemaError(f"{path}/{key}", f"{key} must be an object")
+    return data[key]
+
+
 def parse_category(data, path="") -> MeshCategory:
     if not isinstance(data, dict):
         raise SchemaError(path or "/", "category spec must be an object")
@@ -98,7 +107,7 @@ def parse_representation(data, path="", category=None) -> Representation:
         category = parse_category(data.get("category"), path + "/category")
     ring = category.ring
     values = {}
-    for key, val in (data.get("values") or {}).items():
+    for key, val in _object(data, "values", path).items():
         try:
             v = parse_vertex(key)
         except ValueError:
@@ -107,7 +116,7 @@ def parse_representation(data, path="", category=None) -> Representation:
             raise SchemaError(f"{path}/values/{key}", "vertex outside the quiver")
         values[v] = parse_value(ring, val, f"{path}/values/{key}")
     arrows = {}
-    for key, val in (data.get("arrows") or {}).items():
+    for key, val in _object(data, "arrows", path).items():
         try:
             arrow = category.quiver.arrow(key)
         except KeyError:
@@ -131,7 +140,7 @@ def parse_morphism(data, path="") -> RepMorphism:
     X = parse_representation(data.get("source"), path + "/source", category)
     Y = parse_representation(data.get("target"), path + "/target", category)
     comps = {}
-    for key, val in (data.get("components") or {}).items():
+    for key, val in _object(data, "components", path).items():
         try:
             v = parse_vertex(key)
         except ValueError:

@@ -3,20 +3,26 @@
 Morphisms are graded by path length.  For both flavors every nonzero
 graded piece Q^l(p, q) is free of rank one, spanned by a canonical
 *signed path*: the class of any path from p to q of length l after
-replacing each descending arrow a_r by (-1)^r a_r.  With that sign
-convention all parallel paths become equal (the mesh relations turn
-every diamond into a commuting square), so composition of basis
-elements has structure constants 0 or 1 and every sign in the category
-is pinned down once and for all.
+replacing each arrow a_r (from row r up to row r + 1) by (-1)^r a_r.
+With that sign convention all parallel paths become equal (the mesh
+relations turn every diamond into a commuting square), so composition
+of basis elements has structure constants 0 or 1 and every sign in the
+category is pinned down once and for all.
 
-Degree bookkeeping:
+One hom rule serves both flavors.  Double A_n is the repetitive quiver
+ZA_n modulo tau: a vertex has a row, and on the repetitive quiver also a
+column, (q, i).  A basis element of Q(p, q) is a path that goes down a
+row v times (a* arrows, each moving one column back on the repetitive
+quiver) and then up u = (q - p) + v times (a arrows).  It is nonzero
+iff it stays in the Serre rectangle,
 
-* double(A_n): Q^l(p, q) is nonzero iff l = |p-q| + 2t with
-  0 <= t < d(p, q) where d(p, q) = min(p, q, n+1-p, n+1-q);
-* repetitive(A_n): a morphism (p, i) -> (q, j) consists of v = i - j
-  descending-and-shifting steps and u = (q - p) + v ascending steps and
-  is nonzero iff 0 <= v <= p-1 and 0 <= u <= n-p (the Serre rectangle);
-  the degree is then u + v.
+    max(0, p - q) <= v <= min(p - 1, n - q)      (in rows),
+
+and its degree is u + v = (q - p) + 2v.  On the double quiver every such
+v gives one basis element, so Q(p, q) has rank
+d(p, q) = min(p, q, n+1-p, n+1-q); on the repetitive quiver v is pinned
+to i - j for (p, i) -> (q, j), so the rank is at most one.  This is
+Riedtmann's covering ZA_n -> ZA_n / tau read on hom spaces.
 
 The class also carries the Serre functor and a path-enumeration oracle
 that recomputes all graded dimensions from scratch.
@@ -36,12 +42,10 @@ from .quiver import (DOUBLE_AN, REPETITIVE_AN, Arrow, StableTranslationQuiver,
 
 @dataclass(frozen=True)
 class BasisElement:
-    """The signed path spanning Q^degree(source, target); index is always 0
-    for these flavors but kept so bases of higher rank could be addressed."""
+    """The signed path spanning Q^degree(source, target)."""
     source: object
     target: object
     degree: int
-    index: int = 0
 
 
 class MeshCategory:
@@ -72,57 +76,39 @@ class MeshCategory:
     def __repr__(self):
         return f"MeshCategory({self.quiver.flavor}, n={self.n}, ring={self.ring!r})"
 
+    def _coords(self, v):
+        """(row, column) of a vertex; double A_n, which is repetitive A_n
+        modulo tau, keeps the row and has no column (None)."""
+        return (v, None) if self.quiver.flavor == DOUBLE_AN else v
+
+    @staticmethod
+    def _vertex(row, col, shift: int = 0):
+        """The vertex at (row, col + shift); inverse of _coords."""
+        return row if col is None else (row, col + shift)
+
     # -- graded dimensions ----------------------------------------------------
 
     def d(self, p, q) -> int:
         """Total rank of Q(p, q)."""
-        if self.flavor == DOUBLE_AN:
-            return min(p, q, self.n + 1 - p, self.n + 1 - q)
-        (pr, pi), (qr, qj) = p, q
-        v = pi - qj
-        u = (qr - pr) + v
-        return 1 if 0 <= v <= pr - 1 and 0 <= u <= self.n - pr else 0
+        return len(self.hom_basis(p, q))
 
     def graded_dim(self, p, q, degree: int) -> int:
         """Rank of Q^degree(p, q)."""
-        if degree < 0:
-            return 0
-        if self.flavor == DOUBLE_AN:
-            shift = degree - abs(p - q)
-            if shift < 0 or shift % 2:
-                return 0
-            return 1 if shift // 2 < self.d(p, q) else 0
-        if self.d(p, q) == 0:
-            return 0
-        v = p[1] - q[1]
-        u = (q[0] - p[0]) + v
-        return 1 if u + v == degree else 0
+        return sum(1 for b in self.hom_basis(p, q) if b.degree == degree)
 
     def hom_basis(self, p, q):
-        """Ordered basis of Q(p, q), by ascending degree."""
+        """Ordered basis of Q(p, q), by ascending degree: one element per
+        descent count v in the Serre rectangle, in degree (q - p) + 2v."""
         key = (p, q)
         cached = self._hom_cache.get(key)
         if cached is not None:
             return cached
-        if self.flavor == DOUBLE_AN:
-            base = abs(p - q)
-            basis = tuple(BasisElement(p, q, base + 2 * t)
-                          for t in range(self.d(p, q)))
-        else:
-            if self.d(p, q) == 0:
-                basis = ()
-            else:
-                v = p[1] - q[1]
-                u = (q[0] - p[0]) + v
-                basis = (BasisElement(p, q, u + v),)
+        (pr, pc), (qr, qc) = self._coords(p), self._coords(q)
+        descents = range(pr) if pc is None else (pc - qc,)  # a column pins v
+        basis = tuple(BasisElement(p, q, qr - pr + 2 * v) for v in descents
+                      if 0 <= v < pr and pr - qr <= v <= self.n - qr)
         self._hom_cache[key] = basis
         return basis
-
-    def basis_index(self, elt: BasisElement) -> int:
-        for k, b in enumerate(self.hom_basis(elt.source, elt.target)):
-            if b == elt:
-                return k
-        raise InvalidParameter(f"{elt} is not a basis element")
 
     # -- composition -------------------------------------------------------------
 
@@ -136,135 +122,72 @@ class MeshCategory:
             return (self.ring.one, BasisElement(f.source, g.target, degree))
         return None
 
-    def compose(self, g_vec, f_vec, p, q, r):
-        """Coefficient vectors over hom_basis(q, r) and hom_basis(p, q);
-        returns the product vector over hom_basis(p, r)."""
-        basis_qr = self.hom_basis(q, r)
-        basis_pq = self.hom_basis(p, q)
-        if len(g_vec) != len(basis_qr) or len(f_vec) != len(basis_pq):
-            raise EndpointMismatch("coefficient vectors do not match the bases")
-        out = [self.ring.zero] * len(self.hom_basis(p, r))
-        for cg, g in zip(g_vec, basis_qr):
-            if cg == self.ring.zero:
-                continue
-            for cf, f in zip(f_vec, basis_pq):
-                if cf == self.ring.zero:
-                    continue
-                res = self.compose_basis(g, f)
-                if res is not None:
-                    coeff, elt = res
-                    k = self.basis_index(elt)
-                    out[k] = self.ring.add(out[k],
-                                           self.ring.mul(coeff, self.ring.mul(cg, cf)))
-        return out
-
     # -- arrows as basis vectors -----------------------------------------------------
 
     def arrow_elt(self, arrow: Arrow):
         """(coefficient, BasisElement) expressing the arrow in the signed bases.
 
-        Descending arrows a_r carry the sign (-1)^r; the a* arrows none.
+        An arrow up from row r (a_r: r -> r+1) carries the sign (-1)^r;
+        an arrow down a row (a_r*) none.
         """
-        name = arrow.name
-        star = "*" in name
-        row = int(name[1:].split("@")[0].rstrip("*"))
-        coeff = self.ring.one if star or row % 2 == 0 else self.ring.neg(self.ring.one)
+        row = self._coords(arrow.source)[0]
+        up = self._coords(arrow.target)[0] > row
+        coeff = self.ring.neg(self.ring.one) if up and row % 2 else self.ring.one
         return coeff, BasisElement(arrow.source, arrow.target, 1)
 
     def basis_path(self, elt: BasisElement):
-        """(sign, arrow names) with elt = sign * (composite of those arrows).
+        """(sign, arrows) with elt = sign * (composite of those arrows).
 
         The arrow list is in application order (first arrow first).  The
-        chosen representative descends all the way, then ascends; both
-        flavors stay inside the vertex range along the way.
+        chosen representative goes down a row v times, then up; it stays
+        inside the vertex range along the way.
         """
         ring = self.ring
-        sign = ring.one
-        names = []
-        if self.flavor == DOUBLE_AN:
-            p, q, l = elt.source, elt.target, elt.degree
-            t = (l - abs(p - q)) // 2
-            down = t + max(0, p - q)
-            up = t + max(0, q - p)
-            w = p
-            for _ in range(down):
-                names.append(f"a{w - 1}*")
-                w -= 1
-            for _ in range(up):
-                names.append(f"a{w}")
-                if w % 2 == 1:
+        row, col = self._coords(elt.source)
+        down = (elt.degree + row - self._coords(elt.target)[0]) // 2
+        sign, arrows, w = ring.one, [], elt.source
+        for k in range(1, elt.degree + 1):
+            if k <= down:
+                nxt = self._vertex(row - k, col, -k)
+            else:
+                up_from = row - 2 * down + k - 1
+                nxt = self._vertex(up_from + 1, col, -down)
+                if up_from % 2:  # the sign of arrow_elt
                     sign = ring.neg(sign)
-                w += 1
-        else:
-            (pr, pi), (qr, qj) = elt.source, elt.target
-            v = pi - qj
-            u = (qr - pr) + v
-            row, col = pr, pi
-            for _ in range(v):
-                names.append(f"a{row - 1}*@{col}")
-                row, col = row - 1, col - 1
-            for _ in range(u):
-                names.append(f"a{row}@{col}")
-                if row % 2 == 1:
-                    sign = ring.neg(sign)
-                row += 1
-        return sign, names
-
-    def evaluate_word(self, arrow_names, source):
-        """Class of the plain path given by arrow names, as (coeff, elt) or None."""
-        ring = self.ring
-        coeff = ring.one
-        current = (ring.one, BasisElement(source, source, 0))
-        for name in arrow_names:
-            arrow = self.quiver.arrow(name)
-            c_a, e_a = self.arrow_elt(arrow)
-            res = self.compose_basis(e_a, current[1])
-            if res is None:
-                return None
-            c_r, e_r = res
-            # arrow = c_a^{-1} * e_a, so the plain path picks up inverse signs
-            coeff = ring.mul(coeff, ring.mul(ring.inv(c_a), c_r))
-            current = (ring.one, e_r)
-        return coeff, current[1]
+            arrows.append(self.quiver.arrow_between(w, nxt))
+            w = nxt
+        return sign, arrows
 
     # -- multiplication matrices ----------------------------------------------------
 
     def left_mult_matrix(self, coeff, g: BasisElement, p) -> Matrix:
         """Matrix of (coeff * g) ∘ - : Q(p, source g) -> Q(p, target g)."""
-        key = ("L", coeff, g, p)
-        cached = self._left_mult_cache.get(key)
-        if cached is not None:
-            return cached
-        src_basis = self.hom_basis(p, g.source)
-        tgt_basis = self.hom_basis(p, g.target)
-        M = [[self.ring.zero] * len(src_basis) for _ in range(len(tgt_basis))]
-        for j, f in enumerate(src_basis):
-            res = self.compose_basis(g, f)
-            if res is not None:
-                c, elt = res
-                M[self.basis_index(elt)][j] = self.ring.mul(coeff, c)
-        out = Matrix._trusted(self.ring, len(tgt_basis), len(src_basis),
-                              [x for row in M for x in row])
-        self._left_mult_cache[key] = out
-        return out
+        return self._mult_matrix(self._left_mult_cache, ("L", coeff, g, p),
+                                 (p, g.source), (p, g.target))
 
     def right_mult_matrix(self, coeff, g: BasisElement, r) -> Matrix:
         """Matrix of - ∘ (coeff * g) : Q(target g, r) -> Q(source g, r)."""
-        key = ("R", coeff, g, r)
-        cached = self._right_mult_cache.get(key)
-        if cached is not None:
-            return cached
-        src_basis = self.hom_basis(g.target, r)
-        tgt_basis = self.hom_basis(g.source, r)
-        M = [[self.ring.zero] * len(src_basis) for _ in range(len(tgt_basis))]
-        for j, h in enumerate(src_basis):
-            res = self.compose_basis(h, g)
-            if res is not None:
-                c, elt = res
-                M[self.basis_index(elt)][j] = self.ring.mul(coeff, c)
-        out = Matrix._trusted(self.ring, len(tgt_basis), len(src_basis),
-                              [x for row in M for x in row])
-        self._right_mult_cache[key] = out
+        return self._mult_matrix(self._right_mult_cache, ("R", coeff, g, r),
+                                 (g.target, r), (g.source, r))
+
+    def _mult_matrix(self, cache, key, src, tgt) -> Matrix:
+        """Composition with coeff * g, for key = (side, coeff, g, vertex),
+        from the basis of Q(src) to that of Q(tgt).  Structure constants are
+        0 or 1, so f goes to coeff times the element of degree deg f + deg g."""
+        out = cache.get(key)
+        if out is not None:
+            return out
+        _, coeff, g, _ = key
+        src_basis, tgt_basis = self.hom_basis(*src), self.hom_basis(*tgt)
+        row_of = {b.degree: i for i, b in enumerate(tgt_basis)}
+        cols = len(src_basis)
+        entries = [self.ring.zero] * (len(tgt_basis) * cols)
+        coeff = self.ring.canon(coeff)
+        for j, f in enumerate(src_basis):
+            i = row_of.get(f.degree + g.degree)
+            if i is not None:
+                entries[i * cols + j] = coeff
+        out = cache[key] = Matrix._trusted(self.ring, len(tgt_basis), cols, entries)
         return out
 
     def arrow_left_mult(self, arrow: Arrow, p) -> Matrix:
@@ -349,67 +272,35 @@ class MeshCategory:
     # -- Serre functor ---------------------------------------------------------------------
 
     def serre_object(self, v):
-        if self.flavor == DOUBLE_AN:
-            return self.n + 1 - v
-        q, i = v
-        return (self.n + 1 - q, i + 1 - q)
+        row, col = self._coords(v)
+        return self._vertex(self.n + 1 - row, col, 1 - row)
 
     def serre_arrow(self, arrow: Arrow):
         """(coefficient, arrow name) for the image of a generator, or None
-        when the image leaves the window."""
-        ring, n = self.ring, self.n
-        name = arrow.name
-        star = "*" in name
-        if self.flavor == DOUBLE_AN:
-            q = int(name[1:].rstrip("*"))
-            if star:
-                image, exp = f"a{n - q}", n - q
-            else:
-                image, exp = f"a{n - q}*", q
-        else:
-            head, i = name.split("@")
-            q = int(head[1:].rstrip("*"))
-            i = int(i)
-            if star:
-                image, exp = f"a{n - q}@{i - q}", n - q
-            else:
-                image, exp = f"a{n - q}*@{i + 1 - q}", q
-        try:
-            self.quiver.arrow(image)
-        except KeyError:
-            return None
-        coeff = ring.one if exp % 2 == 0 else ring.neg(ring.one)
-        return coeff, image
+        when the image leaves the window.
 
-    def serre_on_basis(self, elt: BasisElement):
-        """Image of a basis element under the Serre functor, as (coeff, elt)."""
-        sign, names = self.basis_path(elt)
-        coeff = sign
-        mapped = []
-        for nm in names:
-            res = self.serre_arrow(self.quiver.arrow(nm))
-            if res is None:
-                return None
-            c, image = res
-            coeff = self.ring.mul(coeff, c)
-            mapped.append(image)
-        src = self.serre_object(elt.source)
-        word = self.evaluate_word(mapped, src)
-        if word is None:
-            return (self.ring.zero, None)
-        c, out = word
-        return (self.ring.mul(coeff, c), out)
+        The image of an arrow s -> t is the arrow S(s) -> S(t); its sign is
+        (-1)^r for a_r: r -> r+1 and (-1)^(n-r) for a_r*: r+1 -> r.
+        """
+        image = self.quiver.arrow_between(self.serre_object(arrow.source),
+                                          self.serre_object(arrow.target))
+        if image is None:
+            return None
+        s, t = self._coords(arrow.source)[0], self._coords(arrow.target)[0]
+        exp = s if t > s else self.n - t
+        coeff = self.ring.one if exp % 2 == 0 else self.ring.neg(self.ring.one)
+        return coeff, image.name
 
     def top_degree(self) -> int:
         return self.nilpotency_index() - 1
 
-    def serre_pairing_matrix(self, p, q) -> Matrix:
-        """Composition pairing Q(p,q) x Q(q, Sigma p) -> k in the top degree."""
+    def serre_pairing_matrix(self, p, q, top: int) -> Matrix:
+        """Composition pairing Q(p,q) x Q(q, Sigma p) -> k in the top degree
+        (``top_degree()``, which the caller computes once)."""
         ring = self.ring
         sp = self.serre_object(p)
         rows = self.hom_basis(p, q)
         cols = self.hom_basis(q, sp)
-        top = self.top_degree()
         entries = []
         for f in rows:
             for g in cols:
@@ -492,7 +383,7 @@ class MeshCategory:
             if not self.quiver.has_vertex(sp):
                 continue
             for q in self.vertices:
-                P = self.serre_pairing_matrix(p, q)
+                P = self.serre_pairing_matrix(p, q, top)
                 if P.rows == 0 and P.cols == 0:
                     continue
                 report["checked_pairings"] += 1

@@ -67,6 +67,7 @@ class StableTranslationQuiver:
         self.vertices = tuple(sorted(vertices, key=vertex_key))
         self.arrows = tuple(sorted(arrows, key=lambda a: a.name))
         self._by_name = {a.name: a for a in self.arrows}
+        self._between = {(a.source, a.target): a for a in self.arrows}
         self._tau = dict(tau)
         self._sigma = dict(sigma)
         self._into = {v: [] for v in self.vertices}
@@ -82,6 +83,10 @@ class StableTranslationQuiver:
 
     def arrow(self, name: str) -> Arrow:
         return self._by_name[name]
+
+    def arrow_between(self, source, target):
+        """The arrow source -> target, or None; these quivers have at most one."""
+        return self._between.get((source, target))
 
     def has_vertex(self, v) -> bool:
         return v in self._into

@@ -62,10 +62,10 @@ class Representation:
 
     def evaluate_matrix(self, coeff, elt: BasisElement) -> Matrix:
         """Matrix of X(coeff * elt) on generators."""
-        sign, names = self.category.basis_path(elt)
+        sign, arrows = self.category.basis_path(elt)
         out = Matrix.identity(self.ring, self.value(elt.source).generators)
-        for name in names:
-            out = self.arrow_matrix(name) * out
+        for arrow in arrows:
+            out = self.arrow_matrix(arrow) * out
         scale = self.ring.mul(coeff, sign)
         return out.scale(scale)
 

@@ -17,6 +17,7 @@ from qshape.quiver import format_vertex
 from qshape.repmod import free_at
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -226,6 +227,69 @@ class TestExitCodes:
         assert code == 2
         assert "not_natural" in json.loads(out)["witnesses"]
 
+    @pytest.mark.parametrize("fixture, vertex", [
+        ("counter_X.json", "xyz"), ("counter_X.json", "2@3@4"),
+        ("counter_X.json", "9"), ("counter_X.json", "1@99"),
+        ("counter_X.json", "1@-8"), (None, "7"), (None, "")],
+        ids=["not a vertex", "two @", "double id on repetitive",
+             "outside the window", "resolution leaves the window",
+             "outside double A_3", "empty"])
+    def test_bad_vertex_is_exit_one_with_path(self, capsys, rep_file,
+                                              fixture, vertex):
+        # the first three ended in a traceback, the next three printed an
+        # error without a path, and an empty one reported every vertex
+        path = rep_file if fixture is None else str(FIXTURES / fixture)
+        code, out = run(capsys, "homology", "--input", path, "--vertex", vertex)
+        assert code == 1
+        report = json.loads(out)
+        assert set(report) == {"error", "path"}
+        assert report["path"] == "--vertex"
+
+    @pytest.mark.parametrize("doc, path", [
+        ({"values": "abc"}, "/values"),
+        ({"arrows": "x"}, "/arrows"),
+        ({"values": []}, "/values"),
+        ({"values": {"1": {"rank": 1}}, "arrows": None}, "/arrows"),
+    ], ids=["values a string", "arrows a string", "values a list",
+            "arrows null"])
+    def test_representation_containers_must_be_objects(self, capsys, tmp_path,
+                                                      doc, path):
+        # a string ended in an AttributeError traceback; a list was read as
+        # an empty object
+        f = tmp_path / "rep.json"
+        f.write_text(json.dumps(
+            {"category": {"flavor": "double_an", "n": 2, "ring": "Z"}} | doc))
+        code, out = run(capsys, "validate", "--input", str(f))
+        assert code == 1
+        assert json.loads(out)["path"] == path
+
+    @pytest.mark.parametrize("change, path", [
+        ({"source": {"values": []}}, "/source/values"),
+        ({"target": {"arrows": "x"}}, "/target/arrows"),
+        ({"components": "x"}, "/components"),
+        ({"components": [1]}, "/components"),
+    ], ids=["source values a list", "target arrows a string",
+            "components a string", "components a list"])
+    def test_morphism_containers_must_be_objects(self, capsys, tmp_path,
+                                                 change, path):
+        rep = {"values": {"1": {"rank": 1}}}
+        f = tmp_path / "phi.json"
+        f.write_text(json.dumps(
+            {"category": {"flavor": "double_an", "n": 2, "ring": "Z"},
+             "source": rep, "target": rep, "components": {}} | change))
+        code, out = run(capsys, "weq", "--input", str(f))
+        assert code == 1
+        report = json.loads(out)
+        assert set(report) == {"error", "path"}
+        assert report["path"] == path
+
+    def test_mult_refuses_the_repetitive_flavor(self, capsys):
+        code, out = run(capsys, "mult", "--flavor", "repetitive_an", "--n", "2")
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "--flavor: closed forms exist for double_an only",
+            "path": "--flavor"}
+
     def test_unknown_flag_is_exit_one(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["dims", "--bogus"])
@@ -258,6 +322,33 @@ class TestCommands:
         bundle = data["tables"]["bundle"]
         assert bundle["nilpotency_index"] == 2
         assert bundle["hom_bases"]["1->2"] == [1]
+
+    @pytest.mark.parametrize("argv", [
+        ["serre-check", "--flavor", "repetitive_an", "--n", "5"],
+        ["build", "--flavor", "repetitive_an", "--n", "4",
+         "--window", "-10", "10"],
+    ], ids=["serre-check n=5", "build n=4 window (-10, 10)"])
+    def test_repetitive_serre_data_within_budget(self, capsys, argv):
+        # the top degree of the Serre pairing used to be recomputed for
+        # every vertex pair: about 52 s and 17 s
+        start = time.perf_counter()
+        code, out = run(capsys, *argv)
+        assert time.perf_counter() - start < 5.0
+        assert code == 0 and json.loads(out)["verdicts"]["ok"] is True
+
+    def test_dims_repetitive(self, capsys):
+        code, out = run(capsys, "dims", "--flavor", "repetitive_an", "--n", "2",
+                        "--window", "0", "1")
+        assert code == 0
+        assert json.loads(out)["tables"]["ranks"] == {
+            "1@0->1@0": 1, "1@0->2@0": 1, "1@1->1@1": 1, "1@1->2@1": 1,
+            "2@0->2@0": 1, "2@1->1@0": 1, "2@1->2@1": 1}
+
+    def test_weq_table_format(self, capsys):
+        code, out = run(capsys, "weq", "--input", str(FIXTURES / "counter.json"),
+                        "--format", "table")
+        assert code == 0
+        assert out == (DATA / "weq_counter_table.txt").read_text()
 
     def test_homology_table(self, capsys, rep_file):
         code, out = run(capsys, "homology", "--input", rep_file,

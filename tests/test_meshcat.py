@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from qshape import MeshCategory, QQ, ZZ, Zmod, build_double_an, build_repetitive_an
+from qshape import (Matrix, MeshCategory, QQ, ZZ, Zmod, build_double_an,
+                    build_repetitive_an)
 from qshape.errors import EndpointMismatch, UnsupportedFlavor
 from qshape.meshcat import BasisElement
 
@@ -131,11 +132,59 @@ class TestComposition:
 
     def test_compose_vectors(self):
         C = double_cat(5)
-        f = [C.ring.one, C.ring.zero]   # e^1 in Q(2,3)
-        g = [C.ring.one, C.ring.one]    # e^1 + e^3 in Q(3,4)... degrees [1,3]
-        out = C.compose(g, f, 2, 3, 4)
+        f = Matrix.column(C.ring, [1, 0])   # e^1 in Q(2,3)
+        # e^1 + e^3 in Q(3,4), degrees [1,3], acting by composition
+        g = [C.left_mult_matrix(C.ring.one, b, 2) for b in C.hom_basis(3, 4)]
+        out = (g[0] + g[1]) * f
         # e^1*e^1 -> e^2, e^3*e^1 -> e^4; basis of Q(2,4) has degrees [2,4]
-        assert out == [1, 1]
+        assert list(out.entries) == [1, 1]
+
+
+class TestOneHomRule:
+    def cats(self):
+        return (double_cat(4, Zmod(9)), double_cat(5, QQ),
+                rep_cat(3, (-3, 3), QQ), rep_cat(2, (-2, 2), Zmod(9)))
+
+    def test_mult_matrices_match_compose_basis(self):
+        # the builder places coeff by degree; compose_basis is the reference
+        for C in self.cats():
+            ring = C.ring
+            coeff = ring.neg(ring.one)
+            elements = [b for p in C.vertices for q in C.vertices
+                        for b in C.hom_basis(p, q)]
+            for g in elements:
+                for v in C.vertices:
+                    for M, src, tgt, comp in (
+                            (C.left_mult_matrix(coeff, g, v),
+                             C.hom_basis(v, g.source), C.hom_basis(v, g.target),
+                             lambda f: C.compose_basis(g, f)),
+                            (C.right_mult_matrix(coeff, g, v),
+                             C.hom_basis(g.target, v), C.hom_basis(g.source, v),
+                             lambda f: C.compose_basis(f, g))):
+                        want = [[ring.zero] * len(src) for _ in tgt]
+                        for j, f in enumerate(src):
+                            res = comp(f)
+                            if res is not None:
+                                want[tgt.index(res[1])][j] = ring.mul(coeff, res[0])
+                        assert M.to_lists() == want, (C, g, v)
+
+    def test_basis_path_composes_to_the_element(self):
+        for C in self.cats():
+            ring = C.ring
+            for p in C.vertices:
+                for q in C.vertices:
+                    for elt in C.hom_basis(p, q):
+                        sign, arrows = C.basis_path(elt)
+                        assert len(arrows) == elt.degree
+                        product, current = ring.one, BasisElement(p, p, 0)
+                        for a in arrows:
+                            c, e = C.arrow_elt(a)
+                            res = C.compose_basis(e, current)
+                            assert res is not None, (elt, a)
+                            product = ring.mul(product, ring.mul(c, res[0]))
+                            current = res[1]
+                        assert current == elt
+                        assert sign == product, elt
 
 
 class TestRadical:
