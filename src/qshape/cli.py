@@ -29,18 +29,18 @@ from dataclasses import dataclass, field
 
 from .errors import (InvalidMorphism, InvalidParameter, QShapeError,
                      WindowTooSmall)
-from .exactalg import BaseRing, PresentedModule, ZZ
+from .exactalg import BaseRing
 from .fixtures import COUNTER_LABELS, counter_morphism
-from .homology import (SIDE_CN, SIDE_CO, classify_object, corner_functors,
-                       derived_homology, homology_report, is_weak_equivalence,
-                       mesh_homology, mesh_homology_map, zero_test)
-from .io import (MAX_N, SchemaError, category_bundle, dumps, parse_category,
-                 parse_morphism, parse_representation)
+from .homology import (SIDE_CN, SIDE_CO, classify_object, homology_report,
+                       is_weak_equivalence, mesh_homology, mesh_homology_map,
+                       zero_test)
+from .io import (MAX_N, SchemaError, category_bundle, dumps, parse_morphism,
+                 parse_representation)
 from .meshcat import MeshCategory
 from .quiver import (build_double_an, build_repetitive_an, format_vertex,
                      parse_vertex)
 from .repmod import (complex_to_rep, kernel_of_morphism, random_complex,
-                     validate_representation, vertex_degree)
+                     validate_representation)
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -104,7 +104,11 @@ def _parse_ring(text: str) -> BaseRing:
 
 
 def _load_json(path: str):
-    raw = sys.stdin.read() if path == "-" else open(path).read()
+    if path == "-":
+        raw = sys.stdin.read()
+    else:
+        with open(path) as f:
+            raw = f.read()
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -175,9 +179,9 @@ def cmd_mult(args):
     for p in C.vertices:
         for q in range(1, C.n):
             for star in (False, True):
-                name = f"a{q}*" if star else f"a{q}"
+                ends = (q + 1, q) if star else (q, q + 1)
                 closed = C.arrow_mult_matrix(p, q, star)
-                oracle = C.arrow_left_mult(C.quiver.arrow(name), p)
+                oracle = C.arrow_left_mult(C.quiver.arrow_between(*ends), p)
                 key = f"T{'*' if star else ''}[{p},{q}]"
                 tables[key] = closed.to_json()
                 if closed != oracle:

@@ -122,35 +122,38 @@ class Matrix:
                 or self.cols != other.cols:
             raise InvalidParameter("shape or ring mismatch")
 
+    def _reduced(self, rows, cols, values) -> "Matrix":
+        """A matrix on raw sums and products of canonical entries: those are
+        canonical over Z and Q, and one ``% m`` makes them so over Z/m."""
+        modulus = self.ring.modulus
+        if modulus is not None:
+            values = [x % modulus for x in values]
+        return Matrix._trusted(self.ring, rows, cols, values)
+
     def __add__(self, other) -> "Matrix":
         self._same_shape(other)
-        add = self.ring.add
-        return Matrix._trusted(self.ring, self.rows, self.cols,
-                               [add(a, b) for a, b in zip(self.entries, other.entries)])
+        return self._reduced(self.rows, self.cols,
+                             [a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other) -> "Matrix":
         self._same_shape(other)
-        sub = self.ring.sub
-        return Matrix._trusted(self.ring, self.rows, self.cols,
-                               [sub(a, b) for a, b in zip(self.entries, other.entries)])
+        return self._reduced(self.rows, self.cols,
+                             [a - b for a, b in zip(self.entries, other.entries)])
 
     def __neg__(self) -> "Matrix":
-        neg = self.ring.neg
-        return Matrix._trusted(self.ring, self.rows, self.cols,
-                               [neg(a) for a in self.entries])
+        return self._reduced(self.rows, self.cols, [-a for a in self.entries])
 
     def scale(self, c) -> "Matrix":
-        mul = self.ring.mul
-        return Matrix._trusted(self.ring, self.rows, self.cols,
-                               [mul(c, a) for a in self.entries])
+        """c times the matrix; an inexact c is refused, as by the constructor."""
+        c = self.ring.element(c)
+        return self._reduced(self.rows, self.cols, [c * a for a in self.entries])
 
     def __mul__(self, other) -> "Matrix":
         if self.ring != other.ring or self.cols != other.rows:
             raise InvalidParameter("incompatible product")
-        ring = self.ring
         n, m, k = self.rows, other.cols, self.cols
         a, b = self.entries, other.entries
-        zero = ring.zero
+        zero = self.ring.zero
         out = []
         for i in range(n):
             nonzero = [(t * m, x) for t, x in enumerate(a[i * k:(i + 1) * k]) if x]
@@ -159,11 +162,7 @@ class Matrix:
                 for off, x in nonzero:
                     s += x * b[off + j]
                 out.append(s)
-        # sums of products of canonical entries are canonical over Z and Q
-        modulus = ring.modulus
-        if modulus is not None:
-            out = [s % modulus for s in out]
-        return Matrix._trusted(ring, n, m, out)
+        return self._reduced(n, m, out)
 
     def transpose(self) -> "Matrix":
         return Matrix._trusted(self.ring, self.cols, self.rows,
@@ -172,19 +171,18 @@ class Matrix:
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; (self ⊗ other)[(i,k),(j,l)] = self[i,j]*other[k,l]."""
-        ring = self.ring
         R, C = self.rows * other.rows, self.cols * other.cols
-        out = [ring.zero] * (R * C)
+        out = [self.ring.zero] * (R * C)
         for i in range(self.rows):
             for j in range(self.cols):
                 a = self.entries[i * self.cols + j]
-                if a == ring.zero:
+                if not a:
                     continue
                 for k in range(other.rows):
                     base = (i * other.rows + k) * C + j * other.cols
-                    for l in range(other.cols):
-                        out[base + l] = ring.mul(a, other.entries[k * other.cols + l])
-        return Matrix._trusted(ring, R, C, out)
+                    row = other.entries[k * other.cols:(k + 1) * other.cols]
+                    out[base:base + other.cols] = [a * b for b in row]
+        return self._reduced(R, C, out)
 
     # -- assembly -----------------------------------------------------------------
 

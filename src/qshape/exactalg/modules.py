@@ -15,7 +15,6 @@ exactly when their normal forms agree.
 from __future__ import annotations
 
 from itertools import product
-from math import gcd
 
 from ..errors import InvalidParameter, NotWellDefined
 from .matrix import Matrix
@@ -126,6 +125,10 @@ class PresentedModule:
     def is_zero(self) -> bool:
         return self.normal_form().is_zero
 
+    def vanishes(self, vectors: Matrix) -> bool:
+        """Whether every column of ``vectors`` is zero in the module."""
+        return solve_matrix(self.relations, vectors) is not None
+
     def isomorphic(self, other: "PresentedModule") -> bool:
         return self.ring == other.ring and self.normal_form() == other.normal_form()
 
@@ -201,8 +204,7 @@ class ModuleMap:
         self.target = target
         self.matrix = matrix
         if check and source.relations.cols:
-            image = matrix * source.relations
-            if solve_matrix(target.relations, image) is None:
+            if not target.vanishes(matrix * source.relations):
                 raise NotWellDefined("source relations do not map into target relations")
 
     @staticmethod
@@ -216,14 +218,6 @@ class ModuleMap:
         return ModuleMap(module, module,
                          Matrix.identity(module.ring, module.generators),
                          check=False)
-
-    def compose(self, other: "ModuleMap") -> "ModuleMap":
-        """self ∘ other."""
-        if other.target is not self.source and \
-                other.target.normal_form() != self.source.normal_form():
-            raise InvalidParameter("composition endpoints disagree")
-        return ModuleMap(other.source, self.target,
-                         self.matrix * other.matrix, check=False)
 
     # -- kernel / cokernel ----------------------------------------------------
 
@@ -242,9 +236,6 @@ class ModuleMap:
             return False
         K, _ = self.kernel()
         return K.is_zero
-
-    def is_zero_map(self) -> bool:
-        return solve_matrix(self.target.relations, self.matrix) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -131,9 +131,6 @@ class BaseRing:
     def add(self, a, b):
         return self.canon(a + b)
 
-    def sub(self, a, b):
-        return self.canon(a - b)
-
     def mul(self, a, b):
         return self.canon(a * b)
 

@@ -131,8 +131,8 @@ class MeshCategory:
         an arrow down a row (a_r*) none.
         """
         row = self._coords(arrow.source)[0]
-        up = self._coords(arrow.target)[0] > row
-        coeff = self.ring.neg(self.ring.one) if up and row % 2 else self.ring.one
+        up_odd = arrow.rises and row % 2
+        coeff = self.ring.neg(self.ring.one) if up_odd else self.ring.one
         return coeff, BasisElement(arrow.source, arrow.target, 1)
 
     def basis_path(self, elt: BasisElement):

@@ -10,6 +10,9 @@ a: p -> q.  The two builders here cover the linear A_n quiver:
   a_{q,i}: (q,i) -> (q+1,i) and a*_{q,i}: (q+1,i) -> (q,i-1),
   tau(q,i) = (q,i+1), sigma(a_{q,i}) = a*_{q,i+1}, sigma(a*_{q,i}) = a_{q,i}.
 
+Both have at most one arrow between two vertices, so the builders give
+only the arrows and tau, and sigma is read off from them.
+
 The repetitive quiver is infinite, so it is truncated to a window of
 translation indices; a vertex is *interior* when its whole mesh (and its
 tau-image) lies inside the window.
@@ -30,6 +33,14 @@ class Arrow:
     name: str
     source: object
     target: object
+
+    @property
+    def rises(self) -> bool:
+        """True for a_q, from row q up to row q + 1; False for a_q*.
+
+        Vertices compare by row first: q, or (q, i) on the repetitive quiver.
+        """
+        return self.target > self.source
 
 
 @dataclass(frozen=True)
@@ -60,7 +71,7 @@ def parse_vertex(s: str):
 class StableTranslationQuiver:
     """Finite quiver data with translation and semitranslation."""
 
-    def __init__(self, flavor, n, vertices, arrows, tau, sigma, window=None):
+    def __init__(self, flavor, n, vertices, arrows, tau, window=None):
         self.flavor = flavor
         self.n = n
         self.window = window
@@ -69,7 +80,12 @@ class StableTranslationQuiver:
         self._by_name = {a.name: a for a in self.arrows}
         self._between = {(a.source, a.target): a for a in self.arrows}
         self._tau = dict(tau)
-        self._sigma = dict(sigma)
+        # sigma(a) for a: p -> q is the arrow tau(q) -> p, where there is one
+        self._sigma = {}
+        for a in self.arrows:
+            image = self._between.get((self._tau.get(a.target), a.source))
+            if image is not None:
+                self._sigma[a.name] = image
         self._into = {v: [] for v in self.vertices}
         self._out_of = {v: [] for v in self.vertices}
         for a in self.arrows:
@@ -147,15 +163,11 @@ def build_double_an(n: int) -> StableTranslationQuiver:
     if n < 2:
         raise InvalidParameter("double quiver needs n >= 2")
     vertices = list(range(1, n + 1))
-    arrows, sigma = [], {}
+    arrows = []
     for q in range(1, n):
-        down = Arrow(f"a{q}", q, q + 1)
-        up = Arrow(f"a{q}*", q + 1, q)
-        arrows += [down, up]
-        sigma[down.name] = up
-        sigma[up.name] = down
+        arrows += [Arrow(f"a{q}", q, q + 1), Arrow(f"a{q}*", q + 1, q)]
     tau = {v: v for v in vertices}
-    return StableTranslationQuiver(DOUBLE_AN, n, vertices, arrows, tau, sigma)
+    return StableTranslationQuiver(DOUBLE_AN, n, vertices, arrows, tau)
 
 
 def build_repetitive_an(n: int, window) -> StableTranslationQuiver:
@@ -166,27 +178,13 @@ def build_repetitive_an(n: int, window) -> StableTranslationQuiver:
     if i_min > i_max:
         raise InvalidParameter("window must satisfy i_min <= i_max")
     vertices = [(q, i) for q in range(1, n + 1) for i in range(i_min, i_max + 1)]
-    arrows, sigma = [], {}
-    names = {}
+    arrows = []
     for q in range(1, n):
         for i in range(i_min, i_max + 1):
-            down = Arrow(f"a{q}@{i}", (q, i), (q + 1, i))
-            arrows.append(down)
-            names[down.name] = down
-            if i - 1 >= i_min:
-                up = Arrow(f"a{q}*@{i}", (q + 1, i), (q, i - 1))
-                arrows.append(up)
-                names[up.name] = up
-    for a in arrows:
-        if a.name.startswith("a") and "*" not in a.name:
-            q, i = a.source
-            partner = f"a{q}*@{i + 1}"
-            if partner in names:
-                sigma[a.name] = names[partner]
-        else:
-            q_plus, i = a.source
-            sigma[a.name] = names[f"a{q_plus - 1}@{i}"]
+            arrows.append(Arrow(f"a{q}@{i}", (q, i), (q + 1, i)))
+            if i > i_min:
+                arrows.append(Arrow(f"a{q}*@{i}", (q + 1, i), (q, i - 1)))
     tau = {(q, i): (q, i + 1)
            for q in range(1, n + 1) for i in range(i_min, i_max)}
     return StableTranslationQuiver(REPETITIVE_AN, n, vertices, arrows, tau,
-                                   sigma, window=(i_min, i_max))
+                                   window=(i_min, i_max))

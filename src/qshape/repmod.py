@@ -16,19 +16,31 @@ The standard constructions live here:
 * the bridge between bounded chain complexes and representations of
   the repetitive A_2 category.
 
+Two solvers over a finite field, hom_space_basis and the mesh sampler
+behind random_free_representation, take matrices as unknowns.  With U
+flattened row-major to vec(U),
+
+    vec(A · U · B) = (A ⊗ Bᵀ) · vec(U),
+
+so each linear condition sum A · U · B = 0 on the unknowns is one block
+row of Kronecker products, and its solutions are one kernel.
+
 Everything is immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .errors import (InvalidMorphism, InvalidParameter, UnsupportedFlavor,
                      WindowTooSmall)
-from .exactalg import Matrix, ModuleMap, PresentedModule, kernel_basis
+from .exactalg import (Matrix, ModuleMap, PresentedModule, kernel_basis,
+                       middle_homology)
 from .exactalg.modules import coordinates_mod
+from .exactalg.rings import INTEGERS
 from .meshcat import BasisElement, MeshCategory
-from .quiver import DOUBLE_AN, REPETITIVE_AN, format_vertex
+from .quiver import REPETITIVE_AN, format_vertex
 
 
 class Representation:
@@ -123,28 +135,18 @@ def validate_representation(X: Representation) -> ValidationReport:
     for a in quiver.arrows:
         M = X.arrow_matrix(a)
         src, tgt = X.value(a.source), X.value(a.target)
-        if M.rows != tgt.generators or M.cols != src.generators:
+        if M.rows != tgt.generators or M.cols != src.generators or (
+                src.relations.cols and not tgt.vanishes(M * src.relations)):
             report.bad_arrows.append(a.name)
-            continue
-        if src.relations.cols:
-            image = M * src.relations
-            if coordinates_mod(Matrix.zeros(X.ring, tgt.generators, 0),
-                               tgt.relations, image) is None:
-                report.bad_arrows.append(a.name)
     for q in quiver.interior_vertices():
         mesh = quiver.mesh_at(q)
-        tau_q = mesh.tau_vertex
         total = Matrix.zeros(X.ring, X.value(q).generators,
-                             X.value(tau_q).generators)
+                             X.value(mesh.tau_vertex).generators)
         for a, sa in zip(mesh.arrows, mesh.paired):
             total = total + X.arrow_matrix(a) * X.arrow_matrix(sa)
-        ok_here = coordinates_mod(
-            Matrix.zeros(X.ring, X.value(q).generators, 0),
-            X.value(q).relations, total) is not None
-        if not ok_here:
+        if not X.value(q).vanishes(total):
             report.mesh_residuals.append(MeshResidual(q, total))
-    if quiver.flavor == REPETITIVE_AN:
-        report.support_ok = all(quiver.is_interior(v) for v in X.support)
+    report.support_ok = all(quiver.is_interior(v) for v in X.support)
     report.ok = (not report.mesh_residuals and not report.bad_arrows
                  and report.support_ok)
     return report
@@ -154,41 +156,34 @@ def validate_representation(X: Representation) -> ValidationReport:
 # standard representations
 # ---------------------------------------------------------------------------
 
-def free_at(C: MeshCategory, q, M: PresentedModule) -> Representation:
-    """Q(q, -) tensored with M: value M^rank Q(q, r) at r."""
+def _tensor_functor(C: MeshCategory, M: PresentedModule, rank,
+                    action) -> Representation:
+    """Value M^rank(r) at r, and the arrow a acting by action(a) ⊗ 1_M."""
     if M.ring != C.ring:
         raise InvalidParameter("module ring differs from the category ring")
     values = {}
     for r in C.vertices:
-        d = C.d(q, r)
+        d = rank(r)
         if d and M.generators:
             rel = Matrix.block_diag(C.ring, [M.relations] * d)
             values[r] = PresentedModule(C.ring, d * M.generators, rel)
-    arrows = {}
-    for a in C.quiver.arrows:
-        if a.source in values or a.target in values:
-            T = C.arrow_left_mult(a, q)
-            arrows[a.name] = T.kron(Matrix.identity(C.ring, M.generators))
+    one = Matrix.identity(C.ring, M.generators)
+    arrows = {a.name: action(a).kron(one) for a in C.quiver.arrows
+              if a.source in values or a.target in values}
     return Representation(C, values, arrows)
+
+
+def free_at(C: MeshCategory, q, M: PresentedModule) -> Representation:
+    """Q(q, -) tensored with M: value M^rank Q(q, r) at r."""
+    return _tensor_functor(C, M, lambda r: C.d(q, r),
+                           lambda a: C.arrow_left_mult(a, q))
 
 
 def cofree_at(C: MeshCategory, q, M: PresentedModule) -> Representation:
-    """Module-valued dual of Q(-, q): value M^rank Q(p, q) at p."""
-    if M.ring != C.ring:
-        raise InvalidParameter("module ring differs from the category ring")
-    values = {}
-    for p in C.vertices:
-        d = C.d(p, q)
-        if d and M.generators:
-            rel = Matrix.block_diag(C.ring, [M.relations] * d)
-            values[p] = PresentedModule(C.ring, d * M.generators, rel)
-    arrows = {}
-    for a in C.quiver.arrows:
-        if a.source in values or a.target in values:
-            R = C.arrow_right_mult(a, q)  # Q(target, q) -> Q(source, q)
-            arrows[a.name] = R.transpose().kron(
-                Matrix.identity(C.ring, M.generators))
-    return Representation(C, values, arrows)
+    """Module-valued dual of Q(-, q): value M^rank Q(p, q) at p; the arrow
+    a: s -> t acts by the transpose of - ∘ a: Q(t, q) -> Q(s, q)."""
+    return _tensor_functor(C, M, lambda p: C.d(p, q),
+                           lambda a: C.arrow_right_mult(a, q).transpose())
 
 
 def stalk_rep(C: MeshCategory, q, M: PresentedModule) -> Representation:
@@ -236,17 +231,13 @@ def validate_morphism(phi: RepMorphism) -> dict:
         if comp.rows != Y.value(v).generators or comp.cols != X.value(v).generators:
             failures.append(("shape", format_vertex(v)))
             continue
-        if X.value(v).relations.cols:
-            image = comp * X.value(v).relations
-            if coordinates_mod(Matrix.zeros(X.ring, comp.rows, 0),
-                               Y.value(v).relations, image) is None:
-                failures.append(("relations", format_vertex(v)))
+        relations = X.value(v).relations
+        if relations.cols and not Y.value(v).vanishes(comp * relations):
+            failures.append(("relations", format_vertex(v)))
     for a in X.category.quiver.arrows:
-        lhs = phi.component(a.target) * X.arrow_matrix(a)
-        rhs = Y.arrow_matrix(a) * phi.component(a.source)
-        diff = lhs - rhs
-        if coordinates_mod(Matrix.zeros(X.ring, diff.rows, 0),
-                           Y.value(a.target).relations, diff) is None:
+        diff = (phi.component(a.target) * X.arrow_matrix(a)
+                - Y.arrow_matrix(a) * phi.component(a.source))
+        if not Y.value(a.target).vanishes(diff):
             failures.append(("naturality", a.name))
     return {"ok": not failures, "failures": failures}
 
@@ -257,7 +248,7 @@ def kernel_of_morphism(phi: RepMorphism):
     Returns (K, inclusions) where inclusions[v] maps the generators of
     K(v) into the generators of X(v).
     """
-    X, Y = phi.source, phi.target
+    X = phi.source
     values, incl = {}, {}
     for v in set(X.values):
         kmod, gens = phi.component_map(v).kernel()
@@ -271,24 +262,20 @@ def kernel_of_morphism(phi: RepMorphism):
             continue
         pushed = X.arrow_matrix(a) * incl[p]
         if q in values:
-            coords = coordinates_mod(incl[q], X.value(q).relations, pushed)
-            if coords is None:
-                raise InvalidMorphism(
-                    f"kernel is not closed under {a.name}; phi is not natural")
-            arrows[a.name] = coords
-        elif not pushed.is_zero:
-            # image must die in X(q) modulo relations
-            if coordinates_mod(Matrix.zeros(X.ring, pushed.rows, 0),
-                               X.value(q).relations, pushed) is None:
-                raise InvalidMorphism(
-                    f"kernel is not closed under {a.name}; phi is not natural")
+            arrows[a.name] = coordinates_mod(incl[q], X.value(q).relations, pushed)
+            closed = arrows[a.name] is not None
+        else:  # the image must die in X(q)
+            closed = pushed.is_zero or X.value(q).vanishes(pushed)
+        if not closed:
+            raise InvalidMorphism(
+                f"kernel is not closed under {a.name}; phi is not natural")
     K = Representation(X.category, values, arrows)
     return K, incl
 
 
 def cokernel_of_morphism(phi: RepMorphism) -> Representation:
     """Vertexwise cokernels: same generators as the target, more relations."""
-    X, Y = phi.source, phi.target
+    Y = phi.target
     values = {}
     for v in set(Y.values):
         rel = Matrix.hstack([phi.component(v), Y.value(v).relations])
@@ -332,15 +319,11 @@ class ChainComplex:
     def is_complex(self) -> bool:
         for k in list(self.modules) + [k + 1 for k in self.modules]:
             prod = self.differential(k) * self.differential(k + 1)
-            if prod.rows and prod.cols:
-                tgt = self.module(k - 1)
-                if coordinates_mod(Matrix.zeros(self.ring, prod.rows, 0),
-                                   tgt.relations, prod) is None:
-                    return False
+            if prod.rows and prod.cols and not self.module(k - 1).vanishes(prod):
+                return False
         return True
 
     def homology(self, k) -> PresentedModule:
-        from .exactalg import middle_homology
         f = ModuleMap(self.module(k + 1), self.module(k),
                       self.differential(k + 1), check=False)
         g = ModuleMap(self.module(k), self.module(k - 1),
@@ -379,16 +362,9 @@ def complex_to_rep(C: MeshCategory, complex_: ChainComplex) -> Representation:
         values[v] = complex_.module(k)
     for k in degrees:
         d = complex_.differential(k)
-        if d.rows == 0 or d.cols == 0:
-            continue
-        src, tgt = degree_vertex(k), degree_vertex(k - 1)
-        if k % 2 == 0:
-            name = f"a1@{k // 2}"          # (1, i) -> (2, i)
-        else:
-            name = f"a1*@{(k + 1) // 2}"    # (2, i) -> (1, i-1)
-        assert C.quiver.arrow(name).source == src
-        assert C.quiver.arrow(name).target == tgt
-        arrows[name] = d
+        if d.rows and d.cols:
+            arrow = C.quiver.arrow_between(degree_vertex(k), degree_vertex(k - 1))
+            arrows[arrow.name] = d
     return Representation(C, values, arrows)
 
 
@@ -396,19 +372,14 @@ def rep_to_complex(X: Representation) -> ChainComplex:
     C = X.category
     if C.flavor != REPETITIVE_AN or C.n != 2:
         raise UnsupportedFlavor("the bridge needs the repetitive A_2 category")
-    modules, diffs = {}, {}
-    for v, m in X.values.items():
-        modules[vertex_degree(v)] = m
-    for k in list(modules):
-        v = degree_vertex(k)
-        name = f"a1@{k // 2}" if k % 2 == 0 else f"a1*@{(k + 1) // 2}"
-        try:
-            arrow = C.quiver.arrow(name)
-        except KeyError:
-            continue
-        M = X.arrow_matrix(arrow)
-        if M.rows and M.cols:
-            diffs[k] = M
+    modules = {vertex_degree(v): m for v, m in X.values.items()}
+    diffs = {}
+    for k in modules:
+        arrow = C.quiver.arrow_between(degree_vertex(k), degree_vertex(k - 1))
+        if arrow is not None:
+            M = X.arrow_matrix(arrow)
+            if M.rows and M.cols:
+                diffs[k] = M
     return ChainComplex(X.ring, modules, diffs)
 
 
@@ -435,9 +406,8 @@ def random_complex(ring, rng, max_length=6, max_rank=4, bound=3) -> ChainComplex
             prev = Matrix.zeros(ring, rows, cols)
             continue
         if prev is None or prev.cols == 0:
-            entries = [ring.canon(rng.randint(-bound, bound))
-                       for _ in range(rows * cols)]
-            d = Matrix(ring, rows, cols, entries)
+            d = Matrix(ring, rows, cols, [rng.randint(-bound, bound)
+                                          for _ in range(rows * cols)])
         else:
             K = kernel_basis(prev)
             cols_out = []
@@ -446,10 +416,9 @@ def random_complex(ring, rng, max_length=6, max_rank=4, bound=3) -> ChainComplex
                 for _ in range(24):
                     if K.cols == 0:
                         break
-                    coeffs = Matrix.column(
-                        ring, [ring.canon(rng.randint(-1, 1)) for _ in range(K.cols)])
-                    cand = K * coeffs
-                    if ring.kind != "Z" or all(abs(x) <= bound for x in cand.entries):
+                    cand = K * Matrix.column(
+                        ring, [rng.randint(-1, 1) for _ in range(K.cols)])
+                    if ring.kind != INTEGERS or all(abs(x) <= bound for x in cand.entries):
                         chosen = cand
                         break
                 cols_out.append(chosen)
@@ -460,7 +429,7 @@ def random_complex(ring, rng, max_length=6, max_rank=4, bound=3) -> ChainComplex
 
 
 def random_representation(C: MeshCategory, rng, summands=3):
-    """Random finitely presented representation over a field.
+    """Random finitely presented representation.
 
     Built as the cokernel of a random morphism between sums of
     representables, which is automatically mesh-valid and covers both
@@ -471,212 +440,127 @@ def random_representation(C: MeshCategory, rng, summands=3):
     targets = [rng.choice(verts) for _ in range(rng.randint(1, summands))]
     P = representable_sum(C, targets)
     Pprime = representable_sum(C, sources)
-    comps = {}
-    for v in set(P.values) | set(Pprime.values):
-        rows = P.value(v).generators
-        cols = Pprime.value(v).generators
-        comps[v] = Matrix.zeros(C.ring, rows, cols)
-    # morphisms between representable sums: one hom coefficient per pair
-    offs_t = _summand_offsets(C, targets)
-    offs_s = _summand_offsets(C, sources)
-    entries = {}
-    for a, tv in enumerate(targets):
-        for b, sv in enumerate(sources):
-            for e in C.hom_basis(tv, sv):
-                entries[(a, b, e)] = C.ring.canon(rng.randint(-2, 2))
-    for v in set(P.values) | set(Pprime.values):
-        rows = P.value(v).generators
-        cols = Pprime.value(v).generators
-        M = [[C.ring.zero] * cols for _ in range(rows)]
-        for (a, b, e), coeff in entries.items():
-            if coeff == C.ring.zero:
-                continue
-            block = C.right_mult_matrix(C.ring.one, e, v)  # Q(sv, v) -> Q(tv, v)
-            r0, c0 = offs_t[a][v], offs_s[b][v]
-            if r0 is None or c0 is None:
-                continue
-            for i in range(block.rows):
-                for j in range(block.cols):
-                    M[r0 + i][c0 + j] = C.ring.add(
-                        M[r0 + i][c0 + j], C.ring.mul(coeff, block[i, j]))
-        comps[v] = Matrix(C.ring, rows, cols, [x for row in M for x in row])
-    phi = RepMorphism(Pprime, P, comps)
-    return cokernel_of_morphism(phi)
+    # one coefficient c per basis element e of Q(tv, sv); at v the block
+    # of summands (tv, sv) is the sum of the c * (- ∘ e): Q(sv, v) -> Q(tv, v)
+    coeffs = [[[(e, C.ring.canon(rng.randint(-2, 2)))
+                for e in C.hom_basis(tv, sv)] for sv in sources]
+              for tv in targets]
+
+    def block(tv, sv, terms, v):
+        return sum((C.right_mult_matrix(C.ring.one, e, v).scale(c)
+                    for e, c in terms if c),
+                   Matrix.zeros(C.ring, C.d(tv, v), C.d(sv, v)))
+
+    comps = {v: Matrix.vstack([
+        Matrix.hstack([block(tv, sv, terms, v) for sv, terms in zip(sources, row)])
+        for tv, row in zip(targets, coeffs)])
+        for v in set(P.values) | set(Pprime.values)}
+    return cokernel_of_morphism(RepMorphism(Pprime, P, comps))
 
 
 def representable_sum(C: MeshCategory, vertices) -> Representation:
-    out = None
-    for v in vertices:
-        rep = representable_rep(C, v)
-        out = rep if out is None else out.direct_sum(rep)
-    return out
-
-
-def _summand_offsets(C: MeshCategory, vertices):
-    """offsets[a][v] = first generator index of summand a inside the sum at v."""
-    offsets = []
-    running = {v: 0 for v in C.vertices}
-    for sv in vertices:
-        mine = {}
-        for v in C.vertices:
-            d = C.d(sv, v)
-            mine[v] = running[v] if d else None
-            running[v] += d
-        offsets.append(mine)
-    return offsets
+    return reduce(Representation.direct_sum,
+                  (representable_rep(C, v) for v in vertices))
 
 
 def random_free_representation(C: MeshCategory, rng, max_dim=3) -> Representation:
-    """Random mesh-valid representation with free values over a field.
+    """Random mesh-valid representation with free values over a finite field.
 
-    Dimensions are sampled first; arrow matrices are then drawn from the
-    exact solution space of the mesh relations, which is linear in the
-    ascending maps once the descending ones are fixed only for A_2, so
-    in general we solve for all arrow entries at once.
+    Each interior vertex gets a dimension in [0, max_dim], every other
+    vertex of a repetitive window 0, since only interior vertices may
+    carry values.  The rising arrows a_q get uniform random matrices.
+    Each arm of a mesh composes one rising and one falling arrow, so the
+    mesh relations are linear in the falling arrows a_q*; those are a
+    uniform random point of the solution space.
     """
     ring = C.ring
     if not (ring.is_field and ring.is_modular):
         raise InvalidParameter("the sampler needs a finite field")
-    dims = {v: rng.randint(0, max_dim) for v in C.vertices}
-    arrows = list(C.quiver.arrows)
-    down = [a for a in arrows if "*" not in a.name]
-    mats = {}
-    for a in down:
-        r, c = dims[a.target], dims[a.source]
-        mats[a.name] = Matrix(ring, r, c,
-                              [ring.canon(rng.randint(0, ring.modulus - 1))
-                               for _ in range(r * c)])
-    solution = _solve_ascending_maps(C, dims, mats, rng)
+    quiver = C.quiver
+    dims = {v: rng.randint(0, max_dim) if quiver.is_interior(v) else 0
+            for v in C.vertices}
+    rising = {a: Matrix(ring, dims[a.target], dims[a.source],
+                        [rng.randint(0, ring.modulus - 1)
+                         for _ in range(dims[a.target] * dims[a.source])])
+              for a in quiver.arrows if a.rises}
+    falling = {a: (dims[a.target], dims[a.source])
+               for a in quiver.arrows if not a.rises}
+    equations = []
+    for q in quiver.interior_vertices():
+        mesh = quiver.mesh_at(q)
+        one_q = Matrix.identity(ring, dims[q])
+        one_tau = Matrix.identity(ring, dims[mesh.tau_vertex])
+        equations.append([(rising[a], sa, one_tau) if a.rises
+                          else (one_q, a, rising[sa])
+                          for a, sa in zip(mesh.arrows, mesh.paired)])
+    K = _solution_space(ring, falling, equations)
+    arrows = rising | _unstack(ring, falling, _random_point(K, rng))
     values = {v: PresentedModule.free(ring, d) for v, d in dims.items() if d}
-    mats.update(solution)
-    return Representation(C, values, mats)
+    return Representation(C, values, {a.name: M for a, M in arrows.items()})
 
 
-def _solve_ascending_maps(C, dims, down_mats, rng):
-    """Sample the ascending arrow matrices from the mesh-relation solution
-    space, given fixed descending ones.  The relations are linear in the
-    ascending maps jointly, so one kernel computation suffices."""
-    ring = C.ring
-    up = [a for a in C.quiver.arrows if "*" in a.name]
-    layout = {}
-    total = 0
-    for a in up:
-        r, c = dims[a.target], dims[a.source]
-        layout[a.name] = (total, r, c)
-        total += r * c
-    rows = []
-    for q in C.quiver.interior_vertices():
-        mesh = C.quiver.mesh_at(q)
-        nq = dims[q]
-        ntau = dims[mesh.tau_vertex]
-        if nq == 0 or ntau == 0:
-            continue
-        # sum over mesh arms of X(a) X(sigma a) = 0, linear in the up maps
-        for i in range(nq):
-            for j in range(ntau):
-                row = [ring.zero] * total
-                const_ok = True
-                for a, sa in zip(mesh.arrows, mesh.paired):
-                    if "*" in a.name:          # up arm composed after down arm
-                        upname, downname = a.name, sa.name
-                        D = down_mats[downname]
-                        off, r, c = layout[upname]
-                        # (U D)[i][j] = sum_k U[i][k] D[k][j]
-                        for k in range(c):
-                            row[off + i * c + k] = ring.add(
-                                row[off + i * c + k], D[k, j])
-                    else:                      # down arm composed after up arm
-                        downname, upname = a.name, sa.name
-                        D = down_mats[downname]
-                        off, r, c = layout[upname]
-                        # (D U)[i][j] = sum_k D[i][k] U[k][j]
-                        for k in range(r):
-                            row[off + k * c + j] = ring.add(
-                                row[off + k * c + j], D[i, k])
-                if any(x != ring.zero for x in row):
-                    rows.append(row)
-    out = {}
-    if total == 0:
-        return out
-    if rows:
-        constraint = Matrix(ring, len(rows), total,
-                            [x for row in rows for x in row])
-        K = kernel_basis(constraint)
-    else:
-        K = Matrix.identity(ring, total)
-    vec = [ring.zero] * total
-    for j in range(K.cols):
-        coeff = ring.canon(rng.randint(0, ring.modulus - 1))
-        if coeff == ring.zero:
-            continue
-        col = K.col(j)
-        vec = [ring.add(v, ring.mul(coeff, x)) for v, x in zip(vec, col)]
-    for name, (off, r, c) in layout.items():
-        out[name] = Matrix(ring, r, c, vec[off:off + r * c])
+def _solution_space(ring, shapes, equations) -> Matrix:
+    """Kernel basis of a linear system in matrix unknowns.
+
+    ``shapes`` maps each unknown U to its (rows, cols), in the order the
+    vec(U) are stacked.  An equation is a list of terms (A, U, B), each
+    unknown in at most one of them, and reads sum A · U · B = 0.
+    """
+    rows = [Matrix.zeros(ring, 0, sum(r * c for r, c in shapes.values()))]
+    for terms in equations:
+        blocks = {U: A.kron(B.transpose()) for A, U, B in terms}
+        height = next(iter(blocks.values())).rows
+        rows.append(Matrix.hstack([blocks.get(U, Matrix.zeros(ring, height, r * c))
+                                   for U, (r, c) in shapes.items()]))
+    return kernel_basis(Matrix.vstack(rows))
+
+
+def _random_point(K: Matrix, rng):
+    """vec of a uniform random combination of the columns of K, over a
+    finite field; one coefficient is drawn per column, in order."""
+    modulus = K.ring.modulus
+    coeffs = [rng.randint(0, modulus - 1) for _ in range(K.cols)]
+    return (K * Matrix(K.ring, K.cols, 1, coeffs)).entries
+
+
+def _unstack(ring, shapes, vec) -> dict:
+    """The matrices of the unknowns in ``shapes`` from their stacked vec."""
+    out, off = {}, 0
+    for key, (r, c) in shapes.items():
+        out[key] = Matrix._trusted(ring, r, c, vec[off:off + r * c])
+        off += r * c
     return out
 
 
-def hom_space_basis(X: Representation, Y: Representation):
-    """Basis of the space of morphisms X -> Y over a field (free values)."""
+def _hom_system(X: Representation, Y: Representation):
+    """(shapes, K): the components phi_v: X(v) -> Y(v) as unknowns, and a
+    kernel basis K of the naturality equations phi_q X(a) = Y(a) phi_p."""
     ring = X.ring
     if not (ring.is_field and ring.is_modular):
         raise InvalidParameter("hom-space solving needs a finite field")
     verts = sorted(set(X.values) | set(Y.values), key=str)
-    layout = {}
-    total = 0
-    for v in verts:
-        r = Y.value(v).generators
-        c = X.value(v).generators
-        layout[v] = (total, r, c)
-        total += r * c
-    rows = []
+    shapes = {v: (Y.value(v).generators, X.value(v).generators) for v in verts}
+    equations = []
     for a in X.category.quiver.arrows:
         p, q = a.source, a.target
-        if q not in layout or p not in layout:
-            continue
-        Xa = X.arrow_matrix(a)
-        Ya = Y.arrow_matrix(a)
-        offq, rq, cq = layout[q]
-        offp, rp, cp = layout[p]
-        # phi_q X(a) - Y(a) phi_p = 0, entry (i, j): i < rq, j < cp
-        for i in range(rq):
-            for j in range(cp):
-                row = [ring.zero] * total
-                for k in range(cq):
-                    row[offq + i * cq + k] = ring.add(
-                        row[offq + i * cq + k], Xa[k, j])
-                for k in range(rp):
-                    row[offp + k * cp + j] = ring.sub(
-                        row[offp + k * cp + j], Ya[i, k])
-                if any(x != ring.zero for x in row):
-                    rows.append(row)
-    if total == 0:
-        return [], layout
-    if rows:
-        K = kernel_basis(Matrix(ring, len(rows), total,
-                                [x for row in rows for x in row]))
-    else:
-        K = Matrix.identity(ring, total)
-    basis = []
-    for j in range(K.cols):
-        col = K.col(j)
-        comps = {v: Matrix(ring, r, c, col[off:off + r * c])
-                 for v, (off, r, c) in layout.items()}
-        basis.append(RepMorphism(X, Y, comps))
-    return basis, layout
+        if p in shapes and q in shapes:
+            equations.append([
+                (Matrix.identity(ring, shapes[q][0]), q, X.arrow_matrix(a)),
+                (-Y.arrow_matrix(a), p, Matrix.identity(ring, shapes[p][1]))])
+    return shapes, _solution_space(ring, shapes, equations)
+
+
+def hom_space_basis(X: Representation, Y: Representation):
+    """Basis of the space of morphisms X -> Y over a finite field (free
+    values), with the shape of each component."""
+    shapes, K = _hom_system(X, Y)
+    basis = [RepMorphism(X, Y, _unstack(X.ring, shapes, K.col(j)))
+             for j in range(K.cols)]
+    return basis, shapes
 
 
 def random_morphism(X: Representation, Y: Representation, rng) -> RepMorphism:
     """Uniformly random natural transformation between free-valued
     representations over a finite field."""
-    basis, layout = hom_space_basis(X, Y)
-    ring = X.ring
-    comps = {v: Matrix.zeros(ring, r, c)
-             for v, (off, r, c) in layout.items()}
-    for phi in basis:
-        coeff = ring.canon(rng.randint(0, ring.modulus - 1))
-        if coeff == ring.zero:
-            continue
-        for v in comps:
-            comps[v] = comps[v] + phi.component(v).scale(coeff)
-    return RepMorphism(X, Y, comps)
+    shapes, K = _hom_system(X, Y)
+    return RepMorphism(X, Y, _unstack(X.ring, shapes, _random_point(K, rng)))

@@ -67,7 +67,8 @@ class TestSchemas:
         assert representation_json(Y) == data
 
     def test_counter_fixture_parses_and_validates(self, counter_file):
-        phi = parse_morphism(json.load(open(counter_file)))
+        with open(counter_file) as f:
+            phi = parse_morphism(json.load(f))
         from qshape.repmod import validate_morphism, validate_representation
         assert validate_representation(phi.source).ok
         assert validate_morphism(phi)["ok"]
@@ -418,7 +419,8 @@ class TestCommands:
 
     def test_stdin_input(self, capsys, monkeypatch, rep_file):
         import io as _io
-        payload = open(rep_file).read()
+        with open(rep_file) as f:
+            payload = f.read()
         monkeypatch.setattr("sys.stdin", _io.StringIO(payload))
         code, _ = run(capsys, "validate", "--input", "-")
         assert code == 0

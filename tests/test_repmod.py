@@ -221,3 +221,14 @@ class TestRandomReps:
             for _ in range(10):
                 assert validate_representation(
                     random_free_representation(C, rng)).ok
+
+    def test_free_sampler_on_repetitive_windows(self):
+        # values only at interior vertices, so every draw passes the
+        # support check as well as the mesh relations
+        for n in (2, 3):
+            for p in (2, 3, 5):
+                rng = random.Random(10 * n + p)
+                C = MeshCategory(build_repetitive_an(n, (-3, 3)), Zmod(p))
+                draws = [random_free_representation(C, rng) for _ in range(15)]
+                assert all(validate_representation(X).ok for X in draws)
+                assert sum(not X.is_zero() for X in draws) >= 10

@@ -9,6 +9,7 @@ public constructor applies.
 """
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,22 @@ def test_elimination_outputs_are_canonical(trusted_checked):
             K = M.transpose().kron(M)
             (K - K.scale(-1)).take_rows([0])
     assert trusted_checked
+
+
+def test_matrix_arithmetic_is_canonical(trusted_checked):
+    # each operation does raw int/Fraction arithmetic and reduces mod m
+    # once, so every one of them is checked on its own
+    rng = random.Random(6)
+    for ring in ALL_RINGS:
+        for _ in range(10):
+            A = Matrix(ring, 2, 3, [rng.randint(-9, 9) for _ in range(6)])
+            B = Matrix(ring, 2, 3, [rng.randint(-9, 9) for _ in range(6)])
+            c = rng.randint(-9, 9)
+            results = [A + B, A - B, -A, A.scale(c), A.scale(Fraction(c)),
+                       A.kron(B), A * B.transpose()]
+            assert all(M.ring == ring for M in results)
+    # the seven results and B.transpose() each went through the check
+    assert len(trusted_checked) == len(ALL_RINGS) * 10 * 8
 
 
 def test_resolutions_and_derived_homology(trusted_checked):
