@@ -15,8 +15,9 @@ degrees 1 and up; a smaller value ends in exit 1 with a path.
 
 Input is bounded: --n and a JSON "n" are at most 32 (``io.MAX_N``), and
 a ring modulus, from "mod:M" or a JSON {"mod": M}, is below 2**31
-(``exactalg.rings.MAX_MODULUS``).  Larger values end in exit 1 with a
-path.
+(``exactalg.rings.MAX_MODULUS``), and oracle --max-len is between 0 and
+64 (twice the largest n; the default is 2n).  Other values end in exit 1
+with a path.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ from .quiver import (build_double_an, build_repetitive_an, format_vertex,
                      parse_vertex)
 from .repmod import (complex_to_rep, kernel_of_morphism, random_complex,
                      validate_representation)
+
+# oracle --max-len: twice the largest n, the default path length at n = MAX_N
+MAX_LEN = 2 * MAX_N
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -202,14 +206,16 @@ def cmd_serre_check(args):
 
 
 def cmd_oracle(args):
+    if args.max_len is not None and not 0 <= args.max_len <= MAX_LEN:
+        raise SchemaError("--max-len", f"must be between 0 and {MAX_LEN}")
     C = _category_from_args(args)
-    max_len = args.max_len or 2 * C.n
+    max_len = 2 * C.n if args.max_len is None else args.max_len
     ok = True
     mismatches = {}
     for p in C.vertices:
+        tables = C.hom_basis_oracle(p, max_len)
         for q in C.vertices:
-            table = C.hom_basis_oracle(p, q, max_len)
-            for degree, rank in table.items():
+            for degree, rank in tables[q].items():
                 if rank != C.graded_dim(p, q, degree):
                     ok = False
                     mismatches[f"{format_vertex(p)}->{format_vertex(q)}@{degree}"] = \
@@ -390,7 +396,8 @@ def build_parser() -> _Parser:
     _add_category_flags(p)
     p.set_defaults(func=cmd_serre_check)
 
-    p = sub.add_parser("oracle", help="closed graded dims vs path enumeration")
+    p = sub.add_parser("oracle", help="closed graded dims vs degree-by-degree "
+                                      "mesh quotients")
     _add_category_flags(p)
     p.add_argument("--max-len", type=int)
     p.set_defaults(func=cmd_oracle)

@@ -24,8 +24,9 @@ d(p, q) = min(p, q, n+1-p, n+1-q); on the repetitive quiver v is pinned
 to i - j for (p, i) -> (q, j), so the rank is at most one.  This is
 Riedtmann's covering ZA_n -> ZA_n / tau read on hom spaces.
 
-The class also carries the Serre functor and a path-enumeration oracle
-that recomputes all graded dimensions from scratch.
+The class also carries the Serre functor and an oracle that recomputes
+all graded dimensions from scratch by degree-by-degree mesh quotients,
+reading only the quiver.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from dataclasses import dataclass
 
 from .errors import (EndpointMismatch, InvalidParameter, UnsupportedFlavor,
                      UnsupportedRing)
-from .exactalg import Matrix, PresentedModule, matrix_is_invertible
+from .exactalg import (Matrix, PresentedModule, kernel_basis,
+                       matrix_is_invertible)
 from .exactalg.rings import BaseRing
 from .quiver import (DOUBLE_AN, REPETITIVE_AN, Arrow, StableTranslationQuiver,
                      format_vertex)
@@ -173,16 +175,18 @@ class MeshCategory:
     def _mult_matrix(self, cache, key, src, tgt) -> Matrix:
         """Composition with coeff * g, for key = (side, coeff, g, vertex),
         from the basis of Q(src) to that of Q(tgt).  Structure constants are
-        0 or 1, so f goes to coeff times the element of degree deg f + deg g."""
+        0 or 1, so f goes to coeff times the element of degree deg f + deg g.
+        An inexact coeff (a float, a bool, a non-integral Fraction over Z or
+        Z/m) raises InvalidParameter, as the Matrix constructor does."""
         out = cache.get(key)
         if out is not None:
             return out
         _, coeff, g, _ = key
+        coeff = self.ring.element(coeff)
         src_basis, tgt_basis = self.hom_basis(*src), self.hom_basis(*tgt)
         row_of = {b.degree: i for i, b in enumerate(tgt_basis)}
         cols = len(src_basis)
         entries = [self.ring.zero] * (len(tgt_basis) * cols)
-        coeff = self.ring.canon(coeff)
         for j, f in enumerate(src_basis):
             i = row_of.get(f.degree + g.degree)
             if i is not None:
@@ -453,122 +457,64 @@ class MeshCategory:
                             "pairings_invertible", "naturality_squares_commute"))
         return report
 
-    # -- brute-force oracle -------------------------------------------------------------------
+    # -- graded-dimension oracle ----------------------------------------------------------
 
-    def _paths_from(self, p, max_len: int):
-        """paths[l] = list of arrow-name tuples of length l starting at p."""
-        paths = [[((), p)]]
-        for _ in range(max_len):
-            nxt = []
-            for word, end in paths[-1]:
-                for a in self.quiver.arrows_out_of(end):
-                    nxt.append((word + (a.name,), a.target))
-            paths.append(nxt)
-        return paths
+    def hom_basis_oracle(self, p, max_len: int | None = None) -> dict:
+        """Graded dimension tables {q: {l: rank of Q^l(p, q)}} from scratch.
 
-    def hom_basis_oracle(self, p, q, max_len: int | None = None) -> dict:
-        """Graded dimension table computed from scratch.
+        Degree-by-degree mesh quotients: A_l(p, r), the degree-l paths
+        p -> r modulo the mesh ideal, is the direct sum of A_{l-1}(p, s)
+        over the arrows b: s -> r, modulo the image of the mesh map
 
-        Enumerates all paths p -> q of each length up to max_len, imposes
-        every degree-homogeneous mesh-ideal relation (mesh relations pre-
-        and post-composed with paths), and reduces.  Each such relation
-        involves at most two paths, so the reduction is an exact
-        sign-tracking union-find; any 2-torsion suspicion falls back to a
-        full presented-module normal form over the ring.
+            A_{l-2}(p, tau r) -> (+)_b A_{l-1}(p, s),  u |-> (u sigma(b))_b
+
+        with every coefficient +1, imposed at interior r only.  Each
+        A_l(p, r) is kept as a free module together with the matrices of
+        right composition by the arrows into r, so a step with a mesh term
+        takes a normal form (a piece with torsion raises UnsupportedRing)
+        and a kernel of one small matrix over the ring.  Only quiver data
+        is read (never ``hom_basis``), so the tables are an independent
+        check of the closed forms, and only vertices reached by an arrow
+        from the previous degree are visited.
         """
         if max_len is None:
             max_len = 2 * self.n
-        cache = {}
-
-        def paths_from(v):
-            if v not in cache:
-                cache[v] = self._paths_from(v, max_len)
-            return cache[v]
-
-        from_p = paths_from(p)
-        meshes = [self.quiver.mesh_at(r) for r in self.quiver.interior_vertices()]
-        table = {}
-        for l in range(max_len + 1):
-            paths = [w for w, end in from_p[l] if end == q]
-            if not paths:
-                table[l] = 0
-                continue
-            index = {w: k for k, w in enumerate(paths)}
-            relations = set()
-            for mesh in meshes:
-                mids = [(sa.name, a.name) for a, sa in zip(mesh.arrows, mesh.paired)]
-                for l1 in range(l - 1):
-                    l2 = l - 2 - l1
-                    ys = [w for w, end in from_p[l1] if end == mesh.tau_vertex]
-                    if not ys:
+        quiver, ring = self.quiver, self.ring
+        table = {q: dict.fromkeys(range(max_len + 1), 0) for q in self.vertices}
+        table[p][0] = 1
+        before, ranks = {}, {p: 1}  # nonzero ranks in degrees l - 2, l - 1
+        via = {}  # arrow name -> right composition A_{l-1}(p, s) -> A_l(p, r)
+        for l in range(1, max_len + 1):
+            targets = dict.fromkeys(a.target for s in ranks
+                                    for a in quiver.arrows_out_of(s))
+            new_ranks, new_via = {}, {}
+            for r in targets:
+                into = [b for b in quiver.arrows_into(r) if b.source in ranks]
+                size = sum(ranks[b.source] for b in into)
+                if quiver.is_interior(r) and quiver.tau(r) in before:
+                    mesh = Matrix.vstack(via[quiver.sigma(b).name] for b in into)
+                    nf = PresentedModule(ring, size, mesh).normal_form()
+                    if nf.torsion:
+                        raise UnsupportedRing(
+                            f"Q^{l}({format_vertex(p)}, {format_vertex(r)}) "
+                            f"is not free: {nf.describe(ring)}")
+                    if not nf.free_rank:
                         continue
-                    xs = [w for w, end in paths_from(mesh.vertex)[l2] if end == q]
-                    for y in ys:
-                        for x in xs:
-                            rel = tuple(sorted(index[y + m + x] for m in mids))
-                            relations.add(rel)
-            table[l] = self._reduce_sparse(paths, relations, index, l, p, q)
+                    # the functionals vanishing on the mesh image identify
+                    # the free quotient with ring^rank
+                    proj = kernel_basis(mesh.transpose()).transpose()
+                else:
+                    proj = Matrix.identity(ring, size)
+                new_ranks[r] = table[r][l] = proj.rows
+                offset = 0
+                for b in into:
+                    width = ranks[b.source]
+                    new_via[b.name] = proj.take_columns(range(offset, offset + width))
+                    offset += width
+            before, ranks, via = ranks, new_ranks, new_via
+            if not ranks:
+                break
         return table
 
-    def _reduce_sparse(self, paths, relations, index, l, p, q):
-        """Rank of span(paths)/span(relations); relations have <= 2 terms."""
-        parent = list(range(len(paths)))
-        rel_sign = [1] * len(paths)  # sign relative to the root
-        zero = [False] * len(paths)
-        conflict = False
-
-        def find(x):
-            if parent[x] == x:
-                return x, 1
-            root, s = find(parent[x])
-            parent[x] = root
-            rel_sign[x] *= s
-            return root, rel_sign[x]
-
-        for rel in relations:
-            if len(rel) == 1:
-                r, _ = find(rel[0])
-                zero[r] = True
-            else:
-                a, b = rel
-                ra, sa = find(a)
-                rb, sb = find(b)
-                if ra == rb:
-                    if sa != -sb:  # expected pi_a = -pi_b; same sign means 2x = 0
-                        conflict = True
-                else:
-                    parent[ra] = rb
-                    rel_sign[ra] = -sa * sb
-                    zero[rb] = zero[rb] or zero[ra]
-        if conflict:
-            return self._reduce_generic(paths, relations, l)
-        roots = set()
-        for k in range(len(paths)):
-            r, _ = find(k)
-            if not zero[r]:
-                roots.add(r)
-        return len(roots)
-
-    def _reduce_generic(self, paths, relations, l):
-        """Full normal-form reduction over the ring (rarely needed)."""
-        ring = self.ring
-        cols = []
-        for rel in relations:
-            v = [ring.zero] * len(paths)
-            for idx in rel:
-                v[idx] = ring.add(v[idx], ring.one)
-            cols.append(v)
-        relmat = Matrix(ring, len(paths), len(cols),
-                        [cols[j][i] for i in range(len(paths)) for j in range(len(cols))])
-        module = PresentedModule(ring, len(paths), relmat)
-        nf = module.normal_form()
-        if nf.torsion:
-            raise UnsupportedRing(
-                f"graded piece of length {l} is not free: {module.describe()}")
-        return nf.free_rank
-    # sign conventions between paths do not matter for the rank: the
-    # two-term relations identify paths up to sign, so the count of
-    # surviving classes is the free rank either way.
-
     def oracle_hom_rank(self, p, q, max_len: int | None = None) -> int:
-        return sum(self.hom_basis_oracle(p, q, max_len).values())
+        return sum(self.hom_basis_oracle(p, max_len)[q].values())

@@ -181,6 +181,18 @@ class TestExitCodes:
                         "--max-degree", "0")
         assert code == 0 and json.loads(out)["verdicts"]["max_degree"] == 0
 
+    @pytest.mark.parametrize("value", ["-1", "65"])
+    def test_oracle_max_len_out_of_range_is_refused(self, capsys, value):
+        # -1 printed "ok": true after checking no degree at all, and there
+        # was no upper bound
+        start = time.perf_counter()
+        code, out = run(capsys, "oracle", "--n", "3", "--max-len", value)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        report = json.loads(out)
+        assert set(report) == {"error", "path"}
+        assert report["path"] == "--max-len"
+
     def test_inputs_at_the_caps_are_accepted(self, capsys):
         code, out = run(capsys, "dims", "--n", "32")
         assert code == 0 and json.loads(out)["verdicts"]["ok"] is True
@@ -305,6 +317,34 @@ class TestCommands:
         code, out = run(capsys, "oracle", "--flavor", "repetitive_an", "--n", "2",
                         "--window", "-3", "3", "--max-len", "4")
         assert code == 0 and json.loads(out)["verdicts"]["ok"]
+
+    def test_oracle_max_len_zero_checks_degree_zero_only(self, capsys,
+                                                         monkeypatch):
+        # 0 used to fall back to the default path length 2n
+        degrees = set()
+        oracle = MeshCategory.hom_basis_oracle
+
+        def recording(self, p, max_len=None):
+            tables = oracle(self, p, max_len)
+            degrees.update(l for table in tables.values() for l in table)
+            return tables
+        monkeypatch.setattr(MeshCategory, "hom_basis_oracle", recording)
+        code, out = run(capsys, "oracle", "--n", "3", "--max-len", "0")
+        assert code == 0
+        assert json.loads(out)["verdicts"] == {"ok": True, "max_len": 0}
+        assert degrees == {0}
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--n", "32"],
+        ["oracle", "--flavor", "repetitive_an", "--n", "5"],
+    ], ids=["n=32", "repetitive n=5"])
+    def test_oracle_within_budget(self, capsys, argv):
+        # path enumeration grew about tenfold per step in n: the repetitive
+        # case took 16 s and n = 32 did not finish
+        start = time.perf_counter()
+        code, out = run(capsys, *argv)
+        assert time.perf_counter() - start < 5.0
+        assert code == 0 and json.loads(out)["verdicts"]["ok"] is True
 
     def test_mult(self, capsys):
         code, out = run(capsys, "mult", "--n", "3")

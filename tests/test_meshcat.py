@@ -1,13 +1,16 @@
 """Mesh categories: graded bases, composition, closed forms, Serre data."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from qshape import (Matrix, MeshCategory, QQ, ZZ, Zmod, build_double_an,
                     build_repetitive_an)
-from qshape.errors import EndpointMismatch, UnsupportedFlavor
+from qshape.errors import EndpointMismatch, InvalidParameter, UnsupportedFlavor
 from qshape.meshcat import BasisElement
+
+from path_oracle import path_graded_dims
 
 
 def double_cat(n, ring=ZZ):
@@ -61,7 +64,7 @@ class TestHomBasis:
         for n in (2, 3, 4):
             C = double_cat(n)
             for p, q in itertools.product(C.vertices, repeat=2):
-                table = C.hom_basis_oracle(p, q)
+                table = C.hom_basis_oracle(p)[q]
                 for l, rank in table.items():
                     assert rank == C.graded_dim(p, q, l), (n, p, q, l)
 
@@ -69,9 +72,22 @@ class TestHomBasis:
         C = rep_cat(3, (-4, 4))
         probes = [(1, 0), (2, 0), (3, 0), (1, -1), (2, 1), (3, -1)]
         for p, q in itertools.product(probes, repeat=2):
-            table = C.hom_basis_oracle(p, q, 6)
+            table = C.hom_basis_oracle(p, 6)[q]
             for l, rank in table.items():
                 assert rank == C.graded_dim(p, q, l), (p, q, l)
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(3), Zmod(4), Zmod(9)],
+                             ids=["Z", "Q", "F3", "Z4", "Z9"])
+    def test_oracle_matches_path_enumeration(self, ring):
+        # full {l: rank} tables, zeros included, against the brute force
+        cats = [double_cat(n, ring) for n in (2, 3, 4, 5)]
+        cats += [rep_cat(n, (-4, 4), ring) for n in (2, 3)]
+        for C in cats:
+            for p in C.vertices:
+                tables = C.hom_basis_oracle(p)
+                assert set(tables) == set(C.vertices)
+                for q in C.vertices:
+                    assert tables[q] == path_graded_dims(C, p, q), (C, p, q)
 
     def test_degree_symmetry(self):
         # Q^l(p,q) nonzero iff Q^(n-1-l)(q, Sigma p) nonzero
@@ -138,6 +154,20 @@ class TestComposition:
         out = (g[0] + g[1]) * f
         # e^1*e^1 -> e^2, e^3*e^1 -> e^4; basis of Q(2,4) has degrees [2,4]
         assert list(out.entries) == [1, 1]
+
+
+class TestMultMatrixCoefficients:
+    def test_inexact_coefficients_are_refused(self):
+        # both used to be truncated to 0 and gave the zero matrix over Z
+        C = rep_cat(2, (-2, 2))
+        e = C.arrow_elt(C.quiver.arrow("a1@0"))[1]
+        for mult in (C.left_mult_matrix, C.right_mult_matrix):
+            for coeff in (Fraction(1, 2), 0.5):
+                with pytest.raises(InvalidParameter):
+                    mult(coeff, e, (1, 0))
+            assert mult(Fraction(3, 1), e, (1, 0)) == mult(3, e, (1, 0))
+        assert C.left_mult_matrix(3, e, (1, 0)).to_lists() == [[3]]
+        assert C.right_mult_matrix(-1, e, (2, 0)).to_lists() == [[-1]]
 
 
 class TestOneHomRule:
