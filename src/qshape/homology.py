@@ -36,7 +36,7 @@ from .exactalg import (Matrix, ModuleMap, PresentedModule, kernel_basis,
                        middle_homology, induced_on_homology, solve)
 from .exactalg.modules import HomologyData, coordinates_mod
 from .meshcat import MeshCategory
-from .quiver import DOUBLE_AN, REPETITIVE_AN, format_vertex
+from .quiver import DOUBLE_AN, format_vertex, vertex_key
 from .repmod import Representation, RepMorphism, validate_morphism
 
 SIDE_CO = "co"   # covariant stalk: resolves S_[q>, derives H^i (cohomology)
@@ -159,6 +159,8 @@ class _Side:
         # value at the vertex s
         self.entry_basis = oriented(C.hom_basis)
         self.value_dim = oriented(C.d)
+        # support(r): the vertices s where value_dim(r, s) is nonzero
+        self.support = C.hom_targets if co else C.hom_sources
         # entries act on a summand's values by precomposition on side co
         # (values Q(r, s)) and by postcomposition on side cn (values Q(s, r))
         self._entry_mult = C.right_mult_matrix if co else C.left_mult_matrix
@@ -306,8 +308,7 @@ def _extend_resolution(res: StalkResolution, length: int, cover):
         # vertices where the level can be nonzero; the translate of the
         # resolved vertex goes first, so the mesh syzygy summand comes
         # first and the greedy cover of the oracle picks it
-        spots = [s for s in C.vertices
-                 if any(eng.value_dim(r, s) for r in cur)]
+        spots = sorted(set().union(*map(eng.support, cur)), key=vertex_key)
         if C.quiver.has_tau(res.vertex):
             tau_v = C.quiver.tau(res.vertex)
             if tau_v in spots:
@@ -504,22 +505,16 @@ def derived_homology_map(phi: RepMorphism, q, side: str, degree: int,
 # probes: where homology can live
 # ---------------------------------------------------------------------------
 
-def homology_probe_vertices(X: Representation, spread: int = 0):
-    """Interior vertices where any considered homology group can be nonzero.
-
-    For the double flavor every vertex qualifies.  For a windowed
-    repetitive category the probes are the interior vertices within
-    `spread` columns of the support (resolution summands move at most
-    n-1 columns per homological degree).
-    """
-    C = X.category
+def homology_probe_vertices(C: MeshCategory, support, below: int, above: int):
+    """Interior vertices from `below` columns under the lowest column of
+    `support` to `above` columns over its highest; on the double flavor,
+    every vertex."""
     if C.flavor == DOUBLE_AN:
         return list(C.vertices)
-    if not X.support:
+    if not support:
         return []
-    cols = [v[1] for v in X.support]
-    lo, hi = min(cols) - spread, max(cols) + spread
-    return [v for v in C.quiver.interior_vertices() if lo <= v[1] <= hi]
+    lo, hi = min(v[1] for v in support), max(v[1] for v in support)
+    return [v for v in C.quiver.band(lo, -below, hi - lo + above) if C.is_interior(v)]
 
 
 def _cn_probes(X: Representation, Y: Representation, max_degree: int):
@@ -530,15 +525,8 @@ def _cn_probes(X: Representation, Y: Representation, max_degree: int):
     to min support column minus the total reach matter.
     """
     C = X.category
-    if C.flavor == DOUBLE_AN:
-        return list(C.vertices)
-    support = X.support | Y.support
-    if not support:
-        return []
-    cols = [v[1] for v in support]
-    reach = (max_degree + 1) * (C.n - 1)
-    lo, hi = min(cols) - reach, max(cols)
-    return [v for v in C.quiver.interior_vertices() if lo <= v[1] <= hi]
+    return homology_probe_vertices(C, X.support | Y.support,
+                                   (max_degree + 1) * (C.n - 1), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +564,7 @@ def classify_object(X: Representation, spread: int = 2) -> ClassificationVerdict
     """
     witnesses = {}
     vanishes = True
-    for q in homology_probe_vertices(X, spread):
+    for q in homology_probe_vertices(X.category, X.support, spread, spread):
         H = mesh_homology(X, q)
         if not H.is_zero:
             vanishes = False

@@ -194,16 +194,12 @@ def morphism_json(phi: RepMorphism):
 def category_bundle(C: MeshCategory):
     """Bases, graded dimensions, multiplication tables, and Serre data."""
     verts = [format_vertex(v) for v in C.vertices]
-    bases = {}
-    for p in C.vertices:
-        for q in C.vertices:
-            basis = C.hom_basis(p, q)
-            if basis:
-                bases[f"{format_vertex(p)}->{format_vertex(q)}"] = \
-                    [b.degree for b in basis]
+    bases = {f"{format_vertex(p)}->{format_vertex(q)}":
+             [b.degree for b in C.hom_basis(p, q)]
+             for p in C.vertices for q in C.hom_targets(p)}
     mult = {}
     for a in C.quiver.arrows:
-        for p in C.vertices:
+        for p in C.hom_sources(a.source):
             M = C.arrow_left_mult(a, p)
             if M.rows and M.cols:
                 mult[f"{a.name}|{format_vertex(p)}"] = M.to_json()

@@ -22,7 +22,11 @@ and its degree is u + v = (q - p) + 2v.  On the double quiver every such
 v gives one basis element, so Q(p, q) has rank
 d(p, q) = min(p, q, n+1-p, n+1-q); on the repetitive quiver v is pinned
 to i - j for (p, i) -> (q, j), so the rank is at most one.  This is
-Riedtmann's covering ZA_n -> ZA_n / tau read on hom spaces.
+Riedtmann's covering ZA_n -> ZA_n / tau read on hom spaces.  The
+rectangle, stated in ``hom_basis`` only, is also the support rule: as
+0 <= v <= n - 1, Q(p, -) lives in the n columns ending at p's and Q(-, q)
+in the n columns starting at q's.  ``hom_targets``/``hom_sources`` filter
+those bands, and every scan over pairs reads them.
 
 The class also carries the Serre functor and an oracle that recomputes
 all graded dimensions from scratch by degree-by-degree mesh quotients,
@@ -100,17 +104,32 @@ class MeshCategory:
 
     def hom_basis(self, p, q):
         """Ordered basis of Q(p, q), by ascending degree: one element per
-        descent count v in the Serre rectangle, in degree (q - p) + 2v."""
+        descent count v in the Serre rectangle, in degree (q - p) + 2v.
+        Only nonempty bases are cached: an empty one is cheaper to redo."""
         key = (p, q)
-        cached = self._hom_cache.get(key)
-        if cached is not None:
-            return cached
-        (pr, pc), (qr, qc) = self._coords(p), self._coords(q)
-        descents = range(pr) if pc is None else (pc - qc,)  # a column pins v
-        basis = tuple(BasisElement(p, q, qr - pr + 2 * v) for v in descents
-                      if 0 <= v < pr and pr - qr <= v <= self.n - qr)
-        self._hom_cache[key] = basis
+        basis = self._hom_cache.get(key)
+        if basis is None:
+            (pr, pc), (qr, qc) = self._coords(p), self._coords(q)
+            # max(0, p - q) <= v <= min(p - 1, n - q), by rows; max/min are slow
+            low = pr - qr if pr > qr else 0
+            high = pr - 1 if pr + qr <= self.n + 1 else self.n - qr
+            if pc is not None:  # a column pins v
+                if not low <= pc - qc <= high:
+                    return ()
+                low = high = pc - qc
+            basis = self._hom_cache[key] = tuple(
+                BasisElement(p, q, qr - pr + 2 * v) for v in range(low, high + 1))
         return basis
+
+    def hom_targets(self, p):
+        """The q with Q(p, q) != 0, in vertex order."""
+        return tuple(q for q in self.quiver.band(self._coords(p)[1], 1 - self.n, 0)
+                     if self.hom_basis(p, q))
+
+    def hom_sources(self, q):
+        """The p with Q(p, q) != 0, in vertex order."""
+        return tuple(p for p in self.quiver.band(self._coords(q)[1], 0, self.n - 1)
+                     if self.hom_basis(p, q))
 
     # -- composition -------------------------------------------------------------
 
@@ -120,8 +139,9 @@ class MeshCategory:
             raise EndpointMismatch(
                 f"cannot compose {g} after {f}")
         degree = f.degree + g.degree
-        if self.graded_dim(f.source, g.target, degree):
-            return (self.ring.one, BasisElement(f.source, g.target, degree))
+        for b in self.hom_basis(f.source, g.target):
+            if b.degree == degree:
+                return (self.ring.one, b)
         return None
 
     # -- arrows as basis vectors -----------------------------------------------------
@@ -177,12 +197,14 @@ class MeshCategory:
         from the basis of Q(src) to that of Q(tgt).  Structure constants are
         0 or 1, so f goes to coeff times the element of degree deg f + deg g.
         An inexact coeff (a float, a bool, a non-integral Fraction over Z or
-        Z/m) raises InvalidParameter, as the Matrix constructor does."""
+        Z/m) raises InvalidParameter, as the Matrix constructor does, even
+        on a warm cache where 1 is stored (1.0 and True hash like 1)."""
+        side, coeff, g, vertex = key
+        coeff = self.ring.element(coeff)
+        key = (side, coeff, g, vertex)
         out = cache.get(key)
         if out is not None:
             return out
-        _, coeff, g, _ = key
-        coeff = self.ring.element(coeff)
         src_basis, tgt_basis = self.hom_basis(*src), self.hom_basis(*tgt)
         row_of = {b.degree: i for i, b in enumerate(tgt_basis)}
         cols = len(src_basis)
@@ -251,27 +273,18 @@ class MeshCategory:
         return tuple(b for b in self.hom_basis(p, q) if b.degree >= power)
 
     def radical_out(self, q, power: int = 1):
-        """All radical-basis morphisms with source q, grouped in a stable order."""
-        out = []
-        for r in self.vertices:
-            out.extend(self.radical_basis(q, r, power))
-        return tuple(out)
+        """All radical-basis morphisms with source q, grouped by target."""
+        return tuple(b for r in self.hom_targets(q)
+                     for b in self.radical_basis(q, r, power))
 
     def radical_in(self, q, power: int = 1):
-        out = []
-        for p in self.vertices:
-            out.extend(self.radical_basis(p, q, power))
-        return tuple(out)
+        return tuple(b for p in self.hom_sources(q)
+                     for b in self.radical_basis(p, q, power))
 
     def nilpotency_index(self) -> int:
-        """Least N with r^N = 0 (restricted to the window for repetitive)."""
-        top = -1
-        for p in self.vertices:
-            for q in self.vertices:
-                basis = self.hom_basis(p, q)
-                if basis:
-                    top = max(top, basis[-1].degree)
-        return top + 1
+        """Least N with r^N = 0, in any window: degrees u + v stay <= n - 1
+        in the Serre rectangle, and 1 -> n (or (1, i) -> (n, i)) reaches it."""
+        return self.n
 
     # -- Serre functor ---------------------------------------------------------------------
 
@@ -298,10 +311,9 @@ class MeshCategory:
     def top_degree(self) -> int:
         return self.nilpotency_index() - 1
 
-    def serre_pairing_matrix(self, p, q, top: int) -> Matrix:
-        """Composition pairing Q(p,q) x Q(q, Sigma p) -> k in the top degree
-        (``top_degree()``, which the caller computes once)."""
-        ring = self.ring
+    def serre_pairing_matrix(self, p, q) -> Matrix:
+        """Composition pairing Q(p,q) x Q(q, Sigma p) -> k in the top degree."""
+        ring, top = self.ring, self.top_degree()
         sp = self.serre_object(p)
         rows = self.hom_basis(p, q)
         cols = self.hom_basis(q, sp)
@@ -319,8 +331,8 @@ class MeshCategory:
         Returns verdicts for: the functor squaring to the identity on
         generators (double flavor), the image of each mesh relation being
         (-1)^n times the mesh relation at the image vertex, invertibility
-        of every composition pairing Q(p,q) x Q(q, Sp) -> k, and
-        commutativity of every naturality square over every arrow.
+        of every nonzero composition pairing Q(p,q) x Q(q, Sp) -> k, and
+        commutativity of every nonzero naturality square over every arrow.
         """
         if self.flavor not in (DOUBLE_AN, REPETITIVE_AN):
             raise UnsupportedFlavor(self.flavor)
@@ -380,18 +392,14 @@ class MeshCategory:
             if got != expected:
                 report["mesh_relations_preserved"] = False
 
-        # (iii) pairing matrices from dual bases
+        # (iii) pairing matrices from dual bases, for the p with S(p) in the window
         top = self.top_degree()
-        for p in self.vertices:
-            sp = self.serre_object(p)
-            if not self.quiver.has_vertex(sp):
-                continue
-            for q in self.vertices:
-                P = self.serre_pairing_matrix(p, q, top)
-                if P.rows == 0 and P.cols == 0:
-                    continue
+        targets = {p: self.hom_targets(p) for p in self.vertices
+                   if self.quiver.has_vertex(self.serre_object(p))}
+        for p, qs in targets.items():
+            for q in qs:
                 report["checked_pairings"] += 1
-                if not matrix_is_invertible(P):
+                if not matrix_is_invertible(self.serre_pairing_matrix(p, q)):
                     report["pairings_invertible"] = False
 
         # (iv) naturality squares in both variables
@@ -403,16 +411,14 @@ class MeshCategory:
                 return ring.mul(f_coeff, g_coeff)
             return ring.zero
 
-        for p in self.vertices:
+        elt = {a.name: self.arrow_elt(a) for a in self.quiver.arrows}
+        for p, qs in targets.items():
             sp = self.serre_object(p)
-            if not self.quiver.has_vertex(sp):
-                continue
-            for beta in self.quiver.arrows:
-                qa, qb = beta.source, beta.target
-                cb, eb = self.arrow_elt(beta)
-                for f in self.hom_basis(p, qa):
+            for beta in (b for qa in qs for b in self.quiver.arrows_out_of(qa)):
+                cb, eb = elt[beta.name]
+                for f in self.hom_basis(p, beta.source):
                     bf = self.compose_basis(eb, f)
-                    for g in self.hom_basis(qb, sp):
+                    for g in self.hom_basis(beta.target, sp):
                         gb = self.compose_basis(g, eb)
                         lhs = ring.zero
                         if bf is not None:
@@ -425,30 +431,27 @@ class MeshCategory:
                             report["naturality_squares_commute"] = False
 
         # ... and in the source variable: theta(f∘beta)(g) = theta(f)(S(beta)∘g)
+        images = {}  # S(beta) for the beta whose image is in the window
+        for beta in self.quiver.arrows:
+            sb = self.serre_arrow(beta)
+            if sb is not None:
+                c_se, se = elt[sb[1]]
+                images[beta.name] = (ring.mul(sb[0], c_se), se)
         for q in self.vertices:
-            for beta in self.quiver.arrows:
-                pa, pb = beta.source, beta.target
-                spa = self.serre_object(pa)
-                if not self.quiver.has_vertex(spa):
-                    continue
-                sb = self.serre_arrow(beta)
-                if sb is None:
-                    continue
-                c_sb, sb_arrow = sb
-                c_se, se = self.arrow_elt(self.quiver.arrow(sb_arrow))
-                cb, eb = self.arrow_elt(beta)
-                for f in self.hom_basis(pb, q):
+            for beta in (b for pb in self.hom_sources(q)
+                         for b in self.quiver.arrows_into(pb) if b.name in images):
+                c_s, se = images[beta.name]
+                cb, eb = elt[beta.name]
+                for f in self.hom_basis(beta.target, q):
                     fb = self.compose_basis(f, eb)
-                    for g in self.hom_basis(q, spa):
+                    for g in self.hom_basis(q, se.source):
                         sg = self.compose_basis(se, g)
                         lhs = ring.zero
                         if fb is not None:
                             lhs = dual_eval(ring.mul(cb, fb[0]), fb[1], ring.one, g)
                         rhs = ring.zero
                         if sg is not None:
-                            rhs = dual_eval(ring.one, f,
-                                            ring.mul(c_sb, ring.mul(c_se, sg[0])),
-                                            sg[1])
+                            rhs = dual_eval(ring.one, f, ring.mul(c_s, sg[0]), sg[1])
                         report["checked_squares"] += 1
                         if lhs != rhs:
                             report["naturality_squares_commute"] = False

@@ -20,6 +20,7 @@ tau-image) lies inside the window.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import BoundaryVertex, InvalidParameter
@@ -135,6 +136,15 @@ class StableTranslationQuiver:
             return True
         q, i = v
         return self.window[0] <= i and i + 1 <= self.window[1]
+
+    def band(self, col, below: int, above: int):
+        """The vertices in columns col + below .. col + above, in vertex order
+        (a slice: they sort by column first); every vertex when col is None."""
+        if col is None:
+            return self.vertices
+        start = bisect_left(self.vertices, (col + below,), key=vertex_key)
+        stop = bisect_left(self.vertices, (col + above + 1,), key=vertex_key)
+        return self.vertices[start:stop]
 
     def interior_vertices(self):
         return tuple(v for v in self.vertices if self.is_interior(v))

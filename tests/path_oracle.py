@@ -1,10 +1,14 @@
-"""Brute-force graded dimensions by path enumeration (tests only).
+"""Brute-force oracles (tests only).
 
-The cross-check for ``MeshCategory.hom_basis_oracle``: it lists every
-path p -> q of each length, imposes every degree-homogeneous relation of
-the mesh ideal (mesh relations pre- and post-composed with paths), and
-reduces.  Its cost grows about tenfold per step in n, so use it for
-n <= 5 only.
+``path_graded_dims`` is the cross-check for ``MeshCategory.hom_basis_oracle``:
+it lists every path p -> q of each length, imposes every degree-homogeneous
+relation of the mesh ideal (mesh relations pre- and post-composed with
+paths), and reduces.  Its cost grows about tenfold per step in n, so use it
+for n <= 5 only.
+
+``scanned_nilpotency_index`` and ``all_pairs_support`` ask ``hom_basis``
+about every vertex pair, as the library did before it read the support
+off the Serre rectangle; they check the closed forms that replaced them.
 """
 
 from qshape.errors import UnsupportedRing
@@ -116,3 +120,23 @@ def reduce_generic(ring, count: int, relations, l: int) -> int:
         raise UnsupportedRing(
             f"graded piece of length {l} is not free: {module.describe()}")
     return nf.free_rank
+
+
+def scanned_nilpotency_index(C) -> int:
+    """Least N with r^N = 0: one more than the top degree over all pairs."""
+    top = -1
+    for p in C.vertices:
+        for q in C.vertices:
+            basis = C.hom_basis(p, q)
+            if basis:
+                top = max(top, basis[-1].degree)
+    return top + 1
+
+
+def all_pairs_support(C):
+    """({p: targets}, {q: sources}) of the nonzero hom spaces, in vertex order."""
+    targets = {p: tuple(q for q in C.vertices if C.hom_basis(p, q))
+               for p in C.vertices}
+    sources = {q: tuple(p for p in C.vertices if C.hom_basis(p, q))
+               for q in C.vertices}
+    return targets, sources

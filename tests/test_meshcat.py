@@ -10,7 +10,8 @@ from qshape import (Matrix, MeshCategory, QQ, ZZ, Zmod, build_double_an,
 from qshape.errors import EndpointMismatch, InvalidParameter, UnsupportedFlavor
 from qshape.meshcat import BasisElement
 
-from path_oracle import path_graded_dims
+from path_oracle import (all_pairs_support, path_graded_dims,
+                         scanned_nilpotency_index)
 
 
 def double_cat(n, ring=ZZ):
@@ -156,6 +157,71 @@ class TestComposition:
         assert list(out.entries) == [1, 1]
 
 
+def category(case):
+    """case = (n, window): repetitive A_n on the window, or double A_n for
+    window None."""
+    n, window = case
+    return double_cat(n) if window is None else rep_cat(n, window)
+
+
+def case_id(case):
+    n, window = case
+    return f"double A_{n}" if window is None else f"repetitive A_{n} {window}"
+
+
+# double A_2..A_6, and repetitive A_2..A_5 on windows of every shape: one
+# column, narrow, wide, the default, and away from column 0
+SUPPORT_CASES = [(n, None) for n in range(2, 7)] + [
+    (n, window) for n in (2, 3, 4, 5)
+    for window in ((0, 0), (-1, 1), (-3, 3), (-2 * n, 2 * n), (5, 9))]
+
+
+class TestSupportRule:
+    @pytest.mark.parametrize("case", SUPPORT_CASES, ids=case_id)
+    def test_bands_match_the_all_pairs_filter(self, case):
+        C = category(case)
+        targets, sources = all_pairs_support(C)
+        for v in C.vertices:
+            assert C.hom_targets(v) == targets[v], v
+            assert C.hom_sources(v) == sources[v], v
+
+    @pytest.mark.parametrize("case", SUPPORT_CASES, ids=case_id)
+    def test_nilpotency_index_is_n(self, case):
+        C = category(case)
+        assert C.nilpotency_index() == C.n == scanned_nilpotency_index(C)
+
+    def test_radicals_read_the_bands(self):
+        for C in (double_cat(4), rep_cat(3, (-3, 3))):
+            for v in C.vertices:
+                assert C.radical_out(v) == tuple(
+                    b for q in C.vertices for b in C.radical_basis(v, q, 1))
+                assert C.radical_in(v, 2) == tuple(
+                    b for p in C.vertices for b in C.radical_basis(p, v, 2))
+
+    # (checked_pairings, checked_squares) recorded while serre_report still
+    # visited every vertex pair and every arrow
+    SERRE_COUNTS = {
+        (2, None): (4, 8), (3, None): (9, 32), (4, None): (16, 88),
+        (5, None): (25, 192), (6, None): (36, 368), (7, None): (49, 640),
+        (8, None): (64, 1040), (9, None): (81, 1600),
+        (2, (0, 0)): (2, 1), (2, (-1, 1)): (10, 9), (2, (-3, 3)): (26, 25),
+        (2, (-4, 4)): (34, 33), (2, (5, 9)): (18, 17),
+        (3, (0, 0)): (3, 2), (3, (-1, 1)): (20, 28), (3, (-3, 3)): (60, 92),
+        (3, (-6, 6)): (120, 188), (3, (5, 9)): (40, 60),
+        (4, (0, 0)): (4, 3), (4, (-1, 1)): (30, 50), (4, (-3, 3)): (110, 210),
+        (4, (-8, 8)): (310, 610), (4, (5, 9)): (70, 130),
+        (5, (0, 0)): (5, 4), (5, (-1, 1)): (40, 72), (5, (-3, 3)): (175, 380),
+        (5, (-10, 10)): (665, 1500), (5, (5, 9)): (105, 220),
+    }
+
+    @pytest.mark.parametrize("case", list(SERRE_COUNTS), ids=case_id)
+    def test_serre_report_counts_are_unchanged(self, case):
+        report = category(case).serre_report()
+        assert report["ok"]
+        counts = (report["checked_pairings"], report["checked_squares"])
+        assert counts == self.SERRE_COUNTS[case]
+
+
 class TestMultMatrixCoefficients:
     def test_inexact_coefficients_are_refused(self):
         # both used to be truncated to 0 and gave the zero matrix over Z
@@ -168,6 +234,21 @@ class TestMultMatrixCoefficients:
             assert mult(Fraction(3, 1), e, (1, 0)) == mult(3, e, (1, 0))
         assert C.left_mult_matrix(3, e, (1, 0)).to_lists() == [[3]]
         assert C.right_mult_matrix(-1, e, (2, 0)).to_lists() == [[-1]]
+
+    @pytest.mark.parametrize("coeff", [1.0, True], ids=["1.0", "True"])
+    def test_refusal_does_not_depend_on_the_cache(self, coeff):
+        # 1.0 == 1 == True with equal hashes: once the exact call had cached
+        # its matrix, the inexact value used to find it and be accepted
+        C = MeshCategory(build_repetitive_an(2, (-2, 2)), ZZ)
+        e = C.arrow_elt(C.quiver.arrow("a1@0"))[1]
+        for mult, vertex in ((C.left_mult_matrix, (1, 0)),
+                             (C.right_mult_matrix, (2, 0))):
+            with pytest.raises(InvalidParameter):  # cold cache
+                mult(coeff, e, vertex)
+            exact = mult(1, e, vertex)
+            with pytest.raises(InvalidParameter):  # warm cache
+                mult(coeff, e, vertex)
+            assert mult(1, e, vertex) is exact
 
 
 class TestOneHomRule:

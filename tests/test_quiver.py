@@ -88,3 +88,11 @@ class TestRepetitive:
         b = build_repetitive_an(3, (-2, 2))
         assert [x.name for x in a.arrows] == [x.name for x in b.arrows]
         assert a.vertices == b.vertices
+
+    def test_band_is_the_slice_of_whole_columns(self):
+        G = build_repetitive_an(3, (-2, 2))
+        for col in range(-4, 5):
+            for below, above in ((-2, 0), (0, 2), (0, 0), (-9, 9), (1, -1)):
+                assert G.band(col, below, above) == tuple(
+                    v for v in G.vertices if col + below <= v[1] <= col + above)
+        assert build_double_an(3).band(None, -2, 0) == (1, 2, 3)
