@@ -2,9 +2,7 @@
 
 from .matrix import Matrix
 from .modules import (HomologyData, ModuleMap, NormalForm, PresentedModule,
-                      brute_force_injective, brute_force_projective,
-                      coordinates_mod, induced_map_on_subquotient,
-                      induced_on_homology, middle_homology,
+                      coordinates_mod, induced_on_homology, middle_homology,
                       preimage_generators)
 from .rings import QQ, ZZ, BaseRing, Zmod
 from .smith import (field_rank, kernel_basis, matrix_is_invertible,
@@ -17,6 +15,5 @@ __all__ = [
     "matrix_is_invertible", "field_rank",
     "PresentedModule", "ModuleMap", "NormalForm", "HomologyData",
     "preimage_generators", "coordinates_mod",
-    "induced_map_on_subquotient", "middle_homology", "induced_on_homology",
-    "brute_force_projective", "brute_force_injective",
+    "middle_homology", "induced_on_homology",
 ]

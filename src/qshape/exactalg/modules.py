@@ -14,13 +14,10 @@ exactly when their normal forms agree.
 
 from __future__ import annotations
 
-from itertools import product
-
 from ..errors import InvalidParameter, NotWellDefined
 from .matrix import Matrix
-from .rings import INTEGERS, INTEGERS_MOD, BaseRing
-from .smith import (field_rank, kernel_basis, smith_normal_form, solve,
-                    solve_matrix)
+from .rings import INTEGERS, BaseRing
+from .smith import field_rank, kernel_basis, smith_normal_form, solve_matrix
 
 
 class NormalForm:
@@ -156,36 +153,6 @@ class PresentedModule:
         rel = Matrix.block_diag(self.ring, [self.relations, other.relations])
         return PresentedModule(self.ring, self.generators + other.generators, rel)
 
-    # -- brute force over finite rings -------------------------------------------
-
-    def elements(self):
-        """All cosets as canonical tuples; finite modular rings only."""
-        ring = self.ring
-        if ring.kind != INTEGERS_MOD:
-            raise InvalidParameter("element enumeration needs a finite ring")
-        m = ring.modulus
-        span = {(0,) * self.generators}
-        frontier = list(span)
-        cols = self.relations.columns()
-        while frontier:
-            new = []
-            for v in frontier:
-                for c in cols:
-                    w = tuple((a + b) % m for a, b in zip(v, c))
-                    if w not in span:
-                        span.add(w)
-                        new.append(w)
-            frontier = new
-        seen = set()
-        reps = []
-        for v in product(range(m), repeat=self.generators):
-            if v in seen:
-                continue
-            coset = {tuple((a + b) % m for a, b in zip(v, s)) for s in span}
-            seen |= coset
-            reps.append(min(coset))
-        return reps
-
 
 class ModuleMap:
     """A map of presented modules, given by a matrix on generators.
@@ -266,21 +233,6 @@ def coordinates_mod(gens: Matrix, relations: Matrix, vectors: Matrix) -> Matrix 
     return sol.take_rows(range(gens.cols))
 
 
-def induced_map_on_subquotient(big: Matrix,
-                               sub_src: Matrix, rel_src: Matrix,
-                               sub_tgt: Matrix, rel_tgt: Matrix) -> ModuleMap:
-    """The map (span sub_src / span rel_src) -> (span sub_tgt / span rel_tgt)
-    induced by ``big``; raises NotWellDefined when containments fail."""
-    ring = big.ring
-    source = PresentedModule(ring, sub_src.cols, preimage_generators(sub_src, rel_src))
-    target = PresentedModule(ring, sub_tgt.cols, preimage_generators(sub_tgt, rel_tgt))
-    image = big * sub_src
-    coords = coordinates_mod(sub_tgt, rel_tgt, image)
-    if coords is None:
-        raise NotWellDefined("big does not carry the source subspace into the target")
-    return ModuleMap(source, target, coords)
-
-
 class HomologyData:
     """Middle homology of A --f--> B --g--> C together with cycle coordinates."""
 
@@ -312,53 +264,3 @@ def induced_on_homology(hx: HomologyData, hy: HomologyData,
     if coords is None:
         raise NotWellDefined("phi does not preserve cycles")
     return ModuleMap(hx.module, hy.module, coords)
-
-
-# ---------------------------------------------------------------------------
-# exhaustive checks over finite rings (test oracles)
-# ---------------------------------------------------------------------------
-
-def brute_force_projective(module: PresentedModule) -> bool:
-    """Does the presentation R^g -> P split?  Finite modular rings only."""
-    ring = module.ring
-    m = ring.modulus
-    g = module.generators
-    if g == 0:
-        return True
-    rel = module.relations
-    identity = Matrix.identity(ring, g)
-    for flat in product(range(m), repeat=g * g):
-        H = Matrix(ring, g, g, flat)
-        if rel.cols and not (H * rel).is_zero:
-            continue  # not a hom into the free cover
-        if solve_matrix(rel, H - identity) is not None:
-            return True  # pi ∘ s = id on every generator
-    return False
-
-
-def brute_force_injective(module: PresentedModule) -> bool:
-    """Baer criterion over Z/p^k: ann(p^(k-j)) = p^j * E for 0 < j < k."""
-    ring = module.ring
-    p, k, m = ring.prime, ring.exponent, ring.modulus
-    elems = module.elements()
-    rel = module.relations
-
-    def same(u, v):
-        diff = Matrix.column(ring, [a - b for a, b in zip(u, v)])
-        return solve(rel, diff) is not None
-
-    def canonical(v):
-        for e in elems:
-            if same(v, e):
-                return e
-        raise AssertionError("coset representative missing")
-
-    zero = canonical((0,) * module.generators)
-    for j in range(1, k):
-        c = pow(p, k - j)
-        ann = {canonical(v) for v in elems
-               if canonical(tuple((c * a) % m for a in v)) == zero}
-        scaled = {canonical(tuple((pow(p, j) * a) % m for a in v)) for v in elems}
-        if ann != scaled:
-            return False
-    return True

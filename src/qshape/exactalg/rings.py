@@ -155,16 +155,6 @@ class BaseRing:
             return Fraction(1) / a
         return pow(a, -1, self.modulus)
 
-    def divides(self, a, b) -> bool:
-        """Whether b lies in the ideal generated by a."""
-        a, b = self.canon(a), self.canon(b)
-        if self.kind == RATIONALS:
-            return a != 0 or b == 0
-        if self.kind == INTEGERS:
-            return b == 0 if a == 0 else b % a == 0
-        g = gcd(a, self.modulus)  # (a) = (gcd(a, m)) in Z/m
-        return b % g == 0
-
     # -- serialization --------------------------------------------------------
 
     def format_entry(self, x) -> "str | int":

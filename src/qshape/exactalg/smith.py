@@ -387,10 +387,13 @@ def solve_matrix(M: Matrix, B: Matrix):
 
 
 def matrix_is_invertible(M: Matrix) -> bool:
-    """Square and invertible over the ring."""
+    """Square and invertible over the ring; a 1x1 matrix is decided by
+    whether its entry is a unit, with no elimination."""
     if M.rows != M.cols:
         return False
     ring = M.ring
+    if M.rows == 1:
+        return ring.is_unit(M[0, 0])
     if ring.is_field:
         return field_rank(M) == M.rows
     S, _, _ = smith_normal_form(M)

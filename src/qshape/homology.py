@@ -14,13 +14,15 @@ Q(r, -) and derives H^i; side cn resolves the contravariant stalk by
 summands Q(-, r) and derives H_i.  Each side is the other read in Q^op,
 so the engine is written once: a pair (a, b) read on side co is read as
 (b, a) on side cn, and _Side.ends is the only place that decides it.
-Both resolutions start with one summand per arrow at q and are extended
-degreewise: each vertexwise kernel K is covered by lifts of generators
-of its corners K(s) / Σ im K(t -> s), which generate K because the
-pseudo-radical is nilpotent.  Over a field the result is the minimal
-resolution.  The canonical basis-indexed resolution, one summand per
-radical-basis morphism, is kept as a test oracle.  Exactness at every
-computed level holds by construction and is asserted in the test suite.
+Both resolutions are periodic, and every level is given in closed form
+with no elimination: one summand per arrow at q, then the far end of the
+mesh at q, then one summand σ(q) reached by the top-degree morphism,
+after which the resolution at σ(q) repeats.  This is Ω³S_q ≅ S_σ(q) for
+the mesh algebras of type A (Brenner-Butler-King, "Periodic algebras
+which are almost Koszul", 2002); see resolve_stalk.  Over a field the
+result is the minimal resolution.  The elimination-built resolutions it
+replaced are kept in the test suite as oracles, and exactness at every
+level is asserted there.
 
 Everything is desk-scale exact arithmetic: homology groups come back as
 presented modules in invariant-factor normal form.
@@ -32,11 +34,11 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .errors import InvalidMorphism, InvalidParameter, WindowTooSmall
-from .exactalg import (Matrix, ModuleMap, PresentedModule, kernel_basis,
-                       middle_homology, induced_on_homology, solve)
+from .exactalg import (Matrix, ModuleMap, PresentedModule, middle_homology,
+                       induced_on_homology)
 from .exactalg.modules import HomologyData, coordinates_mod
 from .meshcat import MeshCategory
-from .quiver import DOUBLE_AN, format_vertex, vertex_key
+from .quiver import DOUBLE_AN, format_vertex
 from .repmod import Representation, RepMorphism, validate_morphism
 
 SIDE_CO = "co"   # covariant stalk: resolves S_[q>, derives H^i (cohomology)
@@ -159,15 +161,16 @@ class _Side:
         # value at the vertex s
         self.entry_basis = oriented(C.hom_basis)
         self.value_dim = oriented(C.d)
-        # support(r): the vertices s where value_dim(r, s) is nonzero
-        self.support = C.hom_targets if co else C.hom_sources
         # entries act on a summand's values by precomposition on side co
         # (values Q(r, s)) and by postcomposition on side cn (values Q(s, r))
         self._entry_mult = C.right_mult_matrix if co else C.left_mult_matrix
-        self._orbit_mult = C.left_mult_matrix if co else C.right_mult_matrix
         self._radical = C.radical_out if co else C.radical_in
         # summands reach n-1 columns below (co) or above (cn) their vertex
         self._reach = (1 - C.n) if co else (C.n - 1)
+        # μ = τ^-1 (co) or τ (cn) moves one column; σ(q) is S(μ q) on side co
+        # and S^-1(μ q) = τ^(n-1) S(μ q) on side cn, as S^2 = τ^(1-n)
+        self._mu_shift = -1 if co else 1
+        self._sigma_shift = 0 if co else C.n - 1
 
     def _terms(self, entry, a, b, act) -> Matrix:
         """Sum of act(coeff, e) over the nonzero coefficients of a stored
@@ -193,10 +196,17 @@ class _Side:
         i_min, i_max = self.C.quiver.window
         return i_min <= r[1] + self._reach <= i_max
 
-    def orbit_action(self, h, comp_vertex) -> Matrix:
-        """Action of the engine-direction morphism h on the comp_vertex
-        component of a level value, in value coordinates."""
-        return self._orbit_mult(self.C.ring.one, h, comp_vertex)
+    def _shift(self, v, cols: int):
+        row, col = self.C._coords(v)
+        return self.C._vertex(row, col, cols)
+
+    def mesh_end(self, q):
+        """μ(q), where the arms of the mesh at q meet: the level-2 summand."""
+        return self._shift(q, self._mu_shift)
+
+    def serre_end(self, q):
+        """σ(q), the level-3 summand and the start of the next period."""
+        return self._shift(self.C.serre_object(self.mesh_end(q)), self._sigma_shift)
 
     def x_value_block(self, X: Representation, entry, a, b) -> Matrix:
         """X applied to a boundary entry in Q(ends(a, b)): X(a) -> X(b) on
@@ -247,6 +257,9 @@ def _assemble(ring, blocks, row_dims, col_dims):
     return Matrix._trusted(ring, rows, cols, out)
 
 
+KERNEL_EDGE = "resolution kernel reaches the window edge; widen the window"
+
+
 def _start_resolution(eng: _Side, q, head) -> StalkResolution:
     """Levels zero and one: the vertex q and one summand per head element."""
     C = eng.C
@@ -267,166 +280,66 @@ def _start_resolution(eng: _Side, q, head) -> StalkResolution:
 def resolve_stalk(C: MeshCategory, q, side: str, length: int) -> StalkResolution:
     """Projective resolution of the stalk functor at q, out to the given length.
 
-    Level one has one representable summand per arrow out of (side co)
-    or into (side cn) the vertex q.  Each further level covers the
-    vertexwise kernels by lifts of generators of their corners (see
-    _corner_cover); over a field the resolution is minimal.  Results are
-    cached on the category, and a cached resolution is extended in place
-    when a longer one is asked for.
+    Every level is given by a closed rule, with no elimination; μ is τ^-1
+    on side co and τ on side cn (the identity on double A_n):
+
+    * level 1: one summand per arrow out of (side co) or into (side cn) q,
+      the entry being that arrow's basis element;
+    * level 2: the one summand μ(q), reached from the level-1 summands
+      by the arms of the mesh, with entries +1 (first arm) and -1 (second
+      arm, where there is one) on their degree-one basis elements.  All
+      parallel signed paths are equal, so two arms cancel, and on a
+      boundary row the single arm's composite is zero;
+    * level 3: the one summand σ(q), with σ(q) = S(μ q) on side co and
+      S^-1(μ q) on side cn for the Serre functor S, the entry being the
+      top-degree basis element (on double A_n, σ(q) = n + 1 - q);
+    * level i >= 4: a copy of level i - 3 of the resolution at σ(q), whose
+      level 0 is this one's level 3.
+
+    This is the periodicity Ω³S_q ≅ S_σ(q) of the mesh algebras of type A
+    (Brenner-Butler-King, "Periodic algebras which are almost Koszul",
+    2002); over a field the resolution is minimal.  Every summand is
+    checked against the window edge.  Results are cached on the category,
+    and a cached resolution is extended in place when a longer one is
+    asked for.
     """
     key = (q, side)
     res = C._resolution_cache.get(key)
     if res is None:
         eng = _Side(C, side)
-        res = _start_resolution(
+        res = C._resolution_cache[key] = _start_resolution(
             eng, q, [(e, r) for e, r in eng.radical_head(q) if e.degree == 1])
-    _extend_resolution(res, length, _corner_cover)
-    C._resolution_cache[key] = res
-    return res
-
-
-def basis_indexed_resolution(C: MeshCategory, q, side: str,
-                             length: int) -> StalkResolution:
-    """The canonical basis-indexed resolution, kept as a test oracle.
-
-    Level one has one representable summand for every radical-basis
-    morphism out of (side co) or into (side cn) q, and further levels
-    are greedy covers of the vertexwise kernels.  Nothing is cached.
-    """
-    eng = _Side(C, side)
-    res = _start_resolution(eng, q, eng.radical_head(q))
-    _extend_resolution(res, length, _greedy_cover)
-    return res
-
-
-def _extend_resolution(res: StalkResolution, length: int, cover):
-    eng = res._engine
-    C = eng.C
     while res.length() < length:
-        i = res.length()
-        cur = res.terms[i]
-        # vertices where the level can be nonzero; the translate of the
-        # resolved vertex goes first, so the mesh syzygy summand comes
-        # first and the greedy cover of the oracle picks it
-        spots = sorted(set().union(*map(eng.support, cur)), key=vertex_key)
-        if C.quiver.has_tau(res.vertex):
-            tau_v = C.quiver.tau(res.vertex)
-            if tau_v in spots:
-                spots = [tau_v] + [s for s in spots if s != tau_v]
-        kernels = {s: kernel_basis(res.level_matrix(i, s)) for s in spots}
-        chosen = cover(eng, cur, spots, kernels)
-        new_terms = []
-        new_entries = {}
-        dims_at = {s: [eng.value_dim(r, s) for r in cur] for s in spots}
-        for s, vec in chosen:
-            b_new = len(new_terms)
-            new_terms.append(s)
-            off = 0
-            for b, d in enumerate(dims_at[s]):
-                entry = tuple(vec[off:off + d])
-                off += d
-                if any(x != C.ring.zero for x in entry):
-                    new_entries[(b, b_new)] = entry
-        res.terms.append(new_terms)
-        res.boundaries.append(new_entries)
+        terms, entries = _next_level(res)
+        res.terms.append(terms)
+        res.boundaries.append(entries)
+    return res
 
 
-def _corner_cover(eng: _Side, cur, spots, kernels):
-    """Lifts of generators of the corners K(s) / Σ im K(t -> s).
-
-    Every radical morphism into s factors through a degree-one one, so
-    the images of the neighbouring kernels under the degree-one
-    morphisms t -> s span the radical part of K(s).  A kernel column is
-    kept when it is outside that span and the columns kept before it.
-    The kept columns and the radical give K = cover + rad K, and the
-    pseudo-radical is nilpotent, so the cover generates K over every
-    ring (graded Nakayama); over a field it is minimal.
-    """
-    ring = eng.C.ring
-    chosen = []
-    for s in spots:
-        K = kernels[s]
-        if K.cols == 0:
-            continue
-        images = [Matrix.zeros(ring, K.rows, 0)]
-        for t in spots:
-            if kernels[t].cols == 0:
-                continue
-            for h in eng.entry_basis(t, s):
-                if h.degree == 1:
-                    act = Matrix.block_diag(
-                        ring, [eng.orbit_action(h, r) for r in cur])
-                    images.append(act * kernels[t])
-        span = Matrix.hstack(images)
-        for col in range(K.cols):
-            v = K.column_matrix(col)
-            if v.is_zero or (span.cols and solve(span, v) is not None):
-                continue
-            if not eng.margin_ok(s):
-                raise WindowTooSmall(
-                    "resolution kernel reaches the window edge; widen the window")
-            chosen.append((s, K.col(col)))
-            span = Matrix.hstack([span, v])
-    return chosen
-
-
-def _greedy_cover(eng: _Side, cur, spots, kernels):
-    """Vertexwise kernel generators not already generated by earlier picks.
-
-    The subfunctor generated by elements v_j at vertices r_j has, at s,
-    exactly the span of their images under the hom bases Q(r_j, s) in
-    the engine direction, so membership is one linear solve; picks are
-    repeated until a full pass adds nothing.  Only the basis-indexed
-    oracle uses this cover.
-    """
-    chosen = []
-    changed = True
-    while changed:
-        changed = False
-        for s in spots:
-            K = kernels[s]
-            if K.cols == 0:
-                continue
-            spanned = _spanned_at(eng, cur, chosen, s)
-            for col in range(K.cols):
-                v = K.column_matrix(col)
-                if v.is_zero:
-                    continue
-                if spanned is not None and spanned.cols \
-                        and solve(spanned, v) is not None:
-                    continue
-                if not eng.margin_ok(s):
-                    raise WindowTooSmall(
-                        "resolution kernel reaches the window edge; widen the window")
-                chosen.append((s, K.col(col)))
-                changed = True
-                spanned = _spanned_at(eng, cur, chosen, s)
-    return chosen
-
-
-def _spanned_at(eng: _Side, cur, chosen, s):
-    """Images at s of all chosen elements, as columns in level coordinates."""
-    if not chosen:
-        return None
-    ring = eng.C.ring
-    dims = [eng.value_dim(r, s) for r in cur]
-    total = sum(dims)
-    cols = []
-    for r, vec in chosen:
-        for h in eng.entry_basis(r, s):
-            image = []
-            off = 0
-            for b, rb in enumerate(cur):
-                d = eng.value_dim(rb, r)
-                piece = Matrix.column(ring, vec[off:off + d])
-                off += d
-                act = eng.orbit_action(h, rb)
-                image.extend((act * piece).col(0))
-            cols.append(image)
-    if not cols:
-        return None
-    return Matrix(ring, total, len(cols),
-                  [cols[j][i] for i in range(total) for j in range(len(cols))])
+def _next_level(res: StalkResolution):
+    """Terms and entry table of the level after the last one, for levels
+    two and up (see resolve_stalk)."""
+    eng = res._engine
+    C, ring = eng.C, eng.C.ring
+    i = res.length() + 1
+    if i >= 4:
+        # level i - 3 of σ(q)'s resolution; when σ(q) = q that is this
+        # resolution, which is cached before it is extended
+        try:
+            src = resolve_stalk(C, eng.serre_end(res.vertex), res.side, i - 3)
+        except WindowTooSmall:
+            raise WindowTooSmall(KERNEL_EDGE) from None
+        return list(src.terms[i - 3]), dict(src.boundaries[i - 3])
+    if i == 2:
+        r, degree, signs = eng.mesh_end(res.vertex), 1, (ring.one, ring.neg(ring.one))
+    else:
+        r, degree, signs = eng.serre_end(res.vertex), C.top_degree(), (ring.one,)
+    if not eng.margin_ok(r):
+        raise WindowTooSmall(KERNEL_EDGE)
+    entries = {(b, 0): tuple(sign if x.degree == degree else ring.zero
+                             for x in eng.entry_basis(a, r))
+               for b, (a, sign) in enumerate(zip(res.terms[i - 1], signs))}
+    return [r], entries
 
 
 # ---------------------------------------------------------------------------

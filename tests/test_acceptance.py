@@ -11,8 +11,7 @@ import time
 
 from qshape import Matrix, MeshCategory, PresentedModule, QQ, ZZ, Zmod, \
     build_double_an, build_repetitive_an
-from qshape.exactalg import (brute_force_injective, brute_force_projective,
-                             matrix_is_invertible, smith_normal_form)
+from qshape.exactalg import matrix_is_invertible, smith_normal_form
 from qshape.fixtures import COUNTER_LABELS, counter_morphism
 from qshape.homology import (SIDE_CN, SIDE_CO, classify_object,
                              corner_functors, derived_homology,
@@ -23,6 +22,9 @@ from qshape.repmod import (cofree_at, complex_to_rep, free_at,
                            random_free_representation, random_morphism,
                            random_representation, representable_rep,
                            stalk_rep, validate_representation)
+
+from oracles import (brute_force_injective, brute_force_projective, divides,
+                     elements)
 
 
 def _report(number, name, t0, budget=None):
@@ -257,7 +259,7 @@ def test_criterion_12_exact_linear_algebra_oracles():
             assert matrix_is_invertible(U) and matrix_is_invertible(V)
             diag = [S[i, i] for i in range(min(rows, cols))]
             for a, b in zip(diag, diag[1:]):
-                assert ring.divides(a, b)
+                assert divides(ring, a, b)
             for i in range(S.rows):
                 for j in range(S.cols):
                     if i != j:
@@ -271,7 +273,7 @@ def test_criterion_12_exact_linear_algebra_oracles():
     small += [PresentedModule.from_invariant_factors(ring, fs)
               for fs in ([], [2], [0], [2, 2], [2, 0], [2, 2, 2])]
     for module in small:
-        if len(module.elements()) > 8:
+        if len(elements(module)) > 8:
             continue
         assert module.is_projective() == brute_force_projective(module)
         assert module.is_injective() == brute_force_injective(module)

@@ -258,6 +258,19 @@ class TestExitCodes:
         assert set(report) == {"error", "path"}
         assert report["path"] == "--vertex"
 
+    @pytest.mark.parametrize("vertex", ["1@-5", "2@-4", "2@6"])
+    def test_refusal_past_level_one_keeps_the_kernel_text(self, capsys, vertex):
+        # levels from four on are copied from the resolution at sigma(q);
+        # a refusal there keeps the text of level two and up, not level one's
+        code, out = run(capsys, "homology", "--input",
+                        str(FIXTURES / "counter_X.json"), "--vertex", vertex,
+                        "--max-degree", "3")
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "--vertex: resolution kernel reaches the window edge; "
+                     "widen the window",
+            "path": "--vertex"}
+
     @pytest.mark.parametrize("doc, path", [
         ({"values": "abc"}, "/values"),
         ({"arrows": "x"}, "/arrows"),
