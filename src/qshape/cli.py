@@ -27,6 +27,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 
 from .errors import (InvalidMorphism, InvalidParameter, QShapeError,
                      WindowTooSmall)
@@ -374,7 +375,10 @@ def _add_category_flags(p, need_flavor=True):
     p.add_argument("--ring", default="Z", help='"Z", "Q", or "mod:M"')
 
 
+@cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parse_args reads it
+    and never changes it."""
     parser = _Parser(prog="qshape", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "table"], default="json")

@@ -246,14 +246,26 @@ class HomologyData:
 
 
 def middle_homology(f: ModuleMap, g: ModuleMap) -> HomologyData:
-    """ker(g)/im(f) as a presented module; assumes g∘f = 0."""
-    B = f.target
-    K, incl = g.kernel()
-    coords = coordinates_mod(incl, B.relations, f.matrix)
-    if coords is None:
+    """ker(g)/im(f) as a presented module, in two eliminations.
+
+    The cycles are incl = generators of {b : g·b ∈ rel_C}, and the
+    relations are generators of {c : incl·c ∈ im f + rel_B}, one preimage
+    each.  That is the span of [coords_f | K.relations] with coords_f the
+    coordinates of f in incl and K.relations generating {c : incl·c ∈
+    rel_B}: any c in the preimage, with incl·c = f·x + rel_B·y, differs
+    from coords_f·x by an element of the second.  So the cycle generators
+    and the module are those of the kernel-then-coordinates route.
+
+    g∘f must vanish in C; NotWellDefined is raised when it does not, and
+    the solve behind that check is skipped when g·f is zero on generators.
+    """
+    B, C = f.target, g.target
+    gf = g.matrix * f.matrix
+    if not gf.is_zero and not C.vanishes(gf):
         raise NotWellDefined("image of f does not lie in the kernel of g")
-    rel = Matrix.hstack([coords, K.relations])
-    return HomologyData(PresentedModule(B.ring, K.generators, rel), incl, B)
+    incl = preimage_generators(g.matrix, C.relations)
+    rel = preimage_generators(incl, Matrix.hstack([f.matrix, B.relations]))
+    return HomologyData(PresentedModule(B.ring, incl.cols, rel), incl, B)
 
 
 def induced_on_homology(hx: HomologyData, hy: HomologyData,

@@ -36,7 +36,7 @@ from itertools import accumulate
 from .errors import InvalidMorphism, InvalidParameter, WindowTooSmall
 from .exactalg import (Matrix, ModuleMap, PresentedModule, middle_homology,
                        induced_on_homology)
-from .exactalg.modules import HomologyData, coordinates_mod
+from .exactalg.modules import HomologyData
 from .meshcat import MeshCategory
 from .quiver import DOUBLE_AN, format_vertex
 from .repmod import Representation, RepMorphism, validate_morphism
@@ -61,26 +61,46 @@ class CornerValues:
                 "K": self.K.describe(), "C": self.C.describe()}
 
 
+def _arrow_elts(C: MeshCategory, q, out: bool):
+    """Basis elements of the arrows out of (out) or into q: the degree-one
+    part of C.radical_out(q) or C.radical_in(q), in the same order."""
+    arrows = C.quiver.arrows_out_of(q) if out else C.quiver.arrows_into(q)
+    return [e for _, e in map(C.arrow_elt, arrows)]
+
+
 def radical_filtration(X: Representation, q, power: int):
     """(K^power ⊆ X(q), X(q) ↠ C^power) cut out by radical powers.
 
-    power 0 uses the identity among the test morphisms, so K^0 = 0 and
-    C^0 = 0; power 1 gives the plain corner functors; at the nilpotency
-    index K reaches all of X(q).
+    Only the basis elements of degree exactly ``power`` are read.  The
+    mesh category is generated in degree one, so a basis element of
+    higher degree out of q is one of degree ``power`` followed by the rest
+    of its path, and one into q ends in one of degree ``power``: its
+    kernel contains, and its image lies in, theirs.  So they cut out the
+    same K^power and C^power as all of r^power.  Power 0 reads the
+    identity alone, so K^0 = 0 and C^0 = 0; power 1 reads the arrows at q,
+    without a scan of the radical, and gives the plain corner functors; at
+    the nilpotency index nothing is read and K reaches all of X(q).
     """
     C = X.category
     Xq = X.value(q)
-    outs = [X.evaluate_matrix(C.ring.one, e) for e in C.radical_out(q, power)]
+
+    def of_degree(out: bool):
+        if power == 1:
+            return _arrow_elts(C, q, out)
+        scan = C.radical_out(q, power) if out else C.radical_in(q, power)
+        return [e for e in scan if e.degree == power]
+    out_elts = of_degree(True)
+    outs = [X.evaluate_matrix(C.ring.one, e) for e in out_elts]
     if outs:
         stacked = Matrix.vstack(outs)
         tgt = PresentedModule(
             X.ring, stacked.rows,
             Matrix.block_diag(X.ring, [X.value(e.target).relations
-                                       for e in C.radical_out(q, power)]))
+                                       for e in out_elts]))
         kmod, incl = ModuleMap(Xq, tgt, stacked, check=False).kernel()
     else:
         kmod, incl = Xq, Matrix.identity(X.ring, Xq.generators)
-    ins = [X.evaluate_matrix(C.ring.one, e) for e in C.radical_in(q, power)]
+    ins = [X.evaluate_matrix(C.ring.one, e) for e in of_degree(False)]
     pieces = ins + [Xq.relations]
     cmod = PresentedModule(X.ring, Xq.generators, Matrix.hstack(pieces)) \
         if Xq.generators else Xq
@@ -164,7 +184,6 @@ class _Side:
         # entries act on a summand's values by precomposition on side co
         # (values Q(r, s)) and by postcomposition on side cn (values Q(s, r))
         self._entry_mult = C.right_mult_matrix if co else C.left_mult_matrix
-        self._radical = C.radical_out if co else C.radical_in
         # summands reach n-1 columns below (co) or above (cn) their vertex
         self._reach = (1 - C.n) if co else (C.n - 1)
         # μ = τ^-1 (co) or τ (cn) moves one column; σ(q) is S(μ q) on side co
@@ -185,9 +204,11 @@ class _Side:
         return self._terms(entry, a, b,
                            lambda coeff, e: self._entry_mult(coeff, e, s))
 
-    def radical_head(self, q):
-        """(basis element, new summand vertex) for the degree-one boundary."""
-        return [(e, self.ends(e.source, e.target)[1]) for e in self._radical(q)]
+    def head(self, q):
+        """(arrow basis element, new summand vertex), one per arrow out of
+        (side co) or into (side cn) q: the degree-one boundary."""
+        return [(e, self.ends(e.source, e.target)[1])
+                for e in _arrow_elts(self.C, q, self.side == SIDE_CO)]
 
     def margin_ok(self, r) -> bool:
         """Summand supports must stay inside the window for exactness."""
@@ -260,12 +281,14 @@ def _assemble(ring, blocks, row_dims, col_dims):
 KERNEL_EDGE = "resolution kernel reaches the window edge; widen the window"
 
 
-def _start_resolution(eng: _Side, q, head) -> StalkResolution:
-    """Levels zero and one: the vertex q and one summand per head element."""
+def _start_resolution(eng: _Side, q, head_of) -> StalkResolution:
+    """Levels zero and one: the vertex q and one summand per element of
+    head_of(q), which is read once q is known to lie in the window."""
     C = eng.C
     if not eng.margin_ok(q):
         raise WindowTooSmall(f"stalk resolution at {format_vertex(q)} "
                              "reaches outside the window")
+    head = head_of(q)
     for _, r in head:
         if not eng.margin_ok(r):
             raise WindowTooSmall("resolution summand too close to the window edge")
@@ -307,8 +330,7 @@ def resolve_stalk(C: MeshCategory, q, side: str, length: int) -> StalkResolution
     res = C._resolution_cache.get(key)
     if res is None:
         eng = _Side(C, side)
-        res = C._resolution_cache[key] = _start_resolution(
-            eng, q, [(e, r) for e, r in eng.radical_head(q) if e.degree == 1])
+        res = C._resolution_cache[key] = _start_resolution(eng, q, eng.head)
     while res.length() < length:
         terms, entries = _next_level(res)
         res.terms.append(terms)
@@ -346,8 +368,11 @@ def _next_level(res: StalkResolution):
 # derived (co)homology
 # ---------------------------------------------------------------------------
 
-def _complex_from_resolution(res: StalkResolution, X: Representation):
-    """Presented-module complex obtained by pairing the resolution with X.
+def _complex_from_resolution(res: StalkResolution, X: Representation,
+                             levels: int):
+    """Presented-module complex obtained by pairing the first ``levels``
+    levels of the resolution with X; a longer cached resolution costs
+    nothing beyond them.
 
     Level i carries ⊕_a X(r_a).  maps[i] runs between the levels
     ends(i-1, i): upward on side co (a cochain complex), downward on side
@@ -356,22 +381,23 @@ def _complex_from_resolution(res: StalkResolution, X: Representation):
     """
     eng = res._engine
     ring = eng.C.ring
+    terms = res.terms[:levels]
     modules = []
-    for level in res.terms:
+    for level in terms:
         mod = PresentedModule.free(ring, 0)
         for r in level:
             mod = mod.direct_sum(X.value(r))
         modules.append(mod)
     maps = {0: ModuleMap.zero(*eng.ends(PresentedModule.free(ring, 0),
                                         modules[0]))}
-    for i in range(1, len(res.terms)):
-        prev, cur = res.terms[i - 1], res.terms[i]
+    for i in range(1, len(terms)):
+        prev, cur = terms[i - 1], terms[i]
         blocks = {eng.ends(b, a): eng.x_value_block(X, entry, prev[a], cur[b])
                   for (a, b), entry in res.boundaries[i].items()}
         src, dst = eng.ends(i - 1, i)
         M = _assemble(ring, blocks,
-                      [X.value(r).generators for r in res.terms[dst]],
-                      [X.value(r).generators for r in res.terms[src]])
+                      [X.value(r).generators for r in terms[dst]],
+                      [X.value(r).generators for r in terms[src]])
         maps[i] = ModuleMap(modules[src], modules[dst], M, check=False)
     return modules, maps
 
@@ -379,7 +405,7 @@ def _complex_from_resolution(res: StalkResolution, X: Representation):
 def derived_homology_data(X: Representation, q, side: str, max_degree: int = 2):
     """HomologyData per degree 0..max_degree for one side at one vertex."""
     res = resolve_stalk(X.category, q, side, max_degree + 1)
-    _, maps = _complex_from_resolution(res, X)
+    _, maps = _complex_from_resolution(res, X, max_degree + 2)
     return {i: middle_homology(*res._engine.ends(maps[i], maps[i + 1]))
             for i in range(max_degree + 1)}
 

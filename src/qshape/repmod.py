@@ -73,13 +73,19 @@ class Representation:
     # -- evaluation on arbitrary morphisms of the category ---------------------
 
     def evaluate_matrix(self, coeff, elt: BasisElement) -> Matrix:
-        """Matrix of X(coeff * elt) on generators."""
+        """Matrix of X(coeff * elt) on generators.
+
+        The path product starts from the first arrow's matrix, so only an
+        identity element builds an identity matrix.  coeff must be an
+        exact element of the ring, as in ``Matrix.scale``."""
         sign, arrows = self.category.basis_path(elt)
-        out = Matrix.identity(self.ring, self.value(elt.source).generators)
-        for arrow in arrows:
-            out = self.arrow_matrix(arrow) * out
-        scale = self.ring.mul(coeff, sign)
-        return out.scale(scale)
+        if not arrows:
+            out = Matrix.identity(self.ring, self.value(elt.source).generators)
+        else:
+            out = self.arrow_matrix(arrows[0])
+            for arrow in arrows[1:]:
+                out = self.arrow_matrix(arrow) * out
+        return out.scale(self.ring.mul(self.ring.element(coeff), sign))
 
     # -- constructions -----------------------------------------------------------
 

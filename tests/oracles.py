@@ -1,9 +1,14 @@
 """Test oracles that find by elimination or exhaustion what the engine
-states in closed form.
+states in closed form or by a shorter route.
 
 * Stalk resolutions grown level by level from vertexwise kernels: the
   corner cover, which built every resolution before the closed form, and
-  the basis-indexed resolution with its greedy cover.
+  the basis-indexed resolution with its greedy cover.  Both start from
+  a scan of the whole radical at the resolved vertex.
+* The derived-homology plumbing before its fast paths: middle homology
+  by kernel, then coordinates, then relations (three eliminations), the
+  radical filtration read off every radical basis element, and path
+  products started from an identity matrix.
 * Exhaustive checks over finite rings: coset enumeration, splitting and
   Baer's criterion, ideal membership, and maps induced on subquotients.
 """
@@ -14,7 +19,7 @@ from itertools import product
 from math import gcd
 
 from qshape.errors import InvalidParameter, NotWellDefined, WindowTooSmall
-from qshape.exactalg import (Matrix, ModuleMap, PresentedModule,
+from qshape.exactalg import (HomologyData, Matrix, ModuleMap, PresentedModule,
                              coordinates_mod, kernel_basis,
                              preimage_generators, solve, solve_matrix)
 from qshape.exactalg.rings import INTEGERS, INTEGERS_MOD, RATIONALS
@@ -41,13 +46,21 @@ def _orbit_action(eng: _Side, h, comp_vertex) -> Matrix:
     return mult(C.ring.one, h, comp_vertex)
 
 
+def radical_head(eng: _Side, q):
+    """(basis element, new summand vertex) for every radical basis element
+    out of (side co) or into (side cn) q, in the order of the radical scan."""
+    radical = eng.C.radical_out if eng.side == SIDE_CO else eng.C.radical_in
+    return [(e, eng.ends(e.source, e.target)[1]) for e in radical(q)]
+
+
 def corner_cover_resolution(C, q, side: str, length: int) -> StalkResolution:
     """The resolution the corner cover builds: level one has one summand
-    per arrow at q, and each further level covers the vertexwise kernels
-    by lifts of generators of their corners.  Nothing is cached."""
+    per degree-one radical basis element at q, and each further level
+    covers the vertexwise kernels by lifts of generators of their
+    corners.  Nothing is cached."""
     eng = _Side(C, side)
     res = _start_resolution(
-        eng, q, [(e, r) for e, r in eng.radical_head(q) if e.degree == 1])
+        eng, q, lambda v: [(e, r) for e, r in radical_head(eng, v) if e.degree == 1])
     _extend_resolution(res, length, _corner_cover)
     return res
 
@@ -60,7 +73,7 @@ def basis_indexed_resolution(C, q, side: str, length: int) -> StalkResolution:
     are greedy covers of the vertexwise kernels.  Nothing is cached.
     """
     eng = _Side(C, side)
-    res = _start_resolution(eng, q, eng.radical_head(q))
+    res = _start_resolution(eng, q, lambda v: radical_head(eng, v))
     _extend_resolution(res, length, _greedy_cover)
     return res
 
@@ -191,6 +204,55 @@ def _spanned_at(eng: _Side, cur, chosen, s):
         return None
     return Matrix(ring, total, len(cols),
                   [cols[j][i] for i in range(total) for j in range(len(cols))])
+
+
+# ---------------------------------------------------------------------------
+# derived-homology plumbing before its fast paths
+# ---------------------------------------------------------------------------
+
+def middle_homology_three_eliminations(f: ModuleMap, g: ModuleMap) -> HomologyData:
+    """ker(g)/im(f): the kernel of g (two eliminations), the coordinates
+    of f in its generators (a third), then [coords_f | K.relations] as
+    the relations."""
+    B = f.target
+    K, incl = g.kernel()
+    coords = coordinates_mod(incl, B.relations, f.matrix)
+    if coords is None:
+        raise NotWellDefined("image of f does not lie in the kernel of g")
+    rel = Matrix.hstack([coords, K.relations])
+    return HomologyData(PresentedModule(B.ring, K.generators, rel), incl, B)
+
+
+def radical_filtration_all_degrees(X, q, power: int):
+    """(K^power, incl, C^power) cut out by every basis element of r^power
+    at q, all degrees >= power."""
+    C = X.category
+    Xq = X.value(q)
+    outs = [X.evaluate_matrix(C.ring.one, e) for e in C.radical_out(q, power)]
+    if outs:
+        stacked = Matrix.vstack(outs)
+        tgt = PresentedModule(
+            X.ring, stacked.rows,
+            Matrix.block_diag(X.ring, [X.value(e.target).relations
+                                       for e in C.radical_out(q, power)]))
+        kmod, incl = ModuleMap(Xq, tgt, stacked, check=False).kernel()
+    else:
+        kmod, incl = Xq, Matrix.identity(X.ring, Xq.generators)
+    ins = [X.evaluate_matrix(C.ring.one, e) for e in C.radical_in(q, power)]
+    pieces = ins + [Xq.relations]
+    cmod = PresentedModule(X.ring, Xq.generators, Matrix.hstack(pieces)) \
+        if Xq.generators else Xq
+    return kmod, incl, cmod
+
+
+def evaluate_from_identity(X, elt) -> Matrix:
+    """X(elt) as the signed product of its path's arrow matrices, applied
+    one by one to the identity on X(source)."""
+    sign, arrows = X.category.basis_path(elt)
+    out = Matrix.identity(X.ring, X.value(elt.source).generators)
+    for arrow in arrows:
+        out = X.arrow_matrix(arrow) * out
+    return out.scale(sign)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from qshape import QQ, ZZ, Zmod, MeshCategory, Matrix, PresentedModule, \
     build_double_an
-from qshape.cli import Report, main
+from qshape.cli import Report, build_parser, main
 from qshape.fixtures import counter_morphism
 from qshape.io import (SchemaError, dumps, morphism_json, parse_category,
                        parse_morphism, parse_representation,
@@ -510,3 +510,27 @@ class TestDeterminismAndRoundTrip:
         _, out = run(capsys, "homology", "--input", rep_file,
                      "--max-degree", "3")
         assert json.loads(out)["verdicts"]["max_degree"] == 3
+
+
+class TestParserBuiltOnce:
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse ends a bad flag here
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_reused_parser_answers_as_a_fresh_one(self, capsys, rep_file):
+        calls = [("dims", "--n", "3"),
+                 ("homology", "--input", rep_file, "--vertex", "2"),
+                 ("dims", "--n", "3", "--no-such-flag"),
+                 ("dims", "--n", "3")]
+        warm = [self.outcome(capsys, argv) for argv in calls]
+        assert build_parser() is build_parser()
+        assert [code for code, _, _ in warm] == [0, 0, 1, 0]
+        assert warm[0] == warm[3]
+        for argv, got in zip(calls, warm):
+            build_parser.cache_clear()
+            assert self.outcome(capsys, argv) == got, argv
