@@ -36,11 +36,10 @@ from .fixtures import COUNTER_LABELS, counter_morphism
 from .homology import (SIDE_CN, SIDE_CO, classify_object, homology_report,
                        is_weak_equivalence, mesh_homology, mesh_homology_map,
                        zero_test)
-from .io import (MAX_N, SchemaError, category_bundle, dumps, parse_morphism,
-                 parse_representation)
+from .io import (MAX_N, SchemaError, build_category, category_bundle, dumps,
+                 parse_morphism, parse_representation)
 from .meshcat import MeshCategory
-from .quiver import (build_double_an, build_repetitive_an, format_vertex,
-                     parse_vertex)
+from .quiver import REPETITIVE_AN, format_vertex, parse_vertex
 from .repmod import (complex_to_rep, kernel_of_morphism, random_complex,
                      validate_representation)
 
@@ -120,14 +119,14 @@ def _load_json(path: str):
         raise SchemaError("/", f"not valid JSON ({exc})") from None
 
 
+def _flag(field: str) -> str:
+    return f"--{field}"
+
+
 def _category_from_args(args) -> MeshCategory:
-    ring = _parse_ring(args.ring)
-    if args.n > MAX_N:
-        raise SchemaError("--n", f"n must be at most {MAX_N}")
-    if args.flavor == "double_an":
-        return MeshCategory(build_double_an(args.n), ring)
-    window = tuple(args.window) if args.window else (-2 * args.n, 2 * args.n)
-    return MeshCategory(build_repetitive_an(args.n, window), ring)
+    window = args.window or (-2 * args.n, 2 * args.n)
+    return build_category(args.flavor, args.n, window, _parse_ring(args.ring),
+                          _flag)
 
 
 def _vertex_arg(text: str, quiver):
@@ -331,7 +330,7 @@ def _demo_counterexample(args):
 def _demo_chain_complex(args):
     ring = _parse_ring(args.ring)
     rng = random.Random(args.seed)
-    C = MeshCategory(build_repetitive_an(2, (-10, 10)), ring)
+    C = build_category(REPETITIVE_AN, 2, (-10, 10), ring, _flag)
     matches = 0
     total = args.random
     first_mismatch = None
@@ -366,10 +365,9 @@ def _demo_chain_complex(args):
 # wiring
 # ---------------------------------------------------------------------------
 
-def _add_category_flags(p, need_flavor=True):
-    if need_flavor:
-        p.add_argument("--flavor", choices=["double_an", "repetitive_an"],
-                       default="double_an")
+def _add_category_flags(p):
+    p.add_argument("--flavor", choices=["double_an", "repetitive_an"],
+                   default="double_an")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--window", type=int, nargs=2, metavar=("IMIN", "IMAX"))
     p.add_argument("--ring", default="Z", help='"Z", "Q", or "mod:M"')

@@ -147,11 +147,13 @@ class PresentedModule:
 
     # -- constructions -----------------------------------------------------------
 
-    def direct_sum(self, other: "PresentedModule") -> "PresentedModule":
-        if self.ring != other.ring:
+    def direct_sum(self, *others: "PresentedModule") -> "PresentedModule":
+        """self ⊕ others[0] ⊕ ..., with one block-diagonal relation matrix."""
+        summands = (self, *others)
+        if any(m.ring != self.ring for m in others):
             raise InvalidParameter("ring mismatch")
-        rel = Matrix.block_diag(self.ring, [self.relations, other.relations])
-        return PresentedModule(self.ring, self.generators + other.generators, rel)
+        rel = Matrix.block_diag(self.ring, [m.relations for m in summands])
+        return PresentedModule(self.ring, sum(m.generators for m in summands), rel)
 
 
 class ModuleMap:

@@ -347,9 +347,9 @@ def kernel_basis(M: Matrix) -> Matrix:
                            [V[r, i] * scales[i] % m for r in range(M.cols) for i in gens])
 
 
-def _solve_matrix(M: Matrix, B: Matrix):
-    # solve and solve_matrix both call this body rather than each other, so
-    # that a traced run counts one elimination per public call
+def solve_matrix(M: Matrix, B: Matrix):
+    """X with M*X = B, or None; one decomposition shared by all columns.
+    A column b gives a particular solution x of Mx = b."""
     if B.cols == 0:
         return Matrix.zeros(M.ring, M.cols, 0)
     if M.ring.is_field:
@@ -374,16 +374,7 @@ def _solve_matrix(M: Matrix, B: Matrix):
     return V * Matrix._trusted(M.ring, M.cols, B.cols, [y for row in Y for y in row])
 
 
-def solve(M: Matrix, b: Matrix):
-    """A particular solution x of Mx = b (as a column), or None."""
-    if b.rows != M.rows or b.cols != 1:
-        raise UnsupportedRing("solve expects a conformal column")
-    return _solve_matrix(M, b)
-
-
-def solve_matrix(M: Matrix, B: Matrix):
-    """X with M*X = B, or None; one decomposition shared by all columns."""
-    return _solve_matrix(M, B)
+solve = solve_matrix
 
 
 def matrix_is_invertible(M: Matrix) -> bool:

@@ -21,15 +21,16 @@ from .quiver import build_repetitive_an
 from .repmod import Representation, RepMorphism
 
 COUNTER_LABELS = {1: (1, 0), 2: (3, 1), 3: (2, 0), 4: (1, -1)}
+COUNTER_WINDOW = (-8, 10)
 
 
-def counter_category(ring, window=(-8, 10)) -> MeshCategory:
-    return MeshCategory(build_repetitive_an(3, window), ring)
+def counter_category(ring) -> MeshCategory:
+    return MeshCategory(build_repetitive_an(3, COUNTER_WINDOW), ring)
 
 
-def counter_morphism(ring, window=(-8, 10)):
+def counter_morphism(ring):
     """(X, Y, phi) over the repetitive A_3 category."""
-    C = counter_category(ring, window)
+    C = counter_category(ring)
     one = PresentedModule.free(ring, 1)
     v1, v2, v3 = COUNTER_LABELS[1], COUNTER_LABELS[2], COUNTER_LABELS[3]
     X = Representation(

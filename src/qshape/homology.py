@@ -119,10 +119,8 @@ def corner_functors(X: Representation, q) -> CornerValues:
 def mesh_complex(X: Representation, q):
     """The three-term complex X(tau q) -> ⊕ X(p_i) -> X(q) of the mesh at q."""
     mesh = X.category.quiver.mesh_at(q)  # raises BoundaryVertex when truncated
-    middles = [X.value(a.source) for a in mesh.arrows]
-    middle = middles[0]
-    for m in middles[1:]:
-        middle = middle.direct_sum(m)
+    first, *rest = [X.value(a.source) for a in mesh.arrows]
+    middle = first.direct_sum(*rest)
     f = ModuleMap(X.value(mesh.tau_vertex), middle,
                   Matrix.vstack([X.arrow_matrix(sa) for sa in mesh.paired]),
                   check=False)
@@ -165,7 +163,8 @@ class _Side:
     or reversed, (b, a), on side cn, and ``oriented`` applies the same rule
     to a two-argument map.  Everything below has one body: a boundary entry
     between summands a and b lies in Q(ends(a, b)), and the r-summand's
-    value at s has rank d(ends(r, s)).
+    value at s has rank d(ends(r, s)).  An entry is stored as its terms
+    ((coeff, basis element), ...), as the closed form writes it.
     """
 
     def __init__(self, C: MeshCategory, side: str):
@@ -176,10 +175,7 @@ class _Side:
         def oriented(f):
             return f if co else (lambda a, b: f(b, a))
         self.ends = oriented(lambda a, b: (a, b))
-        # entry_basis(a, b): basis of the homs a boundary entry between
-        # summands a, b lies in; value_dim(r, s): rank of the r-summand's
-        # value at the vertex s
-        self.entry_basis = oriented(C.hom_basis)
+        # value_dim(r, s): rank of the r-summand's value at the vertex s
         self.value_dim = oriented(C.d)
         # entries act on a summand's values by precomposition on side co
         # (values Q(r, s)) and by postcomposition on side cn (values Q(s, r))
@@ -191,18 +187,16 @@ class _Side:
         self._mu_shift = -1 if co else 1
         self._sigma_shift = 0 if co else C.n - 1
 
-    def _terms(self, entry, a, b, act) -> Matrix:
-        """Sum of act(coeff, e) over the nonzero coefficients of a stored
-        boundary entry, which always has one."""
-        zero = self.C.ring.zero
-        terms = [act(coeff, e) for coeff, e in zip(entry, self.entry_basis(a, b))
-                 if coeff != zero]
+    @staticmethod
+    def _terms(entry, act) -> Matrix:
+        """Sum of act(coeff, e) over the terms of a boundary entry, which
+        always has one."""
+        terms = [act(coeff, e) for coeff, e in entry]
         return sum(terms[1:], terms[0])
 
-    def act_matrix(self, entry, a, b, s) -> Matrix:
+    def act_matrix(self, entry, s) -> Matrix:
         """Component at s of the boundary entry: summand-b coords to summand-a."""
-        return self._terms(entry, a, b,
-                           lambda coeff, e: self._entry_mult(coeff, e, s))
+        return self._terms(entry, lambda coeff, e: self._entry_mult(coeff, e, s))
 
     def head(self, q):
         """(arrow basis element, new summand vertex), one per arrow out of
@@ -229,10 +223,10 @@ class _Side:
         """σ(q), the level-3 summand and the start of the next period."""
         return self._shift(self.C.serre_object(self.mesh_end(q)), self._sigma_shift)
 
-    def x_value_block(self, X: Representation, entry, a, b) -> Matrix:
+    def x_value_block(self, X: Representation, entry) -> Matrix:
         """X applied to a boundary entry in Q(ends(a, b)): X(a) -> X(b) on
         side co, X(b) -> X(a) on side cn."""
-        return self._terms(entry, a, b, X.evaluate_matrix)
+        return self._terms(entry, X.evaluate_matrix)
 
 
 @dataclass
@@ -240,8 +234,8 @@ class StalkResolution:
     """Levels of representable summands with boundary entry tables.
 
     terms[i] is the list of summand vertices of level i; boundaries[i]
-    (for i >= 1) maps (a, b) to the coefficient tuple of the entry
-    between summand a of level i-1 and summand b of level i.
+    (for i >= 1) maps (a, b) to the terms ((coeff, basis element), ...)
+    of the entry between summand a of level i-1 and summand b of level i.
     """
     side: str
     vertex: object
@@ -256,8 +250,8 @@ class StalkResolution:
         """The boundary P_i -> P_{i-1} evaluated at the vertex s."""
         eng = self._engine
         prev, cur = self.terms[i - 1], self.terms[i]
-        blocks = {(a, b): eng.act_matrix(entry, prev[a], cur[b], s)
-                  for (a, b), entry in self.boundaries[i].items()}
+        blocks = {ab: eng.act_matrix(entry, s)
+                  for ab, entry in self.boundaries[i].items()}
         return _assemble(eng.C.ring, blocks,
                          [eng.value_dim(r, s) for r in prev],
                          [eng.value_dim(r, s) for r in cur])
@@ -284,7 +278,6 @@ KERNEL_EDGE = "resolution kernel reaches the window edge; widen the window"
 def _start_resolution(eng: _Side, q, head_of) -> StalkResolution:
     """Levels zero and one: the vertex q and one summand per element of
     head_of(q), which is read once q is known to lie in the window."""
-    C = eng.C
     if not eng.margin_ok(q):
         raise WindowTooSmall(f"stalk resolution at {format_vertex(q)} "
                              "reaches outside the window")
@@ -292,10 +285,8 @@ def _start_resolution(eng: _Side, q, head_of) -> StalkResolution:
     for _, r in head:
         if not eng.margin_ok(r):
             raise WindowTooSmall("resolution summand too close to the window edge")
-    bd1 = {}
-    for b, (e, r) in enumerate(head):
-        basis = eng.entry_basis(q, r)
-        bd1[(0, b)] = tuple(C.ring.one if x == e else C.ring.zero for x in basis)
+    one = eng.C.ring.one
+    bd1 = {(0, b): ((one, e),) for b, (e, _) in enumerate(head)}
     return StalkResolution(eng.side, q, [[q], [r for _, r in head]],
                            [None, bd1], eng)
 
@@ -358,9 +349,10 @@ def _next_level(res: StalkResolution):
         r, degree, signs = eng.serre_end(res.vertex), C.top_degree(), (ring.one,)
     if not eng.margin_ok(r):
         raise WindowTooSmall(KERNEL_EDGE)
-    entries = {(b, 0): tuple(sign if x.degree == degree else ring.zero
-                             for x in eng.entry_basis(a, r))
-               for b, (a, sign) in enumerate(zip(res.terms[i - 1], signs))}
+    entries = {}
+    for b, (a, sign) in enumerate(zip(res.terms[i - 1], signs)):
+        e = next(x for x in C.hom_basis(*eng.ends(a, r)) if x.degree == degree)
+        entries[(b, 0)] = ((sign, e),)
     return [r], entries
 
 
@@ -382,17 +374,12 @@ def _complex_from_resolution(res: StalkResolution, X: Representation,
     eng = res._engine
     ring = eng.C.ring
     terms = res.terms[:levels]
-    modules = []
-    for level in terms:
-        mod = PresentedModule.free(ring, 0)
-        for r in level:
-            mod = mod.direct_sum(X.value(r))
-        modules.append(mod)
+    modules = [PresentedModule.free(ring, 0).direct_sum(*map(X.value, level))
+               for level in terms]
     maps = {0: ModuleMap.zero(*eng.ends(PresentedModule.free(ring, 0),
                                         modules[0]))}
     for i in range(1, len(terms)):
-        prev, cur = terms[i - 1], terms[i]
-        blocks = {eng.ends(b, a): eng.x_value_block(X, entry, prev[a], cur[b])
+        blocks = {eng.ends(b, a): eng.x_value_block(X, entry)
                   for (a, b), entry in res.boundaries[i].items()}
         src, dst = eng.ends(i - 1, i)
         M = _assemble(ring, blocks,
@@ -491,7 +478,12 @@ class ClassificationVerdict:
                 "witnesses": dict(self.witnesses)}
 
 
-def classify_object(X: Representation, spread: int = 2) -> ClassificationVerdict:
+# classify_object reads mesh homology from this many columns below the
+# support of X to this many above it
+CLASSIFY_SPREAD = 2
+
+
+def classify_object(X: Representation) -> ClassificationVerdict:
     """Exactness via vanishing mesh homology; projectivity and injectivity
     by combining it with corner projectivity/injectivity.
 
@@ -503,7 +495,8 @@ def classify_object(X: Representation, spread: int = 2) -> ClassificationVerdict
     """
     witnesses = {}
     vanishes = True
-    for q in homology_probe_vertices(X.category, X.support, spread, spread):
+    for q in homology_probe_vertices(X.category, X.support, CLASSIFY_SPREAD,
+                                     CLASSIFY_SPREAD):
         H = mesh_homology(X, q)
         if not H.is_zero:
             vanishes = False

@@ -14,8 +14,8 @@ import json
 from .errors import InvalidParameter
 from .exactalg import BaseRing, Matrix, PresentedModule
 from .meshcat import MeshCategory
-from .quiver import (build_double_an, build_repetitive_an, format_vertex,
-                     parse_vertex)
+from .quiver import (DOUBLE_AN, REPETITIVE_AN, build_double_an,
+                     build_repetitive_an, format_vertex, parse_vertex)
 from .repmod import Representation, RepMorphism
 
 
@@ -47,6 +47,29 @@ def _object(data: dict, key: str, path: str) -> dict:
     return data[key]
 
 
+def build_category(flavor, n, window, ring, where) -> MeshCategory:
+    """The mesh category of a flavor, an n and (repetitive only) a window,
+    over a parsed ring: the one constructor behind JSON input and the CLI
+    flags.  A bad field raises SchemaError at where(field)."""
+    if not _is_int(n):
+        raise SchemaError(where("n"), "n must be an integer")
+    if n > MAX_N:
+        raise SchemaError(where("n"), f"n must be at most {MAX_N}")
+    if flavor not in (DOUBLE_AN, REPETITIVE_AN):
+        raise SchemaError(where("flavor"),
+                          "flavor must be double_an or repetitive_an")
+    if flavor == REPETITIVE_AN and (
+            not isinstance(window, (list, tuple)) or len(window) != 2
+            or not all(_is_int(x) for x in window)):
+        raise SchemaError(where("window"), "window must be [i_min, i_max]")
+    try:
+        quiver = (build_double_an(n) if flavor == DOUBLE_AN
+                  else build_repetitive_an(n, tuple(window)))
+    except InvalidParameter as exc:  # n < 2, or i_min > i_max
+        raise SchemaError(where("n" if n < 2 else "window"), str(exc)) from None
+    return MeshCategory(quiver, ring)
+
+
 def parse_category(data, path="") -> MeshCategory:
     if not isinstance(data, dict):
         raise SchemaError(path or "/", "category spec must be an object")
@@ -54,28 +77,8 @@ def parse_category(data, path="") -> MeshCategory:
         ring = BaseRing.from_json(data.get("ring", "Z"))
     except InvalidParameter as exc:
         raise SchemaError(path + "/ring", str(exc)) from None
-    flavor = data.get("flavor")
-    n = data.get("n")
-    if not _is_int(n):
-        raise SchemaError(path + "/n", "n must be an integer")
-    if n > MAX_N:
-        raise SchemaError(path + "/n", f"n must be at most {MAX_N}")
-    if flavor == "double_an":
-        try:
-            return MeshCategory(build_double_an(n), ring)
-        except InvalidParameter as exc:
-            raise SchemaError(path + "/n", str(exc)) from None
-    if flavor == "repetitive_an":
-        window = data.get("window")
-        if (not isinstance(window, (list, tuple)) or len(window) != 2
-                or not all(_is_int(x) for x in window)):
-            raise SchemaError(path + "/window", "window must be [i_min, i_max]")
-        try:
-            return MeshCategory(build_repetitive_an(n, tuple(window)), ring)
-        except InvalidParameter as exc:
-            raise SchemaError(path + "/window", str(exc)) from None
-    raise SchemaError(path + "/flavor",
-                      "flavor must be double_an or repetitive_an")
+    return build_category(data.get("flavor"), data.get("n"), data.get("window"),
+                          ring, lambda field: f"{path}/{field}")
 
 
 def _parse_matrix(ring, data, path) -> Matrix:
@@ -83,6 +86,25 @@ def _parse_matrix(ring, data, path) -> Matrix:
         return Matrix.from_json(ring, data)
     except InvalidParameter as exc:
         raise SchemaError(path, str(exc)) from None
+
+
+def _sized_matrix(ring, data, rows: int, cols: int, path) -> Matrix:
+    M = _parse_matrix(ring, data, path)
+    if M.rows != rows or M.cols != cols:
+        raise SchemaError(path, f"expected a {rows}x{cols} matrix")
+    return M
+
+
+def _vertex(category: MeshCategory, key, path):
+    """The vertex a "values" or "components" key names, which must lie in
+    the quiver."""
+    try:
+        v = parse_vertex(key)
+    except ValueError:
+        raise SchemaError(path, "bad vertex id") from None
+    if not category.quiver.has_vertex(v):
+        raise SchemaError(path, "vertex outside the quiver")
+    return v
 
 
 def parse_value(ring, data, path) -> PresentedModule:
@@ -108,28 +130,20 @@ def parse_representation(data, path="", category=None) -> Representation:
     ring = category.ring
     values = {}
     for key, val in _object(data, "values", path).items():
-        try:
-            v = parse_vertex(key)
-        except ValueError:
-            raise SchemaError(f"{path}/values/{key}", "bad vertex id") from None
-        if not category.quiver.has_vertex(v):
-            raise SchemaError(f"{path}/values/{key}", "vertex outside the quiver")
-        values[v] = parse_value(ring, val, f"{path}/values/{key}")
+        key_path = f"{path}/values/{key}"
+        v = _vertex(category, key, key_path)
+        values[v] = parse_value(ring, val, key_path)
     arrows = {}
     for key, val in _object(data, "arrows", path).items():
+        key_path = f"{path}/arrows/{key}"
         try:
             arrow = category.quiver.arrow(key)
         except KeyError:
-            raise SchemaError(f"{path}/arrows/{key}", "unknown arrow") from None
-        M = _parse_matrix(ring, val, f"{path}/arrows/{key}")
+            raise SchemaError(key_path, "unknown arrow") from None
         tgt = values.get(arrow.target)
         src = values.get(arrow.source)
-        trows = tgt.generators if tgt else 0
-        tcols = src.generators if src else 0
-        if M.rows != trows or M.cols != tcols:
-            raise SchemaError(f"{path}/arrows/{key}",
-                              f"expected a {trows}x{tcols} matrix")
-        arrows[key] = M
+        arrows[key] = _sized_matrix(ring, val, tgt.generators if tgt else 0,
+                                    src.generators if src else 0, key_path)
     return Representation(category, values, arrows)
 
 
@@ -141,17 +155,10 @@ def parse_morphism(data, path="") -> RepMorphism:
     Y = parse_representation(data.get("target"), path + "/target", category)
     comps = {}
     for key, val in _object(data, "components", path).items():
-        try:
-            v = parse_vertex(key)
-        except ValueError:
-            raise SchemaError(f"{path}/components/{key}", "bad vertex id") from None
-        M = _parse_matrix(category.ring, val, f"{path}/components/{key}")
-        rows = Y.value(v).generators
-        cols = X.value(v).generators
-        if M.rows != rows or M.cols != cols:
-            raise SchemaError(f"{path}/components/{key}",
-                              f"expected a {rows}x{cols} matrix")
-        comps[v] = M
+        key_path = f"{path}/components/{key}"
+        v = _vertex(category, key, key_path)
+        comps[v] = _sized_matrix(category.ring, val, Y.value(v).generators,
+                                 X.value(v).generators, key_path)
     return RepMorphism(X, Y, comps)
 
 

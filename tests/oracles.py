@@ -37,6 +37,12 @@ def _support(eng: _Side, r):
     return (eng.C.hom_targets if eng.side == SIDE_CO else eng.C.hom_sources)(r)
 
 
+def _entry_basis(eng: _Side, a, b):
+    """Basis of Q(ends(a, b)), the homs a boundary entry between summands
+    a and b lies in."""
+    return eng.C.hom_basis(*eng.ends(a, b))
+
+
 def _orbit_action(eng: _Side, h, comp_vertex) -> Matrix:
     """Action of the engine-direction morphism h on the comp_vertex
     component of a level value, in value coordinates: postcomposition on
@@ -103,9 +109,12 @@ def _extend_resolution(res: StalkResolution, length: int, cover):
             new_terms.append(s)
             off = 0
             for b, d in enumerate(dims_at[s]):
-                entry = tuple(vec[off:off + d])
+                coeffs = vec[off:off + d]
                 off += d
-                if any(x != C.ring.zero for x in entry):
+                basis = _entry_basis(eng, cur[b], s)
+                entry = tuple((c, e) for c, e in zip(coeffs, basis)
+                              if c != C.ring.zero)
+                if entry:
                     new_entries[(b, b_new)] = entry
         res.terms.append(new_terms)
         res.boundaries.append(new_entries)
@@ -132,7 +141,7 @@ def _corner_cover(eng: _Side, cur, spots, kernels):
         for t in spots:
             if kernels[t].cols == 0:
                 continue
-            for h in eng.entry_basis(t, s):
+            for h in _entry_basis(eng, t, s):
                 if h.degree == 1:
                     act = Matrix.block_diag(
                         ring, [_orbit_action(eng, h, r) for r in cur])
@@ -190,7 +199,7 @@ def _spanned_at(eng: _Side, cur, chosen, s):
     total = sum(dims)
     cols = []
     for r, vec in chosen:
-        for h in eng.entry_basis(r, s):
+        for h in _entry_basis(eng, r, s):
             image = []
             off = 0
             for b, rb in enumerate(cur):

@@ -163,6 +163,61 @@ class TestExitCodes:
         assert set(report) == {"error", "path"}
         assert report["path"] == path
 
+    @pytest.mark.parametrize("argv, path", [
+        (["dims", "--n", "1"], "--n"),
+        (["oracle", "--n", "-4"], "--n"),
+        (["build", "--flavor", "repetitive_an", "--n", "2", "--window", "5",
+          "-5"], "--window"),
+        (["build", "--flavor", "repetitive_an", "--n", "1"], "--n"),
+    ], ids=["dims --n 1", "oracle --n -4", "window 5 -5", "repetitive --n 1"])
+    def test_bad_category_flag_is_exit_one_with_path(self, capsys, argv, path):
+        # each printed an error without a path
+        code, out = run(capsys, *argv)
+        assert code == 1
+        report = json.loads(out)
+        assert set(report) == {"error", "path"}
+        assert report["path"] == path
+
+    @pytest.mark.parametrize("flavor, n, window, field", [
+        ("double_an", 1, None, "n"),
+        ("double_an", 33, None, "n"),
+        ("repetitive_an", 1, [0, 1], "n"),
+        ("repetitive_an", -4, [0, 1], "n"),
+        ("repetitive_an", 2, [5, -5], "window"),
+        ("repetitive_an", 40, [5, -5], "n"),
+    ])
+    def test_flags_and_json_are_refused_alike(self, capsys, tmp_path,
+                                              flavor, n, window, field):
+        # one constructor checks both: the same field and the same message,
+        # at --field for a flag and at /category/field in a file; a
+        # repetitive n below 2 used to blame /category/window
+        argv = ["dims", "--flavor", flavor, "--n", str(n)]
+        category = {"flavor": flavor, "n": n, "ring": "Z"}
+        if window is not None:
+            argv += ["--window", *map(str, window)]
+            category["window"] = window
+        f = tmp_path / "rep.json"
+        f.write_text(json.dumps({"category": category, "values": {}}))
+        _, flag_out = run(capsys, *argv)
+        _, file_out = run(capsys, "validate", "--input", str(f))
+        by_flag, by_file = json.loads(flag_out), json.loads(file_out)
+        assert by_flag["path"] == f"--{field}"
+        assert by_file["path"] == f"/category/{field}"
+        assert by_flag["error"].split(": ", 1)[1] == \
+            by_file["error"].split(": ", 1)[1]
+
+    def test_component_outside_the_quiver_is_refused(self, capsys, tmp_path):
+        # a 0x0 component at 9@99 passed weq with exit 0
+        doc = json.loads((FIXTURES / "counter.json").read_text())
+        doc["components"]["9@99"] = {"rows": 0, "cols": 0, "entries": []}
+        f = tmp_path / "phi.json"
+        f.write_text(json.dumps(doc))
+        code, out = run(capsys, "weq", "--input", str(f))
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "/components/9@99: vertex outside the quiver",
+            "path": "/components/9@99"}
+
     def test_weq_below_degree_one_is_refused(self, capsys):
         # depth 0 compared no degree at all and called the counterexample a
         # weak equivalence, with an empty table

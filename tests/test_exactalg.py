@@ -262,6 +262,30 @@ class TestPresentedModule:
             assert mod.is_injective() == brute_force_injective(mod), mod
 
 
+    def test_several_summands_equal_the_nested_binary_sums(self):
+        rng = random.Random(190)
+        for ring in (ZZ, QQ, Zmod(9)):
+            for _ in range(20):
+                summands = []
+                for _ in range(rng.randint(0, 4)):
+                    r, c = rng.randint(0, 3), rng.randint(0, 3)
+                    summands.append(PresentedModule(ring, r, Matrix(
+                        ring, r, c, [rng.randint(-4, 4) for _ in range(r * c)])))
+                summands.insert(rng.randint(0, len(summands)),
+                                PresentedModule.free(ring, 0))
+                first, *rest = summands
+                nested = first
+                for m in rest:
+                    nested = nested.direct_sum(m)
+                once = first.direct_sum(*rest)
+                assert once.generators == nested.generators
+                assert once.relations == nested.relations
+        M = PresentedModule.cyclic(ZZ, 6)
+        assert M.direct_sum().relations == M.relations
+        with pytest.raises(InvalidParameter):
+            M.direct_sum(M, PresentedModule.free(QQ, 1))
+
+
 class TestModuleMap:
     def test_identity_on_z_mod_6_is_isomorphism(self):
         # Z/6 is not a prime power; emulate with Z-module Z/2 + Z/3 instead

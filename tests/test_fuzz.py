@@ -2,7 +2,8 @@
 
 Derandomized hypothesis runs feed ``validate --input -`` near-valid and
 malformed representation documents (ranks and matrix sizes at most 3),
-and ``homology --vertex`` arbitrary strings on ``fixtures/counter_X.json``.
+``homology --vertex`` arbitrary strings on ``fixtures/counter_X.json``,
+and ``dims``/``build`` small ``--flavor``, ``--n`` and ``--window`` flags.
 Whatever the input, the exit code is 0, 1 or 2, stdout is one JSON
 object, and exit 1 carries an error and the JSON path it points at.
 """
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from qshape.cli import main  # noqa: E402
@@ -164,3 +165,17 @@ def test_validate_raw_text(text):
 def test_homology_vertex_strings(text):
     check_contract(*run_cli(["homology", "--input", str(COUNTER_X),
                              f"--vertex={text}"]))
+
+
+@settings(FUZZ, max_examples=80)
+@given(st.sampled_from(["dims", "build"]),
+       st.sampled_from(["double_an", "repetitive_an"]),
+       st.one_of(st.integers(-3, 6), st.sampled_from([33, 1000])),
+       st.one_of(st.none(), st.tuples(st.integers(-10, 10), st.integers(-10, 10))))
+def test_category_flags(command, flavor, n, window):
+    # the default window (-2n, 2n) is wider than 20 columns from n = 6 on
+    assume(window is not None or n <= 5)
+    argv = [command, "--flavor", flavor, "--n", str(n)]
+    if window is not None:
+        argv += ["--window", *map(str, window)]
+    check_contract(*run_cli(argv))

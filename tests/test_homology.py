@@ -319,6 +319,38 @@ class TestResolutions:
                     assert co.mesh_end(q) == (q[0], q[1] - 1)
                     assert cn.mesh_end(q) == (q[0], q[1] + 1)
 
+    def test_closed_form_entries_are_single_terms(self):
+        # levels 1-3 store one (coefficient, basis element) term per entry:
+        # an arrow with 1, the mesh arms with 1 and -1, and the top-degree
+        # element with 1, each in Q(ends(a, b)) of its two summands
+        for ring in (ZZ, Zmod(9)):
+            one, minus_one = ring.one, ring.neg(ring.one)
+            checked = 0
+            cats = [double_cat(n, ring) for n in (2, 3, 4, 5)] + [
+                MeshCategory(build_repetitive_an(3, (-8, 8)), ring)]
+            for C in cats:
+                for q in C.vertices:
+                    for side in (SIDE_CN, SIDE_CO):
+                        res = fitting(resolve_stalk, C, q, side, 3)
+                        if res is None:
+                            continue
+                        checked += 1
+                        eng = res._engine
+                        arms = len(res.terms[1])
+                        want = {1: (1, [one] * arms),
+                                2: (1, [one, minus_one][:arms]),
+                                3: (C.top_degree(), [one])}
+                        for i, (degree, coeffs) in want.items():
+                            table = res.boundaries[i]
+                            assert all(len(table[ab]) == 1 for ab in table)
+                            assert [table[ab][0][0] for ab in sorted(table)] \
+                                == coeffs
+                            for (a, b), ((_, e),) in table.items():
+                                assert e.degree == degree
+                                assert (e.source, e.target) == eng.ends(
+                                    res.terms[i - 1][a], res.terms[i][b])
+            assert checked > 100
+
     def test_copied_levels_are_not_shared(self):
         C = double_cat(4, QQ)
         res = resolve_stalk(C, 1, SIDE_CO, 7)

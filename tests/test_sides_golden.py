@@ -5,7 +5,10 @@
 seeded ``random_representation`` draws over Z, Q, F_3 and Z/9 on double
 A_3 and on repetitive A_2 with window (-6, 6).  The table was recorded
 while each side still had its own assembly code, so it checks that the
-shared orientation rule reads both sides as before.  Rebuild it with
+shared orientation rule reads both sides as before.  Twelve repetitive
+entries were recorded again when ``random_representation`` began to draw
+its summands at interior vertices only: their draws had changed, and
+some of the old ones were not mesh-valid.  Rebuild it with
 
     PYTHONPATH=src python tests/test_sides_golden.py > tests/data/derived_golden.json
 
