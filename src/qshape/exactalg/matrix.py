@@ -216,6 +216,8 @@ class Matrix:
     @staticmethod
     def block_diag(ring: BaseRing, matrices) -> "Matrix":
         matrices = [m for m in matrices]
+        if len(matrices) == 1:  # matrices are immutable, so one block is shared
+            return matrices[0]
         R = sum(m.rows for m in matrices)
         C = sum(m.cols for m in matrices)
         out = [ring.zero] * (R * C)

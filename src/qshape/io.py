@@ -48,9 +48,10 @@ def _object(data: dict, key: str, path: str) -> dict:
 
 
 def build_category(flavor, n, window, ring, where) -> MeshCategory:
-    """The mesh category of a flavor, an n and (repetitive only) a window,
-    over a parsed ring: the one constructor behind JSON input and the CLI
-    flags.  A bad field raises SchemaError at where(field)."""
+    """The mesh category of a flavor, an n and a window (read by the
+    repetitive flavor, checked for both), over a parsed ring: the one
+    constructor behind JSON input and the CLI flags.  A bad field raises
+    SchemaError at where(field)."""
     if not _is_int(n):
         raise SchemaError(where("n"), "n must be an integer")
     if n > MAX_N:
@@ -58,7 +59,7 @@ def build_category(flavor, n, window, ring, where) -> MeshCategory:
     if flavor not in (DOUBLE_AN, REPETITIVE_AN):
         raise SchemaError(where("flavor"),
                           "flavor must be double_an or repetitive_an")
-    if flavor == REPETITIVE_AN and (
+    if (window is not None or flavor == REPETITIVE_AN) and (
             not isinstance(window, (list, tuple)) or len(window) != 2
             or not all(_is_int(x) for x in window)):
         raise SchemaError(where("window"), "window must be [i_min, i_max]")
@@ -67,6 +68,8 @@ def build_category(flavor, n, window, ring, where) -> MeshCategory:
                   else build_repetitive_an(n, tuple(window)))
     except InvalidParameter as exc:  # n < 2, or i_min > i_max
         raise SchemaError(where("n" if n < 2 else "window"), str(exc)) from None
+    if window is not None and window[0] > window[1]:  # the double builder reads none
+        raise SchemaError(where("window"), "window must satisfy i_min <= i_max")
     return MeshCategory(quiver, ring)
 
 

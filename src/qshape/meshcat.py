@@ -463,7 +463,8 @@ class MeshCategory:
     # -- graded-dimension oracle ----------------------------------------------------------
 
     def hom_basis_oracle(self, p, max_len: int | None = None) -> dict:
-        """Graded dimension tables {q: {l: rank of Q^l(p, q)}} from scratch.
+        """Graded dimension tables {q: {l: rank of Q^l(p, q)}} from scratch
+        for l <= max_len (default 2n), holding the nonzero ranks only.
 
         Degree-by-degree mesh quotients: A_l(p, r), the degree-l paths
         p -> r modulo the mesh ideal, is the direct sum of A_{l-1}(p, s)
@@ -483,8 +484,7 @@ class MeshCategory:
         if max_len is None:
             max_len = 2 * self.n
         quiver, ring = self.quiver, self.ring
-        table = {q: dict.fromkeys(range(max_len + 1), 0) for q in self.vertices}
-        table[p][0] = 1
+        table = {p: {0: 1}}
         before, ranks = {}, {p: 1}  # nonzero ranks in degrees l - 2, l - 1
         via = {}  # arrow name -> right composition A_{l-1}(p, s) -> A_l(p, r)
         for l in range(1, max_len + 1):
@@ -508,7 +508,7 @@ class MeshCategory:
                     proj = kernel_basis(mesh.transpose()).transpose()
                 else:
                     proj = Matrix.identity(ring, size)
-                new_ranks[r] = table[r][l] = proj.rows
+                new_ranks[r] = table.setdefault(r, {})[l] = proj.rows
                 offset = 0
                 for b in into:
                     width = ranks[b.source]
@@ -520,4 +520,4 @@ class MeshCategory:
         return table
 
     def oracle_hom_rank(self, p, q, max_len: int | None = None) -> int:
-        return sum(self.hom_basis_oracle(p, max_len)[q].values())
+        return sum(self.hom_basis_oracle(p, max_len).get(q, {}).values())

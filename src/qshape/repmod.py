@@ -10,8 +10,8 @@ The standard constructions live here:
 
 * free_at      (corepresentable ⊗ module: value M^rank Q(q, r) at r),
 * cofree_at    (module-valued dual of the representable at q),
+* representable_rep, representable_sum (one rule with the two above),
 * stalk_rep    (M at one vertex, zero arrows),
-* representable_rep,
 * kernel_of_morphism, direct sums,
 * the bridge between bounded chain complexes and representations of
   the repetitive A_2 category.
@@ -31,7 +31,6 @@ Everything is immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 from .errors import (InvalidMorphism, InvalidParameter, UnsupportedFlavor,
                      WindowTooSmall)
@@ -40,7 +39,7 @@ from .exactalg import (Matrix, ModuleMap, PresentedModule, kernel_basis,
 from .exactalg.modules import coordinates_mod
 from .exactalg.rings import INTEGERS
 from .meshcat import BasisElement, MeshCategory
-from .quiver import REPETITIVE_AN, format_vertex
+from .quiver import REPETITIVE_AN, format_vertex, vertex_key
 
 
 class Representation:
@@ -162,34 +161,37 @@ def validate_representation(X: Representation) -> ValidationReport:
 # standard representations
 # ---------------------------------------------------------------------------
 
-def _tensor_functor(C: MeshCategory, M: PresentedModule, rank,
-                    action) -> Representation:
-    """Value M^rank(r) at r, and the arrow a acting by action(a) ⊗ 1_M."""
+def _tensor_functor(C: MeshCategory, M: PresentedModule, corners, support,
+                    rank, action) -> Representation:
+    """⊕ over the corners t (in order, repeats kept) of M^rank(t, r) at each r
+    in support(t), the arrow a acting by ⊕ action(a, t) ⊗ 1_M."""
     if M.ring != C.ring:
         raise InvalidParameter("module ring differs from the category ring")
+    dims = {}
+    for t in corners:
+        for r in support(t):
+            dims[r] = dims.get(r, 0) + rank(t, r)
     values = {}
-    for r in C.vertices:
-        d = rank(r)
-        if d and M.generators:
-            rel = Matrix.block_diag(C.ring, [M.relations] * d)
-            values[r] = PresentedModule(C.ring, d * M.generators, rel)
+    if M.generators:
+        for r in sorted(dims, key=vertex_key):
+            rel = Matrix.block_diag(C.ring, [M.relations] * dims[r])
+            values[r] = PresentedModule(C.ring, dims[r] * M.generators, rel)
     one = Matrix.identity(C.ring, M.generators)
-    arrows = {a.name: action(a).kron(one) for a in C.quiver.arrows
-              if a.source in values or a.target in values}
+    arrows = {a.name: Matrix.block_diag(C.ring, [action(a, t) for t in corners]).kron(one)
+              for a in C.quiver.arrows if a.source in values or a.target in values}
     return Representation(C, values, arrows)
 
 
 def free_at(C: MeshCategory, q, M: PresentedModule) -> Representation:
     """Q(q, -) tensored with M: value M^rank Q(q, r) at r."""
-    return _tensor_functor(C, M, lambda r: C.d(q, r),
-                           lambda a: C.arrow_left_mult(a, q))
+    return _tensor_functor(C, M, [q], C.hom_targets, C.d, C.arrow_left_mult)
 
 
 def cofree_at(C: MeshCategory, q, M: PresentedModule) -> Representation:
     """Module-valued dual of Q(-, q): value M^rank Q(p, q) at p; the arrow
     a: s -> t acts by the transpose of - ∘ a: Q(t, q) -> Q(s, q)."""
-    return _tensor_functor(C, M, lambda p: C.d(p, q),
-                           lambda a: C.arrow_right_mult(a, q).transpose())
+    return _tensor_functor(C, M, [q], C.hom_sources, lambda t, p: C.d(p, t),
+                           lambda a, t: C.arrow_right_mult(a, t).transpose())
 
 
 def stalk_rep(C: MeshCategory, q, M: PresentedModule) -> Representation:
@@ -198,6 +200,13 @@ def stalk_rep(C: MeshCategory, q, M: PresentedModule) -> Representation:
 
 def representable_rep(C: MeshCategory, p) -> Representation:
     return free_at(C, p, PresentedModule.free(C.ring, 1))
+
+
+def representable_sum(C: MeshCategory, vertices) -> Representation:
+    """⊕ Q(t, -) over the vertices t, in order and with repeats; each arrow
+    acts by the block diagonal of its left multiplications."""
+    return _tensor_functor(C, PresentedModule.free(C.ring, 1), vertices,
+                           C.hom_targets, C.d, C.arrow_left_mult)
 
 
 # ---------------------------------------------------------------------------
@@ -277,16 +286,6 @@ def kernel_of_morphism(phi: RepMorphism):
                 f"kernel is not closed under {a.name}; phi is not natural")
     K = Representation(X.category, values, arrows)
     return K, incl
-
-
-def cokernel_of_morphism(phi: RepMorphism) -> Representation:
-    """Vertexwise cokernels: same generators as the target, more relations."""
-    Y = phi.target
-    values = {}
-    for v in set(Y.values):
-        rel = Matrix.hstack([phi.component(v), Y.value(v).relations])
-        values[v] = PresentedModule(Y.ring, Y.value(v).generators, rel)
-    return Representation(Y.category, values, dict(Y.arrow_maps))
 
 
 def zero_morphism(X: Representation, Y: Representation) -> RepMorphism:
@@ -393,16 +392,16 @@ def rep_to_complex(X: Representation) -> ChainComplex:
 # seeded random data for property suites
 # ---------------------------------------------------------------------------
 
-def random_complex(ring, rng, max_length=6, max_rank=4, bound=3) -> ChainComplex:
-    """Seeded random bounded complex with exact d^2 = 0.
+def random_complex(ring, rng) -> ChainComplex:
+    """Seeded random bounded complex with exact d^2 = 0, of length 1 to 6.
 
-    The first differential is drawn uniformly with entries in
-    [-bound, bound]; each later one is drawn from the kernel lattice of
-    its predecessor with small coefficients, retrying so entries stay
-    within the bound (falling back to a zero column when they will not).
+    Ranks are 0 to 4.  The first differential is drawn uniformly with
+    entries in [-3, 3]; each later one is drawn from the kernel lattice of
+    its predecessor with small coefficients, retrying so entries stay in
+    [-3, 3] (falling back to a zero column when they will not).
     """
-    length = rng.randint(1, max_length)
-    ranks = [rng.randint(0, max_rank) for _ in range(length + 1)]
+    length = rng.randint(1, 6)
+    ranks = [rng.randint(0, 4) for _ in range(length + 1)]
     modules = {k: PresentedModule.free(ring, r) for k, r in enumerate(ranks)}
     diffs = {}
     prev = None
@@ -412,7 +411,7 @@ def random_complex(ring, rng, max_length=6, max_rank=4, bound=3) -> ChainComplex
             prev = Matrix.zeros(ring, rows, cols)
             continue
         if prev is None or prev.cols == 0:
-            d = Matrix(ring, rows, cols, [rng.randint(-bound, bound)
+            d = Matrix(ring, rows, cols, [rng.randint(-3, 3)
                                           for _ in range(rows * cols)])
         else:
             K = kernel_basis(prev)
@@ -424,7 +423,7 @@ def random_complex(ring, rng, max_length=6, max_rank=4, bound=3) -> ChainComplex
                         break
                     cand = K * Matrix.column(
                         ring, [rng.randint(-1, 1) for _ in range(K.cols)])
-                    if ring.kind != INTEGERS or all(abs(x) <= bound for x in cand.entries):
+                    if ring.kind != INTEGERS or all(abs(x) <= 3 for x in cand.entries):
                         chosen = cand
                         break
                 cols_out.append(chosen)
@@ -435,19 +434,18 @@ def random_complex(ring, rng, max_length=6, max_rank=4, bound=3) -> ChainComplex
 
 
 def random_representation(C: MeshCategory, rng, summands=3):
-    """Random finitely presented representation.
-
-    Built as the cokernel of a random morphism between sums of
-    representables at interior vertices, which is automatically
-    mesh-valid and covers both exact and non-exact objects.  (On a
-    repetitive window a summand at the last column, where no vertex is
-    interior, would fail the support check.)
+    """Random finitely presented representation: the cokernel of a random
+    morphism ⊕ Q(s, -) -> ⊕ Q(t, -) between sums of representables at
+    interior vertices, which is automatically mesh-valid and covers both
+    exact and non-exact objects.  (On a repetitive window a summand at the
+    last column, where no vertex is interior, would fail the support
+    check.)  Written as its presentation: ⊕ Q(t, v) modulo the columns of
+    the morphism at v, with the arrows of ⊕ Q(t, -).
     """
     verts = C.quiver.interior_vertices()
     sources = [rng.choice(verts) for _ in range(rng.randint(1, summands))]
     targets = [rng.choice(verts) for _ in range(rng.randint(1, summands))]
     P = representable_sum(C, targets)
-    Pprime = representable_sum(C, sources)
     # one coefficient c per basis element e of Q(tv, sv); at v the block
     # of summands (tv, sv) is the sum of the c * (- ∘ e): Q(sv, v) -> Q(tv, v)
     coeffs = [[[(e, C.ring.canon(rng.randint(-2, 2)))
@@ -459,22 +457,17 @@ def random_representation(C: MeshCategory, rng, summands=3):
                     for e, c in terms if c),
                    Matrix.zeros(C.ring, C.d(tv, v), C.d(sv, v)))
 
-    comps = {v: Matrix.vstack([
+    values = {v: PresentedModule(C.ring, m.generators, Matrix.vstack([
         Matrix.hstack([block(tv, sv, terms, v) for sv, terms in zip(sources, row)])
-        for tv, row in zip(targets, coeffs)])
-        for v in set(P.values) | set(Pprime.values)}
-    return cokernel_of_morphism(RepMorphism(Pprime, P, comps))
+        for tv, row in zip(targets, coeffs)]))
+        for v, m in P.values.items()}
+    return Representation(C, values, P.arrow_maps)
 
 
-def representable_sum(C: MeshCategory, vertices) -> Representation:
-    return reduce(Representation.direct_sum,
-                  (representable_rep(C, v) for v in vertices))
-
-
-def random_free_representation(C: MeshCategory, rng, max_dim=3) -> Representation:
+def random_free_representation(C: MeshCategory, rng) -> Representation:
     """Random mesh-valid representation with free values over a finite field.
 
-    Each interior vertex gets a dimension in [0, max_dim], every other
+    Each interior vertex gets a dimension in [0, 3], every other
     vertex of a repetitive window 0, since only interior vertices may
     carry values.  The rising arrows a_q get uniform random matrices.
     Each arm of a mesh composes one rising and one falling arrow, so the
@@ -485,7 +478,7 @@ def random_free_representation(C: MeshCategory, rng, max_dim=3) -> Representatio
     if not (ring.is_field and ring.is_modular):
         raise InvalidParameter("the sampler needs a finite field")
     quiver = C.quiver
-    dims = {v: rng.randint(0, max_dim) if quiver.is_interior(v) else 0
+    dims = {v: rng.randint(0, 3) if quiver.is_interior(v) else 0
             for v in C.vertices}
     rising = {a: Matrix(ring, dims[a.target], dims[a.source],
                         [rng.randint(0, ring.modulus - 1)

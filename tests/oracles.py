@@ -9,12 +9,17 @@ states in closed form or by a shorter route.
   by kernel, then coordinates, then relations (three eliminations), the
   radical filtration read off every radical basis element, and path
   products started from an identity matrix.
+* Representations built the long way: functors that ask every vertex
+  for their rank, sums of representables folded from binary direct sums,
+  and random representations as the cokernel of a morphism between two
+  such sums.
 * Exhaustive checks over finite rings: coset enumeration, splitting and
   Baer's criterion, ideal membership, and maps induced on subquotients.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
 from math import gcd
 
@@ -26,6 +31,7 @@ from qshape.exactalg.rings import INTEGERS, INTEGERS_MOD, RATIONALS
 from qshape.homology import (KERNEL_EDGE, SIDE_CO, StalkResolution, _Side,
                              _start_resolution)
 from qshape.quiver import vertex_key
+from qshape.repmod import Representation, RepMorphism
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +268,78 @@ def evaluate_from_identity(X, elt) -> Matrix:
     for arrow in arrows:
         out = X.arrow_matrix(arrow) * out
     return out.scale(sign)
+
+
+# ---------------------------------------------------------------------------
+# representations built the long way
+# ---------------------------------------------------------------------------
+
+def tensor_functor_every_vertex(C, M: PresentedModule, rank,
+                                action) -> Representation:
+    """Value M^rank(r) at r, asked of every vertex r, and the arrow a acting
+    by action(a) ⊗ 1_M."""
+    values = {}
+    for r in C.vertices:
+        d = rank(r)
+        if d and M.generators:
+            rel = Matrix.block_diag(C.ring, [M.relations] * d)
+            values[r] = PresentedModule(C.ring, d * M.generators, rel)
+    one = Matrix.identity(C.ring, M.generators)
+    arrows = {a.name: action(a).kron(one) for a in C.quiver.arrows
+              if a.source in values or a.target in values}
+    return Representation(C, values, arrows)
+
+
+def free_at_every_vertex(C, q, M: PresentedModule) -> Representation:
+    return tensor_functor_every_vertex(C, M, lambda r: C.d(q, r),
+                                       lambda a: C.arrow_left_mult(a, q))
+
+
+def cofree_at_every_vertex(C, q, M: PresentedModule) -> Representation:
+    return tensor_functor_every_vertex(
+        C, M, lambda p: C.d(p, q),
+        lambda a: C.arrow_right_mult(a, q).transpose())
+
+
+def representable_sum_by_folding(C, vertices) -> Representation:
+    """⊕ Q(t, -) as a left fold of binary direct sums."""
+    one = PresentedModule.free(C.ring, 1)
+    return reduce(Representation.direct_sum,
+                  (free_at_every_vertex(C, v, one) for v in vertices))
+
+
+def cokernel_of_morphism(phi: RepMorphism) -> Representation:
+    """Vertexwise cokernels: same generators as the target, more relations."""
+    Y = phi.target
+    values = {}
+    for v in set(Y.values):
+        rel = Matrix.hstack([phi.component(v), Y.value(v).relations])
+        values[v] = PresentedModule(Y.ring, Y.value(v).generators, rel)
+    return Representation(Y.category, values, dict(Y.arrow_maps))
+
+
+def random_representation_by_cokernel(C, rng, summands=3) -> Representation:
+    """``random_representation``'s draws, built as the cokernel of the
+    morphism P' -> P between folded sums of representables."""
+    verts = C.quiver.interior_vertices()
+    sources = [rng.choice(verts) for _ in range(rng.randint(1, summands))]
+    targets = [rng.choice(verts) for _ in range(rng.randint(1, summands))]
+    P = representable_sum_by_folding(C, targets)
+    Pprime = representable_sum_by_folding(C, sources)
+    coeffs = [[[(e, C.ring.canon(rng.randint(-2, 2)))
+                for e in C.hom_basis(tv, sv)] for sv in sources]
+              for tv in targets]
+
+    def block(tv, sv, terms, v):
+        return sum((C.right_mult_matrix(C.ring.one, e, v).scale(c)
+                    for e, c in terms if c),
+                   Matrix.zeros(C.ring, C.d(tv, v), C.d(sv, v)))
+
+    comps = {v: Matrix.vstack([
+        Matrix.hstack([block(tv, sv, terms, v) for sv, terms in zip(sources, row)])
+        for tv, row in zip(targets, coeffs)])
+        for v in set(P.values) | set(Pprime.values)}
+    return cokernel_of_morphism(RepMorphism(Pprime, P, comps))
 
 
 # ---------------------------------------------------------------------------

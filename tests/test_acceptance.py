@@ -128,7 +128,7 @@ def test_criterion_07_chain_complex_bridge():
         rng = random.Random(7)
         C = MeshCategory(build_repetitive_an(2, (-10, 10)), ring)
         for _ in range(50):
-            cc = random_complex(ring, rng, max_length=6, max_rank=4, bound=3)
+            cc = random_complex(ring, rng)
             assert cc.is_complex()
             assert all(m.generators <= 4 for m in cc.modules.values())
             rep = complex_to_rep(C, cc)

@@ -54,6 +54,24 @@ class TestSchemas:
                             "window": [2, -2]})
         assert "/window" in str(err.value)
 
+    @pytest.mark.parametrize("window", ["junk", [1], [0, "1"], [True, 2]])
+    def test_double_window_is_checked(self, capsys, tmp_path, window):
+        # the double flavor reads no window, but used to accept any
+        f = tmp_path / "rep.json"
+        f.write_text(json.dumps({"category": {"flavor": "double_an", "n": 2,
+                                              "window": window},
+                                 "values": {}}))
+        code, out = run(capsys, "validate", "--input", str(f))
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "/category/window: window must be [i_min, i_max]",
+            "path": "/category/window"}
+
+    def test_double_category_without_window(self):
+        assert parse_category({"flavor": "double_an", "n": 2}).n == 2
+        assert parse_category({"flavor": "double_an", "n": 2,
+                               "window": None}).n == 2
+
     def test_bad_ring_path(self):
         with pytest.raises(SchemaError) as err:
             parse_category({"flavor": "double_an", "n": 2, "ring": {"mod": 6}})
@@ -169,7 +187,9 @@ class TestExitCodes:
         (["build", "--flavor", "repetitive_an", "--n", "2", "--window", "5",
           "-5"], "--window"),
         (["build", "--flavor", "repetitive_an", "--n", "1"], "--n"),
-    ], ids=["dims --n 1", "oracle --n -4", "window 5 -5", "repetitive --n 1"])
+        (["build", "--n", "2", "--window", "5", "-5"], "--window"),
+    ], ids=["dims --n 1", "oracle --n -4", "window 5 -5", "repetitive --n 1",
+            "double window 5 -5"])
     def test_bad_category_flag_is_exit_one_with_path(self, capsys, argv, path):
         # each printed an error without a path
         code, out = run(capsys, *argv)
@@ -185,6 +205,8 @@ class TestExitCodes:
         ("repetitive_an", -4, [0, 1], "n"),
         ("repetitive_an", 2, [5, -5], "window"),
         ("repetitive_an", 40, [5, -5], "n"),
+        ("double_an", 2, [5, -5], "window"),
+        ("double_an", 1, [5, -5], "n"),
     ])
     def test_flags_and_json_are_refused_alike(self, capsys, tmp_path,
                                               flavor, n, window, field):
@@ -402,6 +424,30 @@ class TestCommands:
         assert json.loads(out)["verdicts"] == {"ok": True, "max_len": 0}
         assert degrees == {0}
 
+    def test_oracle_mismatch_witnesses(self, capsys, monkeypatch):
+        # a broken oracle that adds a rank, loses one, and finds a hom
+        # outside hom_targets(p) is reported at each, whether its tables
+        # hold the zero ranks or not
+        oracle = MeshCategory.hom_basis_oracle
+
+        def broken(self, p, max_len=None):
+            tables = oracle(self, p, max_len)
+            if p == (1, 0):
+                tables[(2, 0)][1] += 1
+                tables[(1, 0)][0] = 0
+                tables.setdefault((1, 2), {})[3] = 1
+            return tables
+        monkeypatch.setattr(MeshCategory, "hom_basis_oracle", broken)
+        code, out = run(capsys, "oracle", "--flavor", "repetitive_an",
+                        "--n", "2", "--window", "-3", "3", "--max-len", "4")
+        assert code == 2
+        assert json.loads(out) == {
+            "command": "oracle", "tables": {},
+            "verdicts": {"ok": False, "max_len": 4},
+            "witnesses": {"1@0->2@0@1": {"oracle": 2, "closed": 1},
+                          "1@0->1@0@0": {"oracle": 0, "closed": 1},
+                          "1@0->1@2@3": {"oracle": 1, "closed": 0}}}
+
     @pytest.mark.parametrize("argv", [
         ["oracle", "--n", "32"],
         ["oracle", "--flavor", "repetitive_an", "--n", "5"],
@@ -449,7 +495,8 @@ class TestCommands:
         ["serre-check", "--flavor", "repetitive_an", "--n", "16"],
         ["build", "--flavor", "repetitive_an", "--n", "12"],
         ["dims", "--flavor", "repetitive_an", "--n", "24"],
-    ], ids=["serre-check n=16", "build n=12", "dims n=24"])
+        ["oracle", "--flavor", "repetitive_an", "--n", "16"],
+    ], ids=["serre-check n=16", "build n=12", "dims n=24", "oracle n=16"])
     def test_repetitive_scans_within_budget(self, capsys, argv):
         # these scans used to ask hom_basis about every vertex pair of the
         # default window (1,040 to 2,328 vertices) and cache each answer; on

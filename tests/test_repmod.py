@@ -13,9 +13,13 @@ from qshape.repmod import (ChainComplex, Representation, RepMorphism,
                            kernel_of_morphism, random_complex,
                            random_free_representation, random_morphism,
                            random_representation, rep_to_complex,
-                           representable_rep, stalk_rep,
+                           representable_rep, representable_sum, stalk_rep,
                            validate_morphism, validate_representation,
                            zero_morphism)
+
+from oracles import (cofree_at_every_vertex, free_at_every_vertex,
+                     random_representation_by_cokernel,
+                     representable_sum_by_folding)
 
 
 def double_cat(n, ring=ZZ):
@@ -243,3 +247,64 @@ class TestRandomReps:
                 draws = [random_free_representation(C, rng) for _ in range(15)]
                 assert all(validate_representation(X).ok for X in draws)
                 assert sum(not X.is_zero() for X in draws) >= 10
+
+
+RINGS = [ZZ, QQ, Zmod(3), Zmod(9)]
+
+
+def corpus(ring):
+    """Double A_2..A_5 and the repetitive windows the derived goldens use."""
+    cats = [double_cat(n, ring) for n in (2, 3, 4, 5)]
+    return cats + [rep_a2(ring), MeshCategory(build_repetitive_an(3, (-8, 8)), ring)]
+
+
+def assert_same_representation(X, Y):
+    """The same values, relations included, and the same arrow matrices
+    under the same names in the same order; value order is not compared."""
+    assert X.category is Y.category
+    assert X.values.keys() == Y.values.keys()
+    for v, m in X.values.items():
+        assert m.generators == Y.values[v].generators, v
+        assert m.relations == Y.values[v].relations, v
+    assert list(X.arrow_maps) == list(Y.arrow_maps)
+    for name, M in X.arrow_maps.items():
+        assert M == Y.arrow_maps[name], name
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=["Z", "Q", "F3", "Z9"])
+class TestAgainstLongRoutes:
+    """The constructions against the routes they replaced (tests/oracles.py):
+    every vertex asked for its rank, binary direct sums folded, and the
+    cokernel of a morphism between two sums of representables."""
+
+    def test_free_and_cofree(self, ring):
+        modules = [PresentedModule.free(ring, 0), PresentedModule.free(ring, 1),
+                   PresentedModule(ring, 2, Matrix.column(ring, [2, 0]))]
+        for C in corpus(ring):
+            for q in C.vertices:
+                for M in modules:
+                    assert_same_representation(free_at(C, q, M),
+                                               free_at_every_vertex(C, q, M))
+                    assert_same_representation(cofree_at(C, q, M),
+                                               cofree_at_every_vertex(C, q, M))
+
+    def test_representable_sums(self, ring):
+        for C in corpus(ring):
+            rng = random.Random(len(C.vertices))
+            lists = [[v] for v in C.vertices[::3]]
+            lists += [[v, v] for v in C.vertices[1::5]]
+            for _ in range(8):
+                drawn = [rng.choice(C.vertices) for _ in range(rng.randint(2, 5))]
+                lists.append(drawn + [drawn[0]])  # one repeat at least
+            for vertices in lists:
+                assert_same_representation(representable_sum(C, vertices),
+                                           representable_sum_by_folding(C, vertices))
+
+    def test_random_representations(self, ring):
+        for C in corpus(ring):
+            for seed in range(4):
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                X = random_representation(C, rng, summands=5)
+                Y = random_representation_by_cokernel(C, ref_rng, summands=5)
+                assert_same_representation(X, Y)
+                assert rng.random() == ref_rng.random()  # the same draws
