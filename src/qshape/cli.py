@@ -11,13 +11,15 @@ oracle mismatch, a mesh residual, an invariant breach).
 
 --max-degree sets the derived-homology depth (default 2).  It is at
 least 0 for homology and at least 1 for weq, whose verdict compares
-degrees 1 and up; a smaller value ends in exit 1 with a path.
+degrees 1 and up, and at most 64 (``MAX_DEGREE``); another value ends in
+exit 1 with a path.
 
-Input is bounded: --n and a JSON "n" are at most 32 (``io.MAX_N``), and
-a ring modulus, from "mod:M" or a JSON {"mod": M}, is below 2**31
-(``exactalg.rings.MAX_MODULUS``), and oracle --max-len is between 0 and
-64 (twice the largest n; the default is 2n).  Other values end in exit 1
-with a path.
+Input is bounded: --n and a JSON "n" are at most 32 (``io.MAX_N``), a
+rank and the rows and cols of a matrix in a JSON file are at most 128
+(``io.MAX_RANK``), a ring modulus, from "mod:M" or a JSON {"mod": M}, is
+below 2**31 (``exactalg.rings.MAX_MODULUS``), and oracle --max-len is
+between 0 and 64 (twice the largest n; the default is 2n).  Other values
+end in exit 1 with a path.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ from .repmod import (complex_to_rep, kernel_of_morphism, random_complex,
 
 # oracle --max-len: twice the largest n, the default path length at n = MAX_N
 MAX_LEN = 2 * MAX_N
+# --max-degree: also twice the largest n.  The cost grows linearly (5 s at
+# degree 64 on double A_32), and on double A_n the stalk resolutions repeat
+# with period 6 (sigma is an involution), so H_i = H_{i-6} from i = 7 on
+MAX_DEGREE = 2 * MAX_N
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -143,6 +149,8 @@ def _vertex_arg(text: str, quiver):
 def _max_degree(args, least: int) -> int:
     if args.max_degree < least:
         raise SchemaError("--max-degree", f"must be at least {least}")
+    if args.max_degree > MAX_DEGREE:
+        raise SchemaError("--max-degree", f"must be at most {MAX_DEGREE}")
     return args.max_degree
 
 

@@ -1,13 +1,13 @@
 """Smith normal form, kernels, and linear solving over the supported rings.
 
-Each ring has one elimination kernel, and its arithmetic stays in that ring:
+Each ring's arithmetic stays in that ring, and there are two eliminations:
 
-* Z: the integer Smith normal form ``_snf_int``, by division with remainder;
-* Z/p^k: the local Smith form ``_snf_local``.  Every nonzero element is a
-  power of p times a unit, so an entry of least p-adic valuation divides
-  every other entry: scaling its row by the inverse of its unit part and
-  one sweep clear its row and column.  Entries stay in [0, p^k), and the
-  diagonal comes out as powers of p (or 0);
+* Z and Z/p^k: the Smith form ``_smith``, by division with remainder, with
+  m = 0 over Z and m = p^k over Z/p^k.  Its pivot is an entry whose ideal
+  gcd(x, m) is least: the least |x| over Z, the least p-adic valuation
+  over Z/p^k.  Over Z/p^k the pivot row is scaled by the inverse of the
+  pivot's unit part, so the pivot is p^v, divides every entry left, and
+  one sweep clears its row and column; every entry stays in [0, p^k).
 * Q and Z/p: reduced row echelon form ``_rref``, on the raw entries
   (Fractions over Q, ints mod p over Z/p).
 
@@ -18,21 +18,25 @@ diagonal alone).
 
 from __future__ import annotations
 
+from math import gcd
+
 from ..errors import UnsupportedRing
 from .matrix import Matrix
 from .rings import INTEGERS, RATIONALS
 
 
 # ---------------------------------------------------------------------------
-# integer Smith normal form
+# Smith normal form over Z and Z/p^k
 # ---------------------------------------------------------------------------
 
-def _snf_int(entries, rows, cols):
-    """Return (S, U, V) as dense integer lists with U*M*V = S.
+def _smith(entries, rows, cols, m):
+    """Return (S, U, V) as dense integer lists with U*M*V = S, over Z when
+    m = 0 and over Z/m when m = p^k, with ``entries`` then in [0, m).
 
-    S is diagonal with d1 | d2 | ... >= 0; U, V are products of elementary
-    (unimodular) row/column operations.  A zero matrix is left untouched so
-    U and V come back as identities.
+    S is diagonal with d1 | d2 | ...: over Z the d_i are >= 0, over Z/p^k
+    they are powers of p below m (or 0), and every entry of S, U and V is
+    in [0, m).  U and V are products of elementary row/column operations.
+    A zero matrix is left untouched, so U and V come back as identities.
     """
     A = [list(entries[i * cols:(i + 1) * cols]) for i in range(rows)]
     U = [[int(i == j) for j in range(rows)] for i in range(rows)]
@@ -52,24 +56,24 @@ def _snf_int(entries, rows, cols):
 
     def add_row(src, dst, c):  # row_dst += c * row_src
         if c:
-            Ad, As = A[dst], A[src]
-            for k in range(cols):
-                Ad[k] += c * As[k]
-            Ud, Us = U[dst], U[src]
-            for k in range(rows):
-                Ud[k] += c * Us[k]
+            for X in (A, U):
+                Xd = X[dst]
+                for k, x in enumerate(X[src]):
+                    if x:
+                        Xd[k] = (Xd[k] + c * x) % m if m else Xd[k] + c * x
 
     def add_col(src, dst, c):  # col_dst += c * col_src
         if c:
-            for row in A:
-                row[dst] += c * row[src]
-            for row in V:
-                row[dst] += c * row[src]
+            for X in (A, V):
+                for row in X:
+                    x = row[src]
+                    if x:
+                        row[dst] = (row[dst] + c * x) % m if m else row[dst] + c * x
 
     t = 0
     n = min(rows, cols)
     while t < n:
-        # locate a pivot of minimal absolute value in A[t:, t:]
+        # the first entry of A[t:, t:], row by row, whose ideal gcd(x, m) is least
         pivot = None
         best = None
         for i in range(t, rows):
@@ -77,7 +81,7 @@ def _snf_int(entries, rows, cols):
             for j in range(t, cols):
                 x = Ai[j]
                 if x:
-                    a = abs(x)
+                    a = gcd(x, m)
                     if best is None or a < best:
                         best, pivot = a, (i, j)
                         if a == 1:
@@ -88,6 +92,11 @@ def _snf_int(entries, rows, cols):
             break
         swap_rows(t, pivot[0])
         swap_cols(t, pivot[1])
+        unit = A[t][t] // best
+        if m and unit != 1:  # scale the pivot to p^v = best
+            inv = pow(unit, -1, m)
+            A[t] = [x * inv % m for x in A[t]]
+            U[t] = [x * inv % m for x in U[t]]
 
         while True:
             # clear column t
@@ -112,6 +121,8 @@ def _snf_int(entries, rows, cols):
                         break
             if dirty:
                 continue
+            if m:  # p^v divides every entry left
+                break
             # pivot must divide every remaining entry
             culprit = None
             d = A[t][t]
@@ -136,85 +147,13 @@ def _snf_int(entries, rows, cols):
     return A, U, V
 
 
-# ---------------------------------------------------------------------------
-# local Smith normal form over Z/p^k
-# ---------------------------------------------------------------------------
-
-def _snf_local(entries, rows, cols, p, m):
-    """Return (S, U, V) as dense lists over Z/m, m = p^k, with U*M*V = S.
-
-    ``entries`` are canonical, in [0, m).  The diagonal of S is p^v for
-    nondecreasing v < k, then zeros; every entry of S, U and V lies in
-    [0, m).  A zero matrix is left untouched.
-    """
-    A = [list(entries[i * cols:(i + 1) * cols]) for i in range(rows)]
-    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    VT = [[int(i == j) for j in range(cols)] for i in range(cols)]  # columns of V
-
-    for t in range(min(rows, cols)):
-        # a pivot of least p-adic valuation in A[t:, t:]
-        best = None
-        for i in range(t, rows):
-            Ai = A[i]
-            for j in range(t, cols):
-                x = Ai[j]
-                if x:
-                    v = 0
-                    while x % p == 0:
-                        x //= p
-                        v += 1
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-                        if v == 0:
-                            break
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        v, i, j = best
-        if i != t:
-            A[t], A[i] = A[i], A[t]
-            U[t], U[i] = U[i], U[t]
-        if j != t:
-            for row in A[t:]:  # rows above t vanish in these columns
-                row[t], row[j] = row[j], row[t]
-            VT[t], VT[j] = VT[j], VT[t]
-        d = p ** v
-        At, Ut = A[t], U[t]
-        unit = At[t] // d
-        if unit != 1:  # scale the pivot to d by the inverse of its unit part
-            inv = pow(unit, -1, m)
-            At[:] = [x * inv % m for x in At]
-            Ut[:] = [x * inv % m for x in Ut]
-        support = [k for k in range(t + 1, cols) if At[k]]
-        usupport = [k for k in range(rows) if Ut[k]]
-        # clear column t; the pivot divides every entry below it
-        for i in range(t + 1, rows):
-            Ai = A[i]
-            x = Ai[t]
-            if x:
-                c = x // d
-                Ai[t] = 0
-                for k in support:
-                    Ai[k] = (Ai[k] - c * At[k]) % m
-                Ui = U[i]
-                for k in usupport:
-                    Ui[k] = (Ui[k] - c * Ut[k]) % m
-        # clear row t; column t is now zero off the pivot, so only V moves
-        Vt = VT[t]
-        vsupport = [r for r in range(cols) if Vt[r]]
-        for k in support:
-            c = At[k] // d
-            At[k] = 0
-            Vk = VT[k]
-            for r in vsupport:
-                Vk[r] = (Vk[r] - c * Vt[r]) % m
-
-    return A, U, [list(row) for row in zip(*VT)]
+def _snf_int(entries, rows, cols):
+    """``_smith`` over Z: the entry ``smith_normal_form`` calls for Z."""
+    return _smith(entries, rows, cols, 0)
 
 
 def smith_normal_form(M: Matrix):
-    """(S, U, V) with U*M*V = S over Z or Z/p^k.
+    """(S, U, V) with U*M*V = S over Z or Z/p^k, from ``_smith``.
 
     The diagonal satisfies d1 | d2 | ...; over Z the entries are >= 0,
     over Z/p^k they are powers of p below p^k (or 0).  Raises
@@ -226,8 +165,7 @@ def smith_normal_form(M: Matrix):
     if ring.kind == INTEGERS:
         S, U, V = _snf_int(M.entries, M.rows, M.cols)
     else:
-        S, U, V = _snf_local(M.entries, M.rows, M.cols, ring.prime,
-                             ring.modulus)
+        S, U, V = _smith(M.entries, M.rows, M.cols, ring.modulus)
     return (Matrix._trusted(ring, M.rows, M.cols, [x for row in S for x in row]),
             Matrix._trusted(ring, M.rows, M.rows, [x for r in U for x in r]),
             Matrix._trusted(ring, M.cols, M.cols, [x for r in V for x in r]))

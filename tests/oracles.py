@@ -13,6 +13,8 @@ states in closed form or by a shorter route.
   for their rank, sums of representables folded from binary direct sums,
   and random representations as the cokernel of a morphism between two
   such sums.
+* The Smith forms over Z and Z/p^k as two eliminations: division with
+  remainder over Z, and the one-sweep local form over Z/p^k.
 * Exhaustive checks over finite rings: coset enumeration, splitting and
   Baer's criterion, ideal membership, and maps induced on subquotients.
 """
@@ -340,6 +342,195 @@ def random_representation_by_cokernel(C, rng, summands=3) -> Representation:
         for tv, row in zip(targets, coeffs)])
         for v in set(P.values) | set(Pprime.values)}
     return cokernel_of_morphism(RepMorphism(Pprime, P, comps))
+
+
+# ---------------------------------------------------------------------------
+# Smith forms over Z and Z/p^k as two eliminations
+# ---------------------------------------------------------------------------
+
+def snf_int(entries, rows, cols):
+    """Return (S, U, V) as dense integer lists with U*M*V = S, by division
+    with remainder: the integer Smith form before Z and Z/p^k shared one.
+
+    S is diagonal with d1 | d2 | ... >= 0; U, V are products of elementary
+    (unimodular) row/column operations.  A zero matrix is left untouched so
+    U and V come back as identities.
+    """
+    A = [list(entries[i * cols:(i + 1) * cols]) for i in range(rows)]
+    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i, j):
+        if i != j:
+            A[i], A[j] = A[j], A[i]
+            U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for row in A:
+                row[i], row[j] = row[j], row[i]
+            for row in V:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, c):  # row_dst += c * row_src
+        if c:
+            Ad, As = A[dst], A[src]
+            for k in range(cols):
+                Ad[k] += c * As[k]
+            Ud, Us = U[dst], U[src]
+            for k in range(rows):
+                Ud[k] += c * Us[k]
+
+    def add_col(src, dst, c):  # col_dst += c * col_src
+        if c:
+            for row in A:
+                row[dst] += c * row[src]
+            for row in V:
+                row[dst] += c * row[src]
+
+    t = 0
+    n = min(rows, cols)
+    while t < n:
+        # locate a pivot of minimal absolute value in A[t:, t:]
+        pivot = None
+        best = None
+        for i in range(t, rows):
+            Ai = A[i]
+            for j in range(t, cols):
+                x = Ai[j]
+                if x:
+                    a = abs(x)
+                    if best is None or a < best:
+                        best, pivot = a, (i, j)
+                        if a == 1:
+                            break
+            if best == 1:
+                break
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+
+        while True:
+            # clear column t
+            dirty = False
+            for i in range(t + 1, rows):
+                if A[i][t]:
+                    q = A[i][t] // A[t][t]
+                    add_row(t, i, -q)
+                    if A[i][t]:  # remainder strictly smaller: re-pivot
+                        swap_rows(t, i)
+                        dirty = True
+            if dirty:
+                continue
+            # clear row t
+            for j in range(t + 1, cols):
+                if A[t][j]:
+                    q = A[t][j] // A[t][t]
+                    add_col(t, j, -q)
+                    if A[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            # pivot must divide every remaining entry
+            culprit = None
+            d = A[t][t]
+            for i in range(t + 1, rows):
+                Ai = A[i]
+                for j in range(t + 1, cols):
+                    if Ai[j] % d:
+                        culprit = i
+                        break
+                if culprit is not None:
+                    break
+            if culprit is None:
+                break
+            add_row(culprit, t, 1)  # fold the bad row in and restart
+        if A[t][t] < 0:
+            for k in range(cols):
+                A[t][k] = -A[t][k]
+            for k in range(rows):
+                U[t][k] = -U[t][k]
+        t += 1
+
+    return A, U, V
+
+
+def snf_local(entries, rows, cols, p, m):
+    """Return (S, U, V) as dense lists over Z/m, m = p^k, with U*M*V = S,
+    by the one-sweep local form: the Z/p^k Smith form before Z and Z/p^k
+    shared one.
+
+    ``entries`` are canonical, in [0, m).  The diagonal of S is p^v for
+    nondecreasing v < k, then zeros; every entry of S, U and V lies in
+    [0, m).  A zero matrix is left untouched.
+    """
+    A = [list(entries[i * cols:(i + 1) * cols]) for i in range(rows)]
+    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    VT = [[int(i == j) for j in range(cols)] for i in range(cols)]  # columns of V
+
+    for t in range(min(rows, cols)):
+        # a pivot of least p-adic valuation in A[t:, t:]
+        best = None
+        for i in range(t, rows):
+            Ai = A[i]
+            for j in range(t, cols):
+                x = Ai[j]
+                if x:
+                    v = 0
+                    while x % p == 0:
+                        x //= p
+                        v += 1
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+                        if v == 0:
+                            break
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        v, i, j = best
+        if i != t:
+            A[t], A[i] = A[i], A[t]
+            U[t], U[i] = U[i], U[t]
+        if j != t:
+            for row in A[t:]:  # rows above t vanish in these columns
+                row[t], row[j] = row[j], row[t]
+            VT[t], VT[j] = VT[j], VT[t]
+        d = p ** v
+        At, Ut = A[t], U[t]
+        unit = At[t] // d
+        if unit != 1:  # scale the pivot to d by the inverse of its unit part
+            inv = pow(unit, -1, m)
+            At[:] = [x * inv % m for x in At]
+            Ut[:] = [x * inv % m for x in Ut]
+        support = [k for k in range(t + 1, cols) if At[k]]
+        usupport = [k for k in range(rows) if Ut[k]]
+        # clear column t; the pivot divides every entry below it
+        for i in range(t + 1, rows):
+            Ai = A[i]
+            x = Ai[t]
+            if x:
+                c = x // d
+                Ai[t] = 0
+                for k in support:
+                    Ai[k] = (Ai[k] - c * At[k]) % m
+                Ui = U[i]
+                for k in usupport:
+                    Ui[k] = (Ui[k] - c * Ut[k]) % m
+        # clear row t; column t is now zero off the pivot, so only V moves
+        Vt = VT[t]
+        vsupport = [r for r in range(cols) if Vt[r]]
+        for k in support:
+            c = At[k] // d
+            At[k] = 0
+            Vk = VT[k]
+            for r in vsupport:
+                Vk[r] = (Vk[r] - c * Vt[r]) % m
+
+    return A, U, [list(row) for row in zip(*VT)]
 
 
 # ---------------------------------------------------------------------------

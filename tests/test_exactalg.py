@@ -11,10 +11,10 @@ from qshape.exactalg import (Matrix, ModuleMap, PresentedModule, QQ, ZZ, Zmod,
                              field_rank, kernel_basis, matrix_is_invertible,
                              middle_homology, smith_normal_form, solve,
                              solve_matrix)
-from qshape.exactalg.smith import _snf_int, _snf_local
+from qshape.exactalg.smith import _smith, _snf_int
 
 from oracles import (brute_force_injective, brute_force_projective, divides,
-                     elements, induced_map_on_subquotient)
+                     elements, induced_map_on_subquotient, snf_int, snf_local)
 
 
 def snf_diag(M):
@@ -528,9 +528,57 @@ class TestLocalSmith:
         start = time.perf_counter()
         for _ in range(10):
             M = random_matrix(rng, ring, 16, 16)
-            S, U, V = _snf_local(M.entries, 16, 16, 3, 9)
+            S, U, V = _smith(M.entries, 16, 16, 9)
             assert all(0 <= x < 9 for rows in (S, U, V) for row in rows
                        for x in row)
             Sm, Um, Vm = smith_normal_form(M)
             assert Um * M * Vm == Sm
         assert time.perf_counter() - start < 5.0
+
+
+class TestOneSmith:
+    """``_smith`` gives the very (S, U, V) of the two eliminations it
+    replaced: division with remainder over Z and the one-sweep local form
+    over Z/p^k (both in oracles.py)."""
+
+    MODULI = (4, 8, 9, 25, 27, 81)
+
+    @staticmethod
+    def shapes(rng, count):
+        yield from ((r, c) for r in range(9) for c in range(9) if not r * c)
+        for _ in range(count):
+            yield rng.randint(1, 8), rng.randint(1, 8)
+
+    @staticmethod
+    def low_rank(rng, r, c, draw, m):
+        """A product through k <= 3 columns, reduced mod m when m > 0."""
+        k = rng.randint(0, 3)
+        A, B = [draw() for _ in range(r * k)], [draw() for _ in range(k * c)]
+        out = [sum(A[i * k + l] * B[l * c + j] for l in range(k))
+               for i in range(r) for j in range(c)]
+        return [x % m for x in out] if m else out
+
+    def test_integers_match_division_with_remainder(self):
+        rng = random.Random("one smith Z")
+        draw = lambda: rng.randint(-9, 9)
+        for r, c in self.shapes(rng, 150):
+            for entries in ([draw() for _ in range(r * c)],
+                            self.low_rank(rng, r, c, draw, 0)):
+                assert _smith(entries, r, c, 0) == snf_int(entries, r, c), \
+                    (r, c, entries)
+                assert _snf_int(entries, r, c) == snf_int(entries, r, c)
+
+    @pytest.mark.parametrize("m", MODULI)
+    def test_prime_powers_match_the_local_form(self, m):
+        rng = random.Random(f"one smith Z/{m}")
+        p = Zmod(m).prime
+        k = Zmod(m).exponent
+        draw = lambda: rng.randrange(m)
+        unit = lambda: rng.choice([u for u in range(1, m) if u % p])
+        for r, c in self.shapes(rng, 60):
+            for entries in ([draw() for _ in range(r * c)],
+                            self.low_rank(rng, r, c, draw, m),
+                            [p ** rng.randint(0, k) * unit() % m
+                             for _ in range(r * c)]):
+                assert _smith(entries, r, c, m) == \
+                    snf_local(entries, r, c, p, m), (r, c, entries)

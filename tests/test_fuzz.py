@@ -2,6 +2,7 @@
 
 Derandomized hypothesis runs feed ``validate --input -`` near-valid and
 malformed representation documents (ranks and matrix sizes at most 3),
+documents with ranks and matrix shapes at and past ``io.MAX_RANK``,
 ``homology --vertex`` arbitrary strings on ``fixtures/counter_X.json``,
 and ``dims``/``build`` small ``--flavor``, ``--n`` and ``--window`` flags.
 Whatever the input, the exit code is 0, 1 or 2, stdout is one JSON
@@ -12,6 +13,7 @@ import contextlib
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,7 @@ from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from qshape.cli import main  # noqa: E402
-from qshape.io import parse_category  # noqa: E402
+from qshape.io import MAX_RANK as CAP, parse_category  # noqa: E402
 from qshape.quiver import format_vertex  # noqa: E402
 
 COUNTER_X = Path(__file__).resolve().parents[1] / "fixtures" / "counter_X.json"
@@ -165,6 +167,43 @@ def test_validate_raw_text(text):
 def test_homology_vertex_strings(text):
     check_contract(*run_cli(["homology", "--input", str(COUNTER_X),
                              f"--vertex={text}"]))
+
+
+@settings(FUZZ, max_examples=60)
+@given(st.sampled_from([0, 1, CAP, CAP + 1, 10_000]),
+       st.sampled_from([None, 0, 1, CAP, CAP + 1]),
+       st.sampled_from([None, (1, 1), (1, CAP + 1), (CAP + 1, 0)]),
+       st.sampled_from(["Z", {"mod": 9}]))
+def test_ranks_and_shapes_at_the_cap(rank, relation_cols, arrow_shape, ring):
+    # a rank past the cap, or a relation or arrow matrix past it, is refused
+    # at its path before any elimination; up to the cap the document runs
+    rows = min(rank, CAP + 1)  # a relation matrix has one row per generator
+    zero = "0" if ring == "Z" else 0
+    value = {"rank": rank}
+    if relation_cols is not None:
+        value["relations"] = {"rows": rows, "cols": relation_cols,
+                              "entries": [zero] * (rows * relation_cols)}
+    doc = {"category": {"flavor": "double_an", "n": 2, "ring": ring},
+           "values": {"1": value}}
+    if arrow_shape is not None:
+        r, c = arrow_shape
+        doc["arrows"] = {"a1*": {"rows": r, "cols": c, "entries": [zero] * (r * c)}}
+    start = time.perf_counter()
+    code, out = run_cli(["validate", "--input", "-"], json.dumps(doc))
+    assert time.perf_counter() - start < 1.0
+    check_contract(code, out)
+    report = json.loads(out)
+    if rank > CAP:
+        assert code == 1 and report["path"] == "/values/1/rank"
+    elif relation_cols is not None and max(rows, relation_cols) > CAP:
+        assert code == 1 and report["path"] == "/values/1/relations"
+    elif arrow_shape is not None:  # a1*: 2 -> 1, so rank rows and 0 cols
+        assert code == 1 and report["path"] == "/arrows/a1*"
+        assert report["error"].endswith(
+            f"at most {CAP}" if max(arrow_shape) > CAP
+            else f"expected a {rank}x0 matrix")
+    else:
+        assert code == 0
 
 
 @settings(FUZZ, max_examples=80)
