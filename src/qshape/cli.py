@@ -15,7 +15,8 @@ degrees 1 and up, and at most 64 (``MAX_DEGREE``); another value ends in
 exit 1 with a path.
 
 Input is bounded: --n and a JSON "n" are at most 32 (``io.MAX_N``), a
-rank and the rows and cols of a matrix in a JSON file are at most 128
+window spans at most 129 columns (``io.MAX_WINDOW``), a rank and the
+rows and cols of a matrix in a JSON file are at most 128
 (``io.MAX_RANK``), a ring modulus, from "mod:M" or a JSON {"mod": M}, is
 below 2**31 (``exactalg.rings.MAX_MODULUS``), and oracle --max-len is
 between 0 and 64 (twice the largest n; the default is 2n).  Other values
@@ -32,8 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 
-from .errors import (InvalidMorphism, InvalidParameter, QShapeError,
-                     WindowTooSmall)
+from .errors import InvalidMorphism, InvalidParameter, QShapeError
 from .exactalg import BaseRing
 from .fixtures import COUNTER_LABELS, counter_morphism
 from .homology import (SIDE_CN, SIDE_CO, classify_object, homology_report,
@@ -259,10 +259,7 @@ def cmd_homology(args):
     if args.vertex is not None:
         vertices = [_vertex_arg(args.vertex, X.category.quiver)]
     sides = {"both": (SIDE_CN, SIDE_CO), "cn": (SIDE_CN,), "co": (SIDE_CO,)}
-    try:
-        tables = homology_report(X, vertices, max_degree, sides[args.side])
-    except WindowTooSmall as exc:  # only a vertex given by --vertex can leave
-        raise SchemaError("--vertex", str(exc)) from None
+    tables = homology_report(X, vertices, max_degree, sides[args.side])
     return Report("homology", verdicts={"max_degree": max_degree},
                   tables=tables), EXIT_OK
 

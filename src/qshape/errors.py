@@ -17,10 +17,6 @@ class NotWellDefined(QShapeError):
     """A map does not respect the relations of its source or target."""
 
 
-class BoundaryVertex(QShapeError):
-    """The vertex has a truncated mesh; the operation needs a full one."""
-
-
 class EndpointMismatch(QShapeError):
     """Morphism endpoints do not line up for composition."""
 

@@ -24,6 +24,11 @@ result is the minimal resolution.  The elimination-built resolutions it
 replaced are kept in the test suite as oracles, and exactness at every
 level is asserted there.
 
+Every answer is one on the infinite quiver ZA_n: a representation on a
+window is zero off it, every rule here reads coordinates only, and the
+probes of the decision procedures run past the window wherever homology
+can be nonzero.
+
 Everything is desk-scale exact arithmetic: homology groups come back as
 presented modules in invariant-factor normal form.
 """
@@ -33,12 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .errors import InvalidMorphism, InvalidParameter, WindowTooSmall
+from .errors import InvalidMorphism, InvalidParameter
 from .exactalg import (Matrix, ModuleMap, PresentedModule, middle_homology,
                        induced_on_homology)
 from .exactalg.modules import HomologyData
 from .meshcat import MeshCategory
-from .quiver import DOUBLE_AN, format_vertex
+from .quiver import DOUBLE_AN, format_vertex, vertex_at
 from .repmod import Representation, RepMorphism, validate_morphism
 
 SIDE_CO = "co"   # covariant stalk: resolves S_[q>, derives H^i (cohomology)
@@ -62,10 +67,12 @@ class CornerValues:
 
 
 def _arrow_elts(C: MeshCategory, q, out: bool):
-    """Basis elements of the arrows out of (out) or into q: the degree-one
-    part of C.radical_out(q) or C.radical_in(q), in the same order."""
-    arrows = C.quiver.arrows_out_of(q) if out else C.quiver.arrows_into(q)
-    return [e for _, e in map(C.arrow_elt, arrows)]
+    """Basis elements of the arrows out of (out) or into q, at any vertex:
+    the arrows into q are those of its mesh, and the arrows out of q are
+    the ones paired with them in the mesh at tau^-1(q), one column down."""
+    row, col = C._coords(q)
+    mesh = C.quiver.mesh_at(vertex_at(row, col, -1) if out else q)
+    return [e for _, e in map(C.arrow_elt, mesh.paired if out else mesh.arrows)]
 
 
 def radical_filtration(X: Representation, q, power: int):
@@ -118,7 +125,7 @@ def corner_functors(X: Representation, q) -> CornerValues:
 
 def mesh_complex(X: Representation, q):
     """The three-term complex X(tau q) -> ⊕ X(p_i) -> X(q) of the mesh at q."""
-    mesh = X.category.quiver.mesh_at(q)  # raises BoundaryVertex when truncated
+    mesh = X.category.quiver.mesh_at(q)
     first, *rest = [X.value(a.source) for a in mesh.arrows]
     middle = first.direct_sum(*rest)
     f = ModuleMap(X.value(mesh.tau_vertex), middle,
@@ -180,8 +187,6 @@ class _Side:
         # entries act on a summand's values by precomposition on side co
         # (values Q(r, s)) and by postcomposition on side cn (values Q(s, r))
         self._entry_mult = C.right_mult_matrix if co else C.left_mult_matrix
-        # summands reach n-1 columns below (co) or above (cn) their vertex
-        self._reach = (1 - C.n) if co else (C.n - 1)
         # μ = τ^-1 (co) or τ (cn) moves one column; σ(q) is S(μ q) on side co
         # and S^-1(μ q) = τ^(n-1) S(μ q) on side cn, as S^2 = τ^(1-n)
         self._mu_shift = -1 if co else 1
@@ -204,16 +209,9 @@ class _Side:
         return [(e, self.ends(e.source, e.target)[1])
                 for e in _arrow_elts(self.C, q, self.side == SIDE_CO)]
 
-    def margin_ok(self, r) -> bool:
-        """Summand supports must stay inside the window for exactness."""
-        if self.C.flavor == DOUBLE_AN:
-            return True
-        i_min, i_max = self.C.quiver.window
-        return i_min <= r[1] + self._reach <= i_max
-
     def _shift(self, v, cols: int):
         row, col = self.C._coords(v)
-        return self.C._vertex(row, col, cols)
+        return vertex_at(row, col, cols)
 
     def mesh_end(self, q):
         """μ(q), where the arms of the mesh at q meet: the level-2 summand."""
@@ -272,19 +270,9 @@ def _assemble(ring, blocks, row_dims, col_dims):
     return Matrix._trusted(ring, rows, cols, out)
 
 
-KERNEL_EDGE = "resolution kernel reaches the window edge; widen the window"
-
-
-def _start_resolution(eng: _Side, q, head_of) -> StalkResolution:
-    """Levels zero and one: the vertex q and one summand per element of
-    head_of(q), which is read once q is known to lie in the window."""
-    if not eng.margin_ok(q):
-        raise WindowTooSmall(f"stalk resolution at {format_vertex(q)} "
-                             "reaches outside the window")
-    head = head_of(q)
-    for _, r in head:
-        if not eng.margin_ok(r):
-            raise WindowTooSmall("resolution summand too close to the window edge")
+def _start_resolution(eng: _Side, q, head) -> StalkResolution:
+    """Levels zero and one: the vertex q and one summand per (entry, vertex)
+    of head."""
     one = eng.C.ring.one
     bd1 = {(0, b): ((one, e),) for b, (e, _) in enumerate(head)}
     return StalkResolution(eng.side, q, [[q], [r for _, r in head]],
@@ -312,16 +300,16 @@ def resolve_stalk(C: MeshCategory, q, side: str, length: int) -> StalkResolution
 
     This is the periodicity Ω³S_q ≅ S_σ(q) of the mesh algebras of type A
     (Brenner-Butler-King, "Periodic algebras which are almost Koszul",
-    2002); over a field the resolution is minimal.  Every summand is
-    checked against the window edge.  Results are cached on the category,
-    and a cached resolution is extended in place when a longer one is
-    asked for.
+    2002); over a field the resolution is minimal.  The rules read
+    coordinates only, so every vertex of ZA_n has its resolution, inside
+    the window or not.  Results are cached on the category, and a cached
+    resolution is extended in place when a longer one is asked for.
     """
     key = (q, side)
     res = C._resolution_cache.get(key)
     if res is None:
         eng = _Side(C, side)
-        res = C._resolution_cache[key] = _start_resolution(eng, q, eng.head)
+        res = C._resolution_cache[key] = _start_resolution(eng, q, eng.head(q))
     while res.length() < length:
         terms, entries = _next_level(res)
         res.terms.append(terms)
@@ -338,17 +326,12 @@ def _next_level(res: StalkResolution):
     if i >= 4:
         # level i - 3 of σ(q)'s resolution; when σ(q) = q that is this
         # resolution, which is cached before it is extended
-        try:
-            src = resolve_stalk(C, eng.serre_end(res.vertex), res.side, i - 3)
-        except WindowTooSmall:
-            raise WindowTooSmall(KERNEL_EDGE) from None
+        src = resolve_stalk(C, eng.serre_end(res.vertex), res.side, i - 3)
         return list(src.terms[i - 3]), dict(src.boundaries[i - 3])
     if i == 2:
         r, degree, signs = eng.mesh_end(res.vertex), 1, (ring.one, ring.neg(ring.one))
     else:
         r, degree, signs = eng.serre_end(res.vertex), C.top_degree(), (ring.one,)
-    if not eng.margin_ok(r):
-        raise WindowTooSmall(KERNEL_EDGE)
     entries = {}
     for b, (a, sign) in enumerate(zip(res.terms[i - 1], signs)):
         e = next(x for x in C.hom_basis(*eng.ends(a, r)) if x.degree == degree)
@@ -432,15 +415,16 @@ def derived_homology_map(phi: RepMorphism, q, side: str, degree: int,
 # ---------------------------------------------------------------------------
 
 def homology_probe_vertices(C: MeshCategory, support, below: int, above: int):
-    """Interior vertices from `below` columns under the lowest column of
-    `support` to `above` columns over its highest; on the double flavor,
-    every vertex."""
+    """The vertices of ZA_n, in vertex order, from `below` columns under the
+    lowest column of `support` to `above` columns over its highest, inside
+    the window or not; on the double flavor, every vertex."""
     if C.flavor == DOUBLE_AN:
         return list(C.vertices)
     if not support:
         return []
     lo, hi = min(v[1] for v in support), max(v[1] for v in support)
-    return [v for v in C.quiver.band(lo, -below, hi - lo + above) if C.is_interior(v)]
+    return [(row, col) for col in range(lo - below, hi + above + 1)
+            for row in range(1, C.n + 1)]
 
 
 def _cn_probes(X: Representation, Y: Representation, max_degree: int):
@@ -543,16 +527,6 @@ def zero_test(X: Representation) -> dict:
             "witness": witness}
 
 
-def _resolutions_fit(C: MeshCategory, q, sides, length: int) -> bool:
-    """Whether the stalk resolutions at q on every side stay in the window."""
-    try:
-        for side in sides:
-            resolve_stalk(C, q, side, length)
-    except WindowTooSmall:
-        return False
-    return True
-
-
 def homology_report(X: Representation, vertices=None, max_degree: int = 2,
                     sides=(SIDE_CN, SIDE_CO)) -> dict:
     """Mesh homology plus derived (co)homology per vertex, as normal forms.
@@ -560,26 +534,16 @@ def homology_report(X: Representation, vertices=None, max_degree: int = 2,
     Keys: "mesh" maps vertex labels to module descriptions; "H_" and
     "H^" map "i at vertex" to descriptions for i = 0..max_degree.
 
-    Without ``vertices`` the report covers every interior vertex whose
-    stalk resolutions on the requested sides fit in the window out to
-    length max_degree + 1; "skipped" then lists the interior vertices
-    whose resolutions do not (the key is absent when there are none).
+    Without ``vertices`` the report covers every interior vertex of the
+    window.  Every group is the one on ZA_n, where X is zero off the
+    window, so a given vertex may lie anywhere in ZA_n.
     """
-    C = X.category
-    skipped = []
     if vertices is None:
-        vertices = []
-        for q in C.vertices:
-            if C.is_interior(q):
-                fits = _resolutions_fit(C, q, sides, max_degree + 1)
-                (vertices if fits else skipped).append(q)
+        vertices = X.category.quiver.interior_vertices()
     report = {"mesh": {}, "H_": {}, "H^": {}}
-    if skipped:
-        report["skipped"] = [format_vertex(q) for q in skipped]
     for q in vertices:
         label = format_vertex(q)
-        if C.is_interior(q):
-            report["mesh"][label] = mesh_homology(X, q).describe()
+        report["mesh"][label] = mesh_homology(X, q).describe()
         for side, key in ((SIDE_CN, "H_"), (SIDE_CO, "H^")):
             if side in sides:
                 for i, mod in derived_homology(X, q, side, max_degree).items():

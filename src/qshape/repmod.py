@@ -74,17 +74,24 @@ class Representation:
     def evaluate_matrix(self, coeff, elt: BasisElement) -> Matrix:
         """Matrix of X(coeff * elt) on generators.
 
-        The path product starts from the first arrow's matrix, so only an
-        identity element builds an identity matrix.  coeff must be an
-        exact element of the ring, as in ``Matrix.scale``."""
+        coeff must be an exact element of the ring, as in ``Matrix.scale``.
+        Where X vanishes at either end, which is everywhere off the window,
+        the matrix is zero; otherwise elt's path stays in the window, and
+        the product starts from the first arrow's matrix, so only an
+        identity element builds an identity matrix."""
+        coeff = self.ring.element(coeff)
+        rows = self.value(elt.target).generators
+        cols = self.value(elt.source).generators
+        if not rows or not cols:
+            return Matrix.zeros(self.ring, rows, cols)
         sign, arrows = self.category.basis_path(elt)
         if not arrows:
-            out = Matrix.identity(self.ring, self.value(elt.source).generators)
+            out = Matrix.identity(self.ring, cols)
         else:
             out = self.arrow_matrix(arrows[0])
             for arrow in arrows[1:]:
                 out = self.arrow_matrix(arrow) * out
-        return out.scale(self.ring.mul(self.ring.element(coeff), sign))
+        return out.scale(self.ring.mul(coeff, sign))
 
     # -- constructions -----------------------------------------------------------
 

@@ -4,7 +4,10 @@ states in closed form or by a shorter route.
 * Stalk resolutions grown level by level from vertexwise kernels: the
   corner cover, which built every resolution before the closed form, and
   the basis-indexed resolution with its greedy cover.  Both start from
-  a scan of the whole radical at the resolved vertex.
+  a scan of the whole radical at the resolved vertex.  They eliminate in
+  the category truncated to the window, which agrees with ZA_n only
+  away from its edge, so they refuse (WindowTooSmall) a summand whose
+  support reaches past it.
 * The derived-homology plumbing before its fast paths: middle homology
   by kernel, then coordinates, then relations (three eliminations), the
   radical filtration read off every radical basis element, and path
@@ -30,15 +33,39 @@ from qshape.exactalg import (HomologyData, Matrix, ModuleMap, PresentedModule,
                              coordinates_mod, kernel_basis,
                              preimage_generators, solve, solve_matrix)
 from qshape.exactalg.rings import INTEGERS, INTEGERS_MOD, RATIONALS
-from qshape.homology import (KERNEL_EDGE, SIDE_CO, StalkResolution, _Side,
-                             _start_resolution)
-from qshape.quiver import vertex_key
+from qshape.homology import SIDE_CO, StalkResolution, _Side, _start_resolution
+from qshape.quiver import DOUBLE_AN, format_vertex, vertex_key
 from qshape.repmod import Representation, RepMorphism
 
 
 # ---------------------------------------------------------------------------
 # stalk resolutions by elimination
 # ---------------------------------------------------------------------------
+
+KERNEL_EDGE = "resolution kernel reaches the window edge; widen the window"
+
+
+def margin_ok(eng: _Side, r) -> bool:
+    """Whether the support of the summand at r, which reaches n-1 columns
+    below (side co) or above (side cn) it, stays inside the window."""
+    C = eng.C
+    if C.flavor == DOUBLE_AN:
+        return True
+    i_min, i_max = C.quiver.window
+    reach = (1 - C.n) if eng.side == SIDE_CO else (C.n - 1)
+    return i_min <= r[1] + reach <= i_max
+
+
+def _start_in_window(eng: _Side, q, head) -> StalkResolution:
+    """Levels zero and one, refused where a summand's support leaves the
+    window."""
+    if not margin_ok(eng, q):
+        raise WindowTooSmall(f"stalk resolution at {format_vertex(q)} "
+                             "reaches outside the window")
+    if not all(margin_ok(eng, r) for _, r in head):
+        raise WindowTooSmall("resolution summand too close to the window edge")
+    return _start_resolution(eng, q, head)
+
 
 def _support(eng: _Side, r):
     """The vertices s where the r-summand's value is nonzero."""
@@ -73,8 +100,8 @@ def corner_cover_resolution(C, q, side: str, length: int) -> StalkResolution:
     covers the vertexwise kernels by lifts of generators of their
     corners.  Nothing is cached."""
     eng = _Side(C, side)
-    res = _start_resolution(
-        eng, q, lambda v: [(e, r) for e, r in radical_head(eng, v) if e.degree == 1])
+    res = _start_in_window(
+        eng, q, [(e, r) for e, r in radical_head(eng, q) if e.degree == 1])
     _extend_resolution(res, length, _corner_cover)
     return res
 
@@ -87,7 +114,7 @@ def basis_indexed_resolution(C, q, side: str, length: int) -> StalkResolution:
     are greedy covers of the vertexwise kernels.  Nothing is cached.
     """
     eng = _Side(C, side)
-    res = _start_resolution(eng, q, lambda v: radical_head(eng, v))
+    res = _start_in_window(eng, q, radical_head(eng, q))
     _extend_resolution(res, length, _greedy_cover)
     return res
 
@@ -103,10 +130,9 @@ def _extend_resolution(res: StalkResolution, length: int, cover):
         # first and the greedy cover picks it
         spots = sorted(set().union(*(_support(eng, r) for r in cur)),
                        key=vertex_key)
-        if C.quiver.has_tau(res.vertex):
-            tau_v = C.quiver.tau(res.vertex)
-            if tau_v in spots:
-                spots = [tau_v] + [s for s in spots if s != tau_v]
+        tau_v = C.quiver.tau(res.vertex)
+        if tau_v in spots:
+            spots = [tau_v] + [s for s in spots if s != tau_v]
         kernels = {s: kernel_basis(res.level_matrix(i, s)) for s in spots}
         chosen = cover(eng, cur, spots, kernels)
         new_terms = []
@@ -159,7 +185,7 @@ def _corner_cover(eng: _Side, cur, spots, kernels):
             v = K.column_matrix(col)
             if v.is_zero or (span.cols and solve(span, v) is not None):
                 continue
-            if not eng.margin_ok(s):
+            if not margin_ok(eng, s):
                 raise WindowTooSmall(KERNEL_EDGE)
             chosen.append((s, K.col(col)))
             span = Matrix.hstack([span, v])
@@ -190,7 +216,7 @@ def _greedy_cover(eng: _Side, cur, spots, kernels):
                 if spanned is not None and spanned.cols \
                         and solve(spanned, v) is not None:
                     continue
-                if not eng.margin_ok(s):
+                if not margin_ok(eng, s):
                     raise WindowTooSmall(KERNEL_EDGE)
                 chosen.append((s, K.col(col)))
                 changed = True

@@ -7,14 +7,15 @@ from pathlib import Path
 import pytest
 
 from qshape import QQ, ZZ, Zmod, MeshCategory, Matrix, PresentedModule, \
-    build_double_an
+    build_double_an, build_repetitive_an
 from qshape.cli import Report, build_parser, main
 from qshape.fixtures import counter_morphism
 from qshape.io import (SchemaError, dumps, morphism_json, parse_category,
                        parse_morphism, parse_representation,
                        representation_json)
-from qshape.quiver import format_vertex
-from qshape.repmod import free_at
+from qshape.homology import homology_report
+from qshape.quiver import format_vertex, parse_vertex
+from qshape.repmod import Representation, free_at
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 DATA = Path(__file__).resolve().parent / "data"
@@ -180,6 +181,39 @@ class TestExitCodes:
         report = json.loads(out)
         assert set(report) == {"error", "path"}
         assert report["path"] == path
+
+    @pytest.mark.parametrize("argv, category, path", [
+        (["build", "--flavor", "repetitive_an", "--n", "2", "--window",
+          "-100000", "100000"], None, "--window"),
+        (["dims", "--flavor", "repetitive_an", "--n", "2", "--window", "-64",
+          "65"], None, "--window"),
+        (None, {"flavor": "repetitive_an", "n": 2, "ring": "Z",
+                "window": [-100000, 100000]}, "/category/window"),
+        (None, {"flavor": "double_an", "n": 2, "ring": "Z",
+                "window": [-10000, 10000]}, "/category/window"),
+    ], ids=["--window 200001 columns", "--window 130 columns",
+            "JSON window 200001 columns", "JSON double window 20001 columns"])
+    def test_window_wider_than_the_cap_is_refused(self, capsys, tmp_path,
+                                                  argv, category, path):
+        # validate on the window [-10000, 10000] took 2.3 s, building every
+        # vertex and arrow of it, and the cost grows with the width
+        if argv is None:
+            f = tmp_path / "rep.json"
+            f.write_text(json.dumps({"category": category, "values": {}}))
+            argv = ["validate", "--input", str(f)]
+        start = time.perf_counter()
+        code, out = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        report = json.loads(out)
+        assert set(report) == {"error", "path"}
+        assert report["path"] == path
+
+    def test_window_at_the_cap_is_accepted(self, capsys):
+        code, out = run(capsys, "dims", "--flavor", "repetitive_an", "--n", "2",
+                        "--window", "-64", "64")
+        assert code == 0
+        assert json.loads(out)["verdicts"]["ok"] is True
 
     @pytest.mark.parametrize("argv, path", [
         (["dims", "--n", "1"], "--n"),
@@ -361,14 +395,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("fixture, vertex", [
         ("counter_X.json", "xyz"), ("counter_X.json", "2@3@4"),
         ("counter_X.json", "9"), ("counter_X.json", "1@99"),
-        ("counter_X.json", "1@-8"), (None, "7"), (None, "")],
+        ("counter_X.json", "1@-9"), (None, "7"), (None, "")],
         ids=["not a vertex", "two @", "double id on repetitive",
              "outside the window", "resolution leaves the window",
              "outside double A_3", "empty"])
     def test_bad_vertex_is_exit_one_with_path(self, capsys, rep_file,
                                               fixture, vertex):
         # the first three ended in a traceback, the next three printed an
-        # error without a path, and an empty one reported every vertex
+        # error without a path, and an empty one reported every vertex.
+        # 1@-8, whose resolution leaves the window (-8, 10), is answered
+        # now; 1@-9, one column past the window, is still refused as input
         path = rep_file if fixture is None else str(FIXTURES / fixture)
         code, out = run(capsys, "homology", "--input", path, "--vertex", vertex)
         assert code == 1
@@ -378,16 +414,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("vertex", ["1@-5", "2@-4", "2@6"])
     def test_refusal_past_level_one_keeps_the_kernel_text(self, capsys, vertex):
-        # levels from four on are copied from the resolution at sigma(q);
-        # a refusal there keeps the text of level two and up, not level one's
-        code, out = run(capsys, "homology", "--input",
-                        str(FIXTURES / "counter_X.json"), "--vertex", vertex,
-                        "--max-degree", "3")
-        assert code == 1
-        assert json.loads(out) == {
-            "error": "--vertex: resolution kernel reaches the window edge; "
-                     "widen the window",
-            "path": "--vertex"}
+        # these were refused from level four on, which is copied from the
+        # resolution at sigma(q); now they are answered, as on a window
+        # wide enough for every resolution
+        path = FIXTURES / "counter_X.json"
+        code, out = run(capsys, "homology", "--input", str(path),
+                        "--vertex", vertex, "--max-degree", "3")
+        assert code == 0
+        X = parse_representation(json.loads(path.read_text()))
+        W = MeshCategory(build_repetitive_an(X.category.n, (-60, 60)), X.ring)
+        want = homology_report(Representation(W, X.values, X.arrow_maps),
+                               [parse_vertex(vertex)], 3)
+        assert json.loads(out)["tables"] == want
 
     @pytest.mark.parametrize("doc, path", [
         ({"values": "abc"}, "/values"),
@@ -585,16 +623,19 @@ class TestCommands:
         assert data["tables"]["H_"]["1 at 2"] == "Z/2 + Z"
 
     def test_homology_without_vertex_skips_what_leaves_the_window(self, capsys):
+        # the interior vertices whose resolutions left the window, 1@-8
+        # among them, were listed as "skipped"; now each one is answered
         path = (FIXTURES / "counter_X.json").as_posix()
         code, out = run(capsys, "homology", "--input", path)
         assert code == 0
         tables = json.loads(out)["tables"]
-        assert "1@-8" in tables["skipped"]
+        assert "skipped" not in tables
         X = parse_representation(json.loads(Path(path).read_text()))
         interior = {format_vertex(q)
                     for q in X.category.quiver.interior_vertices()}
-        assert set(tables["mesh"]) | set(tables["skipped"]) == interior
-        assert not set(tables["mesh"]) & set(tables["skipped"])
+        assert set(tables["mesh"]) == interior
+        assert {k.split(" at ")[1] for k in tables["H_"]} == interior
+        assert "1@-8" in interior
         code, out = run(capsys, "homology", "--input", path, "--vertex", "2@0")
         single = json.loads(out)["tables"]
         for key in ("mesh", "H_", "H^"):

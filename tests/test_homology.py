@@ -7,7 +7,7 @@ import pytest
 
 from qshape import Matrix, MeshCategory, PresentedModule, QQ, ZZ, Zmod, \
     build_double_an, build_repetitive_an
-from qshape.errors import BoundaryVertex, InvalidParameter, WindowTooSmall
+from qshape.errors import InvalidParameter
 from qshape import homology
 from qshape.exactalg import kernel_basis, solve
 from qshape.fixtures import COUNTER_LABELS, counter_morphism
@@ -18,11 +18,11 @@ from qshape.homology import (SIDE_CN, SIDE_CO, classify_object,
                              mesh_homology, mesh_homology_map,
                              radical_filtration, resolve_stalk, zero_test)
 from qshape.quiver import DOUBLE_AN, format_vertex
-from qshape.repmod import (cofree_at, free_at, identity_morphism,
-                           kernel_of_morphism, random_free_representation,
-                           random_morphism, random_representation,
-                           representable_rep, stalk_rep,
-                           validate_representation, zero_morphism)
+from qshape.repmod import (Representation, cofree_at, free_at,
+                           identity_morphism, kernel_of_morphism,
+                           random_free_representation, random_morphism,
+                           random_representation, representable_rep,
+                           stalk_rep, validate_representation, zero_morphism)
 
 import oracles
 from oracles import basis_indexed_resolution
@@ -40,17 +40,31 @@ def repetitive_cats(ring):
             MeshCategory(build_repetitive_an(3, (-8, 8)), ring)]
 
 
-def fitting(construct, C, q, side, length):
-    """The resolution, or None where it does not fit the window."""
-    try:
-        return construct(C, q, side, length)
-    except WindowTooSmall:
-        return None
+# a window of ZA_n wide enough for the elimination oracles, which refuse a
+# resolution whose support leaves their window
+WIDE = (-60, 60)
 
 
-def assert_exact(C, q, res):
+def wide(C):
+    """The same category on the window WIDE; double A_n has no window."""
+    if C.flavor == DOUBLE_AN:
+        return C
+    return MeshCategory(build_repetitive_an(C.n, WIDE), C.ring)
+
+
+def where_nonzero(C, res):
+    """The vertices of ZA_n where a level of res can be nonzero: each
+    summand's support lies within n columns of it."""
+    if C.flavor == DOUBLE_AN:
+        return C.vertices
+    cols = [r[1] for level in res.terms for r in level]
+    return [(row, col) for col in range(min(cols) - C.n, max(cols) + C.n + 1)
+            for row in range(1, C.n + 1)]
+
+
+def assert_exact(C, q, res, vertices=None):
     ring = C.ring
-    for s in C.vertices:
+    for s in C.vertices if vertices is None else vertices:
         d1 = res.level_matrix(1, s)
         coker = PresentedModule(ring, d1.rows, d1).normal_form()
         want = PresentedModule.free(ring, 1 if s == q else 0).normal_form()
@@ -153,10 +167,20 @@ class TestMeshHomology:
                     assert mesh_homology(R, q).is_zero, (n, p, q)
 
     def test_boundary_vertex_refused(self):
+        # the mesh at 1@2, on the edge of the window (0, 2), used to raise
+        # BoundaryVertex; every mesh of ZA_n now reads X as zero off the
+        # window, as the same X does on a window that holds the mesh
         C = MeshCategory(build_repetitive_an(2, (0, 2)), ZZ)
-        X = stalk_rep(C, (1, 0), PresentedModule.free(ZZ, 1))
-        with pytest.raises(BoundaryVertex):
-            mesh_homology(X, (1, 2))
+        W = wide(C)
+        for p in C.vertices:
+            X = stalk_rep(C, p, PresentedModule.free(ZZ, 1))
+            Y = Representation(W, X.values, X.arrow_maps)
+            for q in W.quiver.band(0, -3, 5):
+                assert mesh_homology(X, q).normal_form() == \
+                    mesh_homology(Y, q).normal_form(), (p, q)
+        X = stalk_rep(C, (1, 2), PresentedModule.free(ZZ, 1))
+        assert mesh_homology(X, (1, 2)).is_zero
+        assert mesh_homology(X, (2, 2)).describe() == "Z"
 
 
 class TestResolutions:
@@ -178,17 +202,18 @@ class TestResolutions:
                 assert len(res.terms[1]) == len(C.radical_in(q))
 
     def test_head_has_one_summand_per_arrow(self):
+        # the arrows at q are read off a window that holds all of them
         for ring in ALL_RINGS:
             cats = [double_cat(n, ring) for n in (2, 3, 5)] + repetitive_cats(ring)
             for C in cats:
-                for q in C.quiver.interior_vertices():
-                    heads = {SIDE_CO: [a.target for a in C.quiver.arrows_out_of(q)],
-                             SIDE_CN: [a.source for a in C.quiver.arrows_into(q)]}
+                quiver = wide(C).quiver
+                for q in C.vertices:
+                    heads = {SIDE_CO: [a.target for a in quiver.arrows_out_of(q)],
+                             SIDE_CN: [a.source for a in quiver.arrows_into(q)]}
                     for side, want in heads.items():
-                        res = fitting(resolve_stalk, C, q, side, 1)
-                        if res is not None:
-                            assert sorted(res.terms[1], key=format_vertex) == \
-                                sorted(want, key=format_vertex)
+                        res = resolve_stalk(C, q, side, 1)
+                        assert sorted(res.terms[1], key=format_vertex) == \
+                            sorted(want, key=format_vertex)
 
     def test_periodic_level_sizes(self):
         # the double A_n mesh category is the preprojective algebra of A_n,
@@ -214,13 +239,17 @@ class TestResolutions:
         assert chosen == [(2, K.col(0)), (2, K.col(2))]
 
     def test_vertex_outside_the_window_is_refused_on_both_sides(self):
-        # side co used to check only the lower edge, and resolved 1@100 on
-        # the window (-6, 6) as if the vertex were inside it
+        # both were refused (side co once resolved 1@100 from the window's
+        # truncated data); the rules read coordinates only, so the
+        # resolution at a vertex off the window is the one on a window
+        # that holds it
         C = MeshCategory(build_repetitive_an(2, (-6, 6)), ZZ)
-        for q in ((1, 100), (2, -100)):
+        for q, window in (((1, 100), (90, 110)), ((2, -100), (-110, -90))):
+            D = MeshCategory(build_repetitive_an(2, window), ZZ)
             for side in (SIDE_CN, SIDE_CO):
-                with pytest.raises(WindowTooSmall):
-                    resolve_stalk(C, q, side, 1)
+                got, want = resolve_stalk(C, q, side, 7), resolve_stalk(D, q, side, 7)
+                assert got.terms == want.terms
+                assert got.boundaries == want.boundaries
 
     def test_cached_resolution_extends_in_place(self):
         C = double_cat(4, QQ)
@@ -253,28 +282,28 @@ class TestResolutions:
                     for q in C.vertices:
                         for side in (SIDE_CN, SIDE_CO):
                             assert_exact(C, q, construct(C, q, side, 7))
-        fitted = 0
+        # on ZA_n at every vertex of the windows, where the resolution
+        # lives; the oracle on a window wide enough for it
+        checked = 0
         for construct in (resolve_stalk, basis_indexed_resolution):
             for ring in (ZZ, Zmod(3), Zmod(4)):
                 for C in repetitive_cats(ring):
+                    W = wide(C) if construct is basis_indexed_resolution else C
                     for q in C.quiver.interior_vertices():
                         for side in (SIDE_CN, SIDE_CO):
-                            res = fitting(construct, C, q, side, 7)
-                            if res is not None:
-                                fitted += 1
-                                assert_exact(C, q, res)
-        assert fitted > 100
+                            res = construct(W, q, side, 7)
+                            assert_exact(W, q, res, where_nonzero(C, res))
+                            checked += 1
+        assert checked == 2 * 3 * 2 * (2 * 12 + 3 * 16)
 
 
     def test_closed_form_matches_the_corner_cover(self):
-        # per-level summand multisets and refusals (with their text) against
-        # the elimination-built resolutions the closed form replaced: every
-        # vertex of double A_2..A_6, and a seeded sample of repetitive windows
+        # per-level summand multisets against the elimination-built
+        # resolutions the closed form replaced: every vertex of double
+        # A_2..A_6, and every vertex of a seeded sample of repetitive
+        # windows against the oracle on a window wide enough for it
         def outcome(construct, C, q, side, length):
-            try:
-                res = construct(C, q, side, length)
-            except WindowTooSmall as exc:
-                return str(exc)
+            res = construct(C, q, side, length)
             # a cached resolution may be longer than asked for
             return [sorted(t, key=format_vertex) for t in res.terms[:length + 1]]
 
@@ -289,20 +318,21 @@ class TestResolutions:
         shapes = [(n, window) for n in (2, 3, 4)
                   for window in ((0, 0), (-1, 1), (-3, 3), (-2 * n, 2 * n),
                                  (5, 9), (-9, 2))]
-        seen = set()
+        past_the_edge = 0
         for n, window in rng.sample(shapes, 12):
             C = MeshCategory(build_repetitive_an(n, window), rng.choice(ALL_RINGS))
+            W = wide(C)
             for q in rng.sample(C.vertices, min(10, len(C.vertices))):
                 for side in (SIDE_CN, SIDE_CO):
                     for length in range(1, 8):
                         got = outcome(resolve_stalk, C, q, side, length)
                         assert got == outcome(oracles.corner_cover_resolution,
-                                              C, q, side, length), \
+                                              W, q, side, length), \
                             (n, window, q, side, length)
-                        seen.add(got if isinstance(got, str) else "fits")
-        assert {"fits", "resolution summand too close to the window edge",
-                homology.KERNEL_EDGE} <= seen
-        assert any(s.startswith("stalk resolution at") for s in seen)
+                        past_the_edge += any(not C.quiver.has_vertex(r)
+                                             for level in got for r in level)
+        # resolutions that the window used to refuse are among them
+        assert past_the_edge > 100
 
     def test_serre_end_inverts_the_serre_functor_on_side_cn(self):
         # sigma(q) = S(mu q) on side co and S^-1(mu q) on side cn
@@ -331,9 +361,7 @@ class TestResolutions:
             for C in cats:
                 for q in C.vertices:
                     for side in (SIDE_CN, SIDE_CO):
-                        res = fitting(resolve_stalk, C, q, side, 3)
-                        if res is None:
-                            continue
+                        res = resolve_stalk(C, q, side, 3)
                         checked += 1
                         eng = res._engine
                         arms = len(res.terms[1])
@@ -375,10 +403,11 @@ class TestResolutions:
         assert time.perf_counter() - start < 2.0
         start = time.perf_counter()
         C = MeshCategory(build_repetitive_an(16, (-32, 32)), ZZ)
-        fitted = sum(fitting(resolve_stalk, C, q, side, 7) is not None
+        # every vertex resolves; 1026 of the 2080 fitted the window's margin
+        fitted = sum(len(resolve_stalk(C, q, side, 7).terms) == 8
                      for q in C.vertices for side in (SIDE_CN, SIDE_CO))
         assert time.perf_counter() - start < 5.0
-        assert fitted == 1026
+        assert fitted == 2080
 
 class TestDerived:
     def test_degree_zero_identities(self):
@@ -465,27 +494,26 @@ class TestDerived:
 
 
     def test_minimal_and_basis_indexed_resolutions_agree(self, monkeypatch):
-        # every H_i/H^i normal form through the corner-cover resolution
-        # equals the one through the basis-indexed oracle, wherever the
-        # oracle fits the window
+        # every H_i/H^i normal form through the closed-form resolution
+        # equals the one through the basis-indexed oracle, at every interior
+        # vertex: the oracle reads the same X on a window wide enough for it
         compared = 0
         for ring in ALL_RINGS:
             for C in [double_cat(3, ring)] + repetitive_cats(ring):
                 rng = random.Random(f"differential:{ring!r}:{C.quiver.flavor}:{C.n}")
-                oracles = {}
-                for q in C.quiver.interior_vertices():
-                    for side in (SIDE_CN, SIDE_CO):
-                        res = fitting(basis_indexed_resolution, C, q, side, 3)
-                        if res is not None:
-                            oracles[(q, side)] = res
+                W = wide(C)
+                oracles = {(q, side): basis_indexed_resolution(W, q, side, 3)
+                           for q in C.quiver.interior_vertices()
+                           for side in (SIDE_CN, SIDE_CO)}
                 for _ in range(12 if C.flavor == DOUBLE_AN else 3):
                     X = random_representation(C, rng)
+                    Y = Representation(W, X.values, X.arrow_maps)
                     for (q, side), oracle in oracles.items():
                         minimal = derived_homology(X, q, side, 2)
                         with monkeypatch.context() as m:
                             m.setattr(homology, "resolve_stalk",
                                       lambda *args, oracle=oracle: oracle)
-                            indexed = derived_homology(X, q, side, 2)
+                            indexed = derived_homology(Y, q, side, 2)
                         for i in range(3):
                             assert minimal[i].normal_form() == \
                                 indexed[i].normal_form(), (ring, C, q, side, i)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qshape.errors import BoundaryVertex, InvalidParameter
+from qshape.errors import InvalidParameter
 from qshape.quiver import build_double_an, build_repetitive_an
 
 
@@ -67,9 +67,35 @@ class TestRepetitive:
         assert mesh.tau_vertex == (2, 1)
 
     def test_mesh_at_boundary_raises(self):
+        # the mesh at the window's last column used to raise BoundaryVertex;
+        # it is the mesh of ZA_n, as on a window that holds it, with its
+        # arrows one column past the edge
         G = build_repetitive_an(2, (-2, 2))
-        with pytest.raises(BoundaryVertex):
-            G.mesh_at((1, 2))
+        mesh = G.mesh_at((1, 2))
+        assert [a.name for a in mesh.arrows] == ["a1*@3"]
+        assert [a.name for a in mesh.paired] == ["a1@3"]
+        assert mesh.tau_vertex == (1, 3)
+        assert not G.has_vertex(mesh.arrows[0].source)
+        assert mesh == build_repetitive_an(2, (-2, 4)).mesh_at((1, 2))
+        for v in ((0, 2), (3, 2)):  # no such row of ZA_2
+            with pytest.raises(InvalidParameter):
+                G.mesh_at(v)
+
+    def test_mesh_rule_matches_the_window_tables(self):
+        # at every vertex of a window, the arrows of the mesh that lie in
+        # the window are the arrows into it, in the same order, and each
+        # is paired with the window's arrow tau(v) -> source; the names
+        # a9@.. and a10*@.. sort against row order, as the tables do
+        for G in (build_repetitive_an(11, (-3, 3)), build_double_an(11)):
+            for v in G.vertices:
+                mesh = G.mesh_at(v)
+                inside = tuple(a for a in mesh.arrows if G.has_vertex(a.source))
+                assert inside == G.arrows_into(v)
+                for a, sa in zip(mesh.arrows, mesh.paired):
+                    assert (sa.source, sa.target) == (G.tau(v), a.source)
+                    assert G.sigma(a) == sa
+                    if G.is_interior(v):
+                        assert G.arrow(a.name) == a and G.arrow(sa.name) == sa
 
     def test_stability_on_interior(self):
         G = build_repetitive_an(4, (-4, 4))

@@ -17,7 +17,6 @@ import pytest
 from qshape import Matrix, MeshCategory, QQ, ZZ, Zmod, build_double_an, \
     build_repetitive_an
 from qshape.cli import main
-from qshape.errors import WindowTooSmall
 from qshape.exactalg import kernel_basis, smith_normal_form, solve_matrix
 from qshape.fixtures import counter_morphism
 from qshape.homology import (SIDE_CN, SIDE_CO, classify_object,
@@ -99,10 +98,7 @@ def test_resolutions_and_derived_homology(trusted_checked):
                 classify_object(X)
                 for q in C.quiver.interior_vertices():
                     for side in (SIDE_CN, SIDE_CO):
-                        try:
-                            derived_homology(X, q, side, 3)
-                        except WindowTooSmall:
-                            continue
+                        derived_homology(X, q, side, 3)
                         computed += 1
     assert computed > 400
     assert len(trusted_checked) > 10000

@@ -1,0 +1,101 @@
+"""Answers on ZA_n: a representation on a repetitive window is the one on
+ZA_n that is zero off it, so every answer is the one read on a window
+wide enough to hold all the homology.
+
+A narrow window used to refuse vertices whose stalk resolutions left it,
+and its probes stopped at its edge, so verdicts could miss homology just
+outside it.  These tests draw on narrow windows and compare with the same
+values carried to the window (-60, 60), where nothing reaches the edge.
+"""
+
+import json
+import random
+
+import pytest
+
+from qshape import Matrix, MeshCategory, QQ, ZZ, Zmod, build_repetitive_an
+from qshape.cli import main
+from qshape.homology import (SIDE_CN, SIDE_CO, classify_object,
+                             derived_homology, is_weak_equivalence)
+from qshape.io import dumps, morphism_json, representation_json
+from qshape.repmod import Representation, RepMorphism, random_representation
+
+RINGS = (ZZ, QQ, Zmod(3), Zmod(9))
+SHAPES = ((2, (-3, 3)), (3, (-4, 4)), (2, (-6, 6)), (4, (-6, 6)))
+WIDE = (-60, 60)
+SEEDS = range(4)
+
+
+def draw(n, window, ring, seed):
+    """X from seed on the window, and the same values on WIDE."""
+    C = MeshCategory(build_repetitive_an(n, window), ring)
+    X = random_representation(C, random.Random(seed), summands=3)
+    W = MeshCategory(build_repetitive_an(n, WIDE), ring)
+    return X, Representation(W, X.values, X.arrow_maps)
+
+
+def tripled(X):
+    """3 · 1_X."""
+    return RepMorphism(X, X, {v: Matrix.identity(X.ring, m.generators).scale(3)
+                              for v, m in X.values.items()})
+
+
+def answers(X, near):
+    """classify, weq(3 · 1_X), and H_0..H_2 / H^0..H^2 at the vertices
+    near, as normal forms."""
+    out = {"classify": classify_object(X).describe(),
+           "weq": is_weak_equivalence(tripled(X), 2)}
+    for q in near:
+        for side in (SIDE_CN, SIDE_CO):
+            H = derived_homology(X, q, side, 2)
+            out[(side, q)] = [H[i].normal_form() for i in range(3)]
+    return out
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_narrow_windows_answer_as_the_wide_one(ring):
+    # every vertex within 3n columns of the support, both sides; the
+    # window used to refuse most of them near its edge
+    compared = off_window = 0
+    for n, window in SHAPES:
+        for seed in SEEDS:
+            X, Y = draw(n, window, ring, seed)
+            cols = [v[1] for v in X.support]
+            near = [(row, col) for col in range(min(cols) - 3 * n, max(cols) + 3 * n + 1)
+                    for row in range(1, n + 1)]
+            assert answers(X, near) == answers(Y, near), (n, window, seed)
+            compared += 1
+            off_window += sum(not X.category.quiver.has_vertex(q) for q in near)
+    assert compared == len(SHAPES) * len(SEEDS)
+    assert off_window > 100
+
+
+def run(capsys, tmp_path, command, doc):
+    f = tmp_path / "input.json"
+    f.write_text(dumps(doc))
+    code = main([command, "--input", str(f)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_classify_sees_homology_below_the_window(capsys, tmp_path):
+    # seed 7 on repetitive A_2 (-3, 3) over Z: mesh homology Z at 1@-4,
+    # one column below the window; classify said is_exact: true
+    X, Y = draw(2, (-3, 3), ZZ, 7)
+    code, report = run(capsys, tmp_path, "classify", representation_json(X))
+    assert code == 0
+    assert report["verdicts"]["is_exact"] is False
+    assert report["verdicts"]["is_projective"] is False
+    assert classify_object(Y).is_exact is False
+    assert ["1@-4", "Z"] in report["witnesses"]["nonvanishing_mesh_homology"]
+
+
+def test_weq_sees_homology_below_the_window(capsys, tmp_path):
+    # 3 · 1_X for seed 7 on repetitive A_2 (-6, 6) over Z: H_1 at 1@-7 and
+    # H_2 at 2@-7 are not isomorphisms; weq said is_weak_equivalence: true
+    X, Y = draw(2, (-6, 6), ZZ, 7)
+    code, report = run(capsys, tmp_path, "weq", morphism_json(tripled(X)))
+    assert code == 0
+    assert report["verdicts"]["is_weak_equivalence"] is False
+    table = report["tables"]["isomorphisms"]
+    assert table["1@-7 degree 1"] is False and table["2@-7 degree 2"] is False
+    assert is_weak_equivalence(tripled(Y))["iso_table"][("1@-7", 1)] is False
