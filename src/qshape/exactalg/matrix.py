@@ -86,9 +86,6 @@ class Matrix:
     def col(self, j):
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def column_matrix(self, j) -> "Matrix":
-        return Matrix._trusted(self.ring, self.rows, 1, self.col(j))
-
     def columns(self):
         return [self.col(j) for j in range(self.cols)]
 

@@ -128,9 +128,6 @@ class BaseRing:
             raise InvalidParameter(f"{x!r} is not an exact element of {self!r}")
         return self.canon(x)
 
-    def add(self, a, b):
-        return self.canon(a + b)
-
     def mul(self, a, b):
         return self.canon(a * b)
 

@@ -1,19 +1,14 @@
-"""Corner functors, mesh homology, stalk resolutions, and the decision
-procedures for exactness, projectivity, injectivity, and weak equivalence.
+"""Stalk resolutions, the (co)homology functors they define, and the
+decision procedures for exactness, projectivity, injectivity, and weak
+equivalence.
 
-The two corner functors at a vertex q are
-
-* K_q(X): the intersection of the kernels of X(g) over the finite basis
-  of radical morphisms g out of q, a submodule of X(q);
-* C_q(X): the quotient of X(q) by the images of X(f) over the radical
-  basis morphisms f into q.
-
-Derived versions are computed from projective resolutions of the two
-stalk functors at q.  Side co resolves the covariant stalk by summands
-Q(r, -) and derives H^i; side cn resolves the contravariant stalk by
-summands Q(-, r) and derives H_i.  Each side is the other read in Q^op,
-so the engine is written once: a pair (a, b) read on side co is read as
-(b, a) on side cn, and _Side.ends is the only place that decides it.
+The (co)homology functors at a vertex q are computed from projective
+resolutions of the two stalk functors at q.  Side co resolves the
+covariant stalk by summands Q(r, -) and derives H^i; side cn resolves
+the contravariant stalk by summands Q(-, r) and derives H_i.  Each side
+is the other read in Q^op, so the engine is written once: a pair (a, b)
+read on side co is read as (b, a) on side cn, and _Side.ends is the only
+place that decides it.
 Both resolutions are periodic, and every level is given in closed form
 with no elimination: one summand per arrow at q, then the far end of the
 mesh at q, then one summand σ(q) reached by the top-degree morphism,
@@ -23,6 +18,16 @@ which are almost Koszul", 2002); see resolve_stalk.  Over a field the
 result is the minimal resolution.  The elimination-built resolutions it
 replaced are kept in the test suite as oracles, and exactness at every
 level is asserted there.
+
+Degrees 0 and 1 are the functors of the mesh category itself, and every
+per-vertex functor here reads the one stalk complex:
+
+* the kernel corner K_q(X) is H^0 at q, the kernel of the side-co
+  level-1 boundary X(q) -> ⊕ X(r) over the arrows q -> r;
+* the cokernel corner C_q(X) is H_0 at q, the cokernel of the side-cn
+  level-1 boundary ⊕ X(p) -> X(q) over the arrows p -> q;
+* mesh homology at q is H_1 at q: levels 2 -> 1 -> 0 of the side-cn
+  complex are X(tau q) -> ⊕ X(p_i) -> X(q), the mesh complex at q.
 
 Every answer is one on the infinite quiver ZA_n: a representation on a
 window is zero off it, every rule here reads coordinates only, and the
@@ -48,113 +53,6 @@ from .repmod import Representation, RepMorphism, validate_morphism
 
 SIDE_CO = "co"   # covariant stalk: resolves S_[q>, derives H^i (cohomology)
 SIDE_CN = "cn"   # contravariant stalk: resolves S_<q], derives H_i (homology)
-
-
-# ---------------------------------------------------------------------------
-# corner functors and the radical filtration
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CornerValues:
-    vertex: object
-    K: PresentedModule
-    K_inclusion: Matrix
-    C: PresentedModule
-
-    def describe(self):
-        return {"vertex": format_vertex(self.vertex),
-                "K": self.K.describe(), "C": self.C.describe()}
-
-
-def _arrow_elts(C: MeshCategory, q, out: bool):
-    """Basis elements of the arrows out of (out) or into q, at any vertex:
-    the arrows into q are those of its mesh, and the arrows out of q are
-    the ones paired with them in the mesh at tau^-1(q), one column down."""
-    row, col = C._coords(q)
-    mesh = C.quiver.mesh_at(vertex_at(row, col, -1) if out else q)
-    return [e for _, e in map(C.arrow_elt, mesh.paired if out else mesh.arrows)]
-
-
-def radical_filtration(X: Representation, q, power: int):
-    """(K^power ⊆ X(q), X(q) ↠ C^power) cut out by radical powers.
-
-    Only the basis elements of degree exactly ``power`` are read.  The
-    mesh category is generated in degree one, so a basis element of
-    higher degree out of q is one of degree ``power`` followed by the rest
-    of its path, and one into q ends in one of degree ``power``: its
-    kernel contains, and its image lies in, theirs.  So they cut out the
-    same K^power and C^power as all of r^power.  Power 0 reads the
-    identity alone, so K^0 = 0 and C^0 = 0; power 1 reads the arrows at q,
-    without a scan of the radical, and gives the plain corner functors; at
-    the nilpotency index nothing is read and K reaches all of X(q).
-    """
-    C = X.category
-    Xq = X.value(q)
-
-    def of_degree(out: bool):
-        if power == 1:
-            return _arrow_elts(C, q, out)
-        scan = C.radical_out(q, power) if out else C.radical_in(q, power)
-        return [e for e in scan if e.degree == power]
-    out_elts = of_degree(True)
-    outs = [X.evaluate_matrix(C.ring.one, e) for e in out_elts]
-    if outs:
-        stacked = Matrix.vstack(outs)
-        tgt = PresentedModule(
-            X.ring, stacked.rows,
-            Matrix.block_diag(X.ring, [X.value(e.target).relations
-                                       for e in out_elts]))
-        kmod, incl = ModuleMap(Xq, tgt, stacked, check=False).kernel()
-    else:
-        kmod, incl = Xq, Matrix.identity(X.ring, Xq.generators)
-    ins = [X.evaluate_matrix(C.ring.one, e) for e in of_degree(False)]
-    pieces = ins + [Xq.relations]
-    cmod = PresentedModule(X.ring, Xq.generators, Matrix.hstack(pieces)) \
-        if Xq.generators else Xq
-    return kmod, incl, cmod
-
-
-def corner_functors(X: Representation, q) -> CornerValues:
-    kmod, incl, cmod = radical_filtration(X, q, 1)
-    return CornerValues(q, kmod, incl, cmod)
-
-
-# ---------------------------------------------------------------------------
-# mesh homology
-# ---------------------------------------------------------------------------
-
-def mesh_complex(X: Representation, q):
-    """The three-term complex X(tau q) -> ⊕ X(p_i) -> X(q) of the mesh at q."""
-    mesh = X.category.quiver.mesh_at(q)
-    first, *rest = [X.value(a.source) for a in mesh.arrows]
-    middle = first.direct_sum(*rest)
-    f = ModuleMap(X.value(mesh.tau_vertex), middle,
-                  Matrix.vstack([X.arrow_matrix(sa) for sa in mesh.paired]),
-                  check=False)
-    g = ModuleMap(middle, X.value(q),
-                  Matrix.hstack([X.arrow_matrix(a) for a in mesh.arrows]),
-                  check=False)
-    return f, g
-
-
-def mesh_homology_data(X: Representation, q) -> HomologyData:
-    f, g = mesh_complex(X, q)
-    return middle_homology(f, g)
-
-
-def mesh_homology(X: Representation, q) -> PresentedModule:
-    """Middle homology of the mesh complex at q."""
-    return mesh_homology_data(X, q).module
-
-
-def mesh_homology_map(phi: RepMorphism, q) -> ModuleMap:
-    """The induced map mH_q(source) -> mH_q(target)."""
-    hx = mesh_homology_data(phi.source, q)
-    hy = mesh_homology_data(phi.target, q)
-    mesh = phi.source.category.quiver.mesh_at(q)
-    block = Matrix.block_diag(phi.source.ring,
-                              [phi.component(a.source) for a in mesh.arrows])
-    return induced_on_homology(hx, hy, block)
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +103,14 @@ class _Side:
 
     def head(self, q):
         """(arrow basis element, new summand vertex), one per arrow out of
-        (side co) or into (side cn) q: the degree-one boundary."""
+        (side co) or into (side cn) q: the degree-one boundary.  The arrows
+        into q are those of its mesh, and the arrows out of q are the ones
+        paired with them in the mesh at tau^-1(q), one column down."""
+        out = self.side == SIDE_CO
+        row, col = self.C._coords(q)
+        mesh = self.C.quiver.mesh_at(vertex_at(row, col, -1) if out else q)
         return [(e, self.ends(e.source, e.target)[1])
-                for e in _arrow_elts(self.C, q, self.side == SIDE_CO)]
+                for _, e in map(self.C.arrow_elt, mesh.paired if out else mesh.arrows)]
 
     def _shift(self, v, cols: int):
         row, col = self.C._coords(v)
@@ -263,10 +166,10 @@ def _assemble(ring, blocks, row_dims, col_dims):
     rows, cols = row_off[-1], col_off[-1]
     out = [ring.zero] * (rows * cols)
     for (a, b), blk in blocks.items():
-        r0, c0 = row_off[a], col_off[b]
+        r0, c0, width = row_off[a], col_off[b], blk.cols
         for i in range(blk.rows):
-            for j in range(blk.cols):
-                out[(r0 + i) * cols + c0 + j] = blk[i, j]
+            start = (r0 + i) * cols + c0
+            out[start:start + width] = blk.entries[i * width:(i + 1) * width]
     return Matrix._trusted(ring, rows, cols, out)
 
 
@@ -355,19 +258,21 @@ def _complex_from_resolution(res: StalkResolution, X: Representation,
     Returns (modules, maps).
     """
     eng = res._engine
-    ring = eng.C.ring
-    terms = res.terms[:levels]
-    modules = [PresentedModule.free(ring, 0).direct_sum(*map(X.value, level))
-               for level in terms]
-    maps = {0: ModuleMap.zero(*eng.ends(PresentedModule.free(ring, 0),
+    values = [[X.value(r) for r in level] for level in res.terms[:levels]]
+    dims = [[m.generators for m in level] for level in values]
+    # every level has a summand, and one summand is its own sum
+    modules = [level[0].direct_sum(*level[1:]) if len(level) > 1 else level[0]
+               for level in values]
+    maps = {0: ModuleMap.zero(*eng.ends(PresentedModule.free(X.ring, 0),
                                         modules[0]))}
-    for i in range(1, len(terms)):
-        blocks = {eng.ends(b, a): eng.x_value_block(X, entry)
-                  for (a, b), entry in res.boundaries[i].items()}
+    for i in range(1, len(values)):
         src, dst = eng.ends(i - 1, i)
-        M = _assemble(ring, blocks,
-                      [X.value(r).generators for r in terms[dst]],
-                      [X.value(r).generators for r in terms[src]])
+        blocks = {}
+        for (a, b), entry in res.boundaries[i].items():
+            row, col = eng.ends(b, a)
+            if dims[dst][row] and dims[src][col]:  # else the block is zero
+                blocks[row, col] = eng.x_value_block(X, entry)
+        M = _assemble(X.ring, blocks, dims[dst], dims[src])
         maps[i] = ModuleMap(modules[src], modules[dst], M, check=False)
     return modules, maps
 
@@ -408,6 +313,66 @@ def derived_homology_map(phi: RepMorphism, q, side: str, degree: int,
     if max_degree is None:
         max_degree = max(degree, 2)
     return _derived_maps(phi, q, side, (degree,), max_degree)[degree]
+
+
+# ---------------------------------------------------------------------------
+# degrees 0 and 1: the corner functors and mesh homology
+# ---------------------------------------------------------------------------
+
+@dataclass
+class CornerValues:
+    vertex: object
+    K: PresentedModule
+    C: PresentedModule
+
+    def describe(self):
+        return {"vertex": format_vertex(self.vertex),
+                "K": self.K.describe(), "C": self.C.describe()}
+
+
+def _stalk_maps(X: Representation, q, side: str, levels: int) -> dict:
+    """The maps of the stalk complex at q on one side, levels 0..levels-1."""
+    res = resolve_stalk(X.category, q, side, levels - 1)
+    return _complex_from_resolution(res, X, levels)[1]
+
+
+def corner_functors(X: Representation, q) -> CornerValues:
+    """The corner functors K_q(X) = H^0 and C_q(X) = H_0 at q.
+
+    Level 1 of the side-co stalk complex is ⊕ X(r) over the arrows
+    q -> r, and nothing reaches level 0 from below, so H^0 is the kernel
+    of its level-1 boundary X(q) -> ⊕ X(r): the elements of X(q) that
+    every arrow out of q kills, and so every radical morphism, as the
+    radical is generated by the arrows.  Dually H_0 is the cokernel of
+    the side-cn boundary ⊕ X(p) -> X(q) over the arrows p -> q: X(q)
+    modulo the images of the radical morphisms into q.  Both are read off
+    the level-1 map, without a middle homology against the zero map.
+    """
+    K, _ = _stalk_maps(X, q, SIDE_CO, 2)[1].kernel()
+    return CornerValues(q, K, _stalk_maps(X, q, SIDE_CN, 2)[1].cokernel())
+
+
+def mesh_homology_data(X: Representation, q) -> HomologyData:
+    """H_1 at q, the homology of the mesh complex at q.
+
+    Levels 2 -> 1 -> 0 of the side-cn stalk complex are
+    X(tau q) -> ⊕ X(p_i) -> X(q) over the arrows p_i -> q of the mesh at
+    q: the mesh complex, with each entry signed by its basis element
+    rather than by its arrow.  The two differ by a sign on each summand,
+    which changes no homology.
+    """
+    maps = _stalk_maps(X, q, SIDE_CN, 3)
+    return middle_homology(maps[2], maps[1])
+
+
+def mesh_homology(X: Representation, q) -> PresentedModule:
+    """Mesh homology at q: H_1 of the side-cn stalk complex."""
+    return mesh_homology_data(X, q).module
+
+
+def mesh_homology_map(phi: RepMorphism, q) -> ModuleMap:
+    """The induced map on mesh homology at q, which is H_1(phi) at q."""
+    return derived_homology_map(phi, q, SIDE_CN, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +497,9 @@ def homology_report(X: Representation, vertices=None, max_degree: int = 2,
     """Mesh homology plus derived (co)homology per vertex, as normal forms.
 
     Keys: "mesh" maps vertex labels to module descriptions; "H_" and
-    "H^" map "i at vertex" to descriptions for i = 0..max_degree.
+    "H^" map "i at vertex" to descriptions for i = 0..max_degree.  Mesh
+    homology is H_1 on side cn, so it is read from that side's groups
+    when they reach degree one.
 
     Without ``vertices`` the report covers every interior vertex of the
     window.  Every group is the one on ZA_n, where X is zero off the
@@ -543,11 +510,14 @@ def homology_report(X: Representation, vertices=None, max_degree: int = 2,
     report = {"mesh": {}, "H_": {}, "H^": {}}
     for q in vertices:
         label = format_vertex(q)
-        report["mesh"][label] = mesh_homology(X, q).describe()
+        data = {side: derived_homology_data(X, q, side, max_degree)
+                for side in sides}
+        mesh = data[SIDE_CN][1] if SIDE_CN in data and max_degree >= 1 \
+            else mesh_homology_data(X, q)
+        report["mesh"][label] = mesh.module.describe()
         for side, key in ((SIDE_CN, "H_"), (SIDE_CO, "H^")):
-            if side in sides:
-                for i, mod in derived_homology(X, q, side, max_degree).items():
-                    report[key][f"{i} at {label}"] = mod.describe()
+            for i, d in data.get(side, {}).items():
+                report[key][f"{i} at {label}"] = d.module.describe()
     return report
 
 

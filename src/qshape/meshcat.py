@@ -55,7 +55,7 @@ class BasisElement:
 
 
 class MeshCategory:
-    """Hom bases, composition, pseudo-radical, and Serre data."""
+    """Hom bases, composition, the nilpotency index, and Serre data."""
 
     def __init__(self, quiver: StableTranslationQuiver, ring: BaseRing):
         self.quiver = quiver
@@ -88,10 +88,6 @@ class MeshCategory:
     def d(self, p, q) -> int:
         """Total rank of Q(p, q)."""
         return len(self.hom_basis(p, q))
-
-    def graded_dim(self, p, q, degree: int) -> int:
-        """Rank of Q^degree(p, q)."""
-        return sum(1 for b in self.hom_basis(p, q) if b.degree == degree)
 
     def hom_basis(self, p, q):
         """Ordered basis of Q(p, q), by ascending degree: one element per
@@ -256,21 +252,6 @@ class MeshCategory:
         return Matrix.identity(ring, n + 1 - p)
 
     # -- pseudo-radical -----------------------------------------------------------------
-
-    def radical_basis(self, p, q, power: int):
-        """Basis of r^power(p, q): the degree >= power part of Q(p, q)."""
-        if power < 0:
-            raise InvalidParameter("radical power must be nonnegative")
-        return tuple(b for b in self.hom_basis(p, q) if b.degree >= power)
-
-    def radical_out(self, q, power: int = 1):
-        """All radical-basis morphisms with source q, grouped by target."""
-        return tuple(b for r in self.hom_targets(q)
-                     for b in self.radical_basis(q, r, power))
-
-    def radical_in(self, q, power: int = 1):
-        return tuple(b for p in self.hom_sources(q)
-                     for b in self.radical_basis(p, q, power))
 
     def nilpotency_index(self) -> int:
         """Least N with r^N = 0, in any window: degrees u + v stay <= n - 1

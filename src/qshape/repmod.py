@@ -78,7 +78,8 @@ class Representation:
         Where X vanishes at either end, which is everywhere off the window,
         the matrix is zero; otherwise elt's path stays in the window, and
         the product starts from the first arrow's matrix, so only an
-        identity element builds an identity matrix."""
+        identity element builds an identity matrix; when coeff times the
+        path's sign is one, the product is returned as it is."""
         coeff = self.ring.element(coeff)
         rows = self.value(elt.target).generators
         cols = self.value(elt.source).generators
@@ -91,7 +92,8 @@ class Representation:
             out = self.arrow_matrix(arrows[0])
             for arrow in arrows[1:]:
                 out = self.arrow_matrix(arrow) * out
-        return out.scale(self.ring.mul(coeff, sign))
+        scalar = self.ring.mul(coeff, sign)
+        return out if scalar == self.ring.one else out.scale(scalar)
 
     # -- constructions -----------------------------------------------------------
 

@@ -12,6 +12,11 @@ states in closed form or by a shorter route.
   by kernel, then coordinates, then relations (three eliminations), the
   radical filtration read off every radical basis element, and path
   products started from an identity matrix.
+* The functors of degrees 0 and 1 before they were read off the stalk
+  complexes: the radical filtration, whose first power gives the corner
+  functors, and the mesh complex X(tau q) -> ⊕ X(p_i) -> X(q), whose
+  middle homology is mesh homology; with the radical bases and graded
+  dimensions they read.
 * Representations built the long way: functors that ask every vertex
   for their rank, sums of representables folded from binary direct sums,
   and random representations as the cokernel of a morphism between two
@@ -30,12 +35,51 @@ from math import gcd
 
 from qshape.errors import InvalidParameter, NotWellDefined, WindowTooSmall
 from qshape.exactalg import (HomologyData, Matrix, ModuleMap, PresentedModule,
-                             coordinates_mod, kernel_basis,
-                             preimage_generators, solve, solve_matrix)
+                             coordinates_mod, induced_on_homology, kernel_basis,
+                             middle_homology, preimage_generators, solve,
+                             solve_matrix)
 from qshape.exactalg.rings import INTEGERS, INTEGERS_MOD, RATIONALS
 from qshape.homology import SIDE_CO, StalkResolution, _Side, _start_resolution
 from qshape.quiver import DOUBLE_AN, format_vertex, vertex_key
 from qshape.repmod import Representation, RepMorphism
+
+
+# ---------------------------------------------------------------------------
+# helpers the engine does without
+# ---------------------------------------------------------------------------
+
+def add(ring, a, b):
+    """a + b in the ring, canonical."""
+    return ring.canon(a + b)
+
+
+def column_matrix(M: Matrix, j) -> Matrix:
+    """Column j of M as a one-column matrix."""
+    return Matrix._trusted(M.ring, M.rows, 1, M.col(j))
+
+
+def graded_dim(C, p, q, degree: int) -> int:
+    """Rank of Q^degree(p, q)."""
+    return sum(1 for b in C.hom_basis(p, q) if b.degree == degree)
+
+
+def radical_basis(C, p, q, power: int):
+    """Basis of r^power(p, q): the degree >= power part of Q(p, q)."""
+    if power < 0:
+        raise InvalidParameter("radical power must be nonnegative")
+    return tuple(b for b in C.hom_basis(p, q) if b.degree >= power)
+
+
+def radical_out(C, q, power: int = 1):
+    """All radical-basis morphisms with source q, grouped by target."""
+    return tuple(b for r in C.hom_targets(q)
+                 for b in radical_basis(C, q, r, power))
+
+
+def radical_in(C, q, power: int = 1):
+    """All radical-basis morphisms with target q, grouped by source."""
+    return tuple(b for p in C.hom_sources(q)
+                 for b in radical_basis(C, p, q, power))
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +134,8 @@ def _orbit_action(eng: _Side, h, comp_vertex) -> Matrix:
 def radical_head(eng: _Side, q):
     """(basis element, new summand vertex) for every radical basis element
     out of (side co) or into (side cn) q, in the order of the radical scan."""
-    radical = eng.C.radical_out if eng.side == SIDE_CO else eng.C.radical_in
-    return [(e, eng.ends(e.source, e.target)[1]) for e in radical(q)]
+    radical = radical_out if eng.side == SIDE_CO else radical_in
+    return [(e, eng.ends(e.source, e.target)[1]) for e in radical(eng.C, q)]
 
 
 def corner_cover_resolution(C, q, side: str, length: int) -> StalkResolution:
@@ -182,7 +226,7 @@ def _corner_cover(eng: _Side, cur, spots, kernels):
                     images.append(act * kernels[t])
         span = Matrix.hstack(images)
         for col in range(K.cols):
-            v = K.column_matrix(col)
+            v = column_matrix(K, col)
             if v.is_zero or (span.cols and solve(span, v) is not None):
                 continue
             if not margin_ok(eng, s):
@@ -210,7 +254,7 @@ def _greedy_cover(eng: _Side, cur, spots, kernels):
                 continue
             spanned = _spanned_at(eng, cur, chosen, s)
             for col in range(K.cols):
-                v = K.column_matrix(col)
+                v = column_matrix(K, col)
                 if v.is_zero:
                     continue
                 if spanned is not None and spanned.cols \
@@ -270,22 +314,75 @@ def radical_filtration_all_degrees(X, q, power: int):
     """(K^power, incl, C^power) cut out by every basis element of r^power
     at q, all degrees >= power."""
     C = X.category
+    return _filtration(X, q, radical_out(C, q, power), radical_in(C, q, power))
+
+
+def radical_filtration(X, q, power: int):
+    """(K^power ⊆ X(q), X(q) ↠ C^power) cut out by radical powers.
+
+    Only the basis elements of degree exactly ``power`` are read.  The
+    mesh category is generated in degree one, so a basis element of
+    higher degree out of q is one of degree ``power`` followed by the rest
+    of its path, and one into q ends in one of degree ``power``: its
+    kernel contains, and its image lies in, theirs.  So they cut out the
+    same K^power and C^power as all of r^power.  Power 0 reads the
+    identity alone, so K^0 = 0 and C^0 = 0; power 1 gives the corner
+    functors; at the nilpotency index nothing is read and K reaches all
+    of X(q).
+    """
+    C = X.category
+
+    def of_degree(scan):
+        return [e for e in scan if e.degree == power]
+    return _filtration(X, q, of_degree(radical_out(C, q, power)),
+                       of_degree(radical_in(C, q, power)))
+
+
+def _filtration(X, q, out_elts, in_elts):
+    """(K, incl, C): the common kernel in X(q) of the out_elts, and X(q)
+    modulo the images of the in_elts."""
     Xq = X.value(q)
-    outs = [X.evaluate_matrix(C.ring.one, e) for e in C.radical_out(q, power)]
+    outs = [X.evaluate_matrix(X.ring.one, e) for e in out_elts]
     if outs:
         stacked = Matrix.vstack(outs)
         tgt = PresentedModule(
             X.ring, stacked.rows,
             Matrix.block_diag(X.ring, [X.value(e.target).relations
-                                       for e in C.radical_out(q, power)]))
+                                       for e in out_elts]))
         kmod, incl = ModuleMap(Xq, tgt, stacked, check=False).kernel()
     else:
         kmod, incl = Xq, Matrix.identity(X.ring, Xq.generators)
-    ins = [X.evaluate_matrix(C.ring.one, e) for e in C.radical_in(q, power)]
+    ins = [X.evaluate_matrix(X.ring.one, e) for e in in_elts]
     pieces = ins + [Xq.relations]
     cmod = PresentedModule(X.ring, Xq.generators, Matrix.hstack(pieces)) \
         if Xq.generators else Xq
     return kmod, incl, cmod
+
+
+def mesh_complex(X, q):
+    """The three-term complex X(tau q) -> ⊕ X(p_i) -> X(q) of the mesh at
+    q, its entries the arrow matrices."""
+    mesh = X.category.quiver.mesh_at(q)
+    first, *rest = [X.value(a.source) for a in mesh.arrows]
+    middle = first.direct_sum(*rest)
+    f = ModuleMap(X.value(mesh.tau_vertex), middle,
+                  Matrix.vstack([X.arrow_matrix(sa) for sa in mesh.paired]),
+                  check=False)
+    g = ModuleMap(middle, X.value(q),
+                  Matrix.hstack([X.arrow_matrix(a) for a in mesh.arrows]),
+                  check=False)
+    return f, g
+
+
+def mesh_homology_map_by_mesh_complex(phi, q) -> ModuleMap:
+    """The map induced by phi on the middle homology of the mesh complexes
+    at q."""
+    hx = middle_homology(*mesh_complex(phi.source, q))
+    hy = middle_homology(*mesh_complex(phi.target, q))
+    mesh = phi.source.category.quiver.mesh_at(q)
+    block = Matrix.block_diag(phi.source.ring,
+                              [phi.component(a.source) for a in mesh.arrows])
+    return induced_on_homology(hx, hy, block)
 
 
 def evaluate_from_identity(X, elt) -> Matrix:

@@ -14,6 +14,8 @@ off the Serre rectangle; they check the closed forms that replaced them.
 from qshape.errors import UnsupportedRing
 from qshape.exactalg import Matrix, PresentedModule
 
+from oracles import add
+
 
 def paths_from(quiver, p, max_len: int):
     """paths[l] = list of (arrow-name tuple, end vertex) of length l from p."""
@@ -110,7 +112,7 @@ def reduce_generic(ring, count: int, relations, l: int) -> int:
     for rel in relations:
         v = [ring.zero] * count
         for idx in rel:
-            v[idx] = ring.add(v[idx], ring.one)
+            v[idx] = add(ring, v[idx], ring.one)
         cols.append(v)
     relmat = Matrix(ring, count, len(cols),
                     [cols[j][i] for i in range(count) for j in range(len(cols))])

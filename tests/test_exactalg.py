@@ -13,8 +13,9 @@ from qshape.exactalg import (Matrix, ModuleMap, PresentedModule, QQ, ZZ, Zmod,
                              solve_matrix)
 from qshape.exactalg.smith import _smith, _snf_int
 
-from oracles import (brute_force_injective, brute_force_projective, divides,
-                     elements, induced_map_on_subquotient, snf_int, snf_local)
+from oracles import (brute_force_injective, brute_force_projective,
+                     column_matrix, divides, elements,
+                     induced_map_on_subquotient, snf_int, snf_local)
 
 
 def snf_diag(M):
@@ -486,8 +487,8 @@ class TestLocalSmith:
             B = M * random_matrix(rng, ring, c, k)
             X = solve_matrix(M, B)
             assert X is not None and M * X == B
-            x = solve(M, B.column_matrix(0))
-            assert x is not None and M * x == B.column_matrix(0)
+            x = solve(M, column_matrix(B, 0))
+            assert x is not None and M * x == column_matrix(B, 0)
             M, b = inconsistent_system(rng, ring, r, c)
             assert solve_matrix(M, b) is None
             assert solve(M, b) is None

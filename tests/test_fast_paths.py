@@ -12,13 +12,12 @@ from qshape import Matrix, MeshCategory, PresentedModule, QQ, ZZ, Zmod, \
 from qshape.errors import InvalidParameter, NotWellDefined
 from qshape.exactalg import ModuleMap, middle_homology, solve_matrix
 from qshape.homology import (SIDE_CN, SIDE_CO, _complex_from_resolution,
-                             _Side, derived_homology, mesh_complex,
-                             radical_filtration, resolve_stalk)
+                             _Side, derived_homology, resolve_stalk)
 from qshape.repmod import random_complex, random_representation
 
-from oracles import (evaluate_from_identity,
-                     middle_homology_three_eliminations, radical_head,
-                     radical_filtration_all_degrees)
+from oracles import (evaluate_from_identity, mesh_complex,
+                     middle_homology_three_eliminations, radical_filtration,
+                     radical_filtration_all_degrees, radical_head, radical_out)
 
 
 RINGS = (ZZ, QQ, Zmod(3), Zmod(9))
@@ -129,7 +128,7 @@ class TestEvaluateMatrix:
         for k, C in enumerate(categories(ring)):
             X = draws(C, 300 + k, count=1)[0]
             for q in C.vertices:
-                for e in C.radical_out(q, 0):
+                for e in radical_out(C, q, 0):
                     want = evaluate_from_identity(X, e)
                     assert X.evaluate_matrix(ring.one, e) == want
                     assert X.evaluate_matrix(7, e) == want.scale(7)
@@ -142,7 +141,7 @@ class TestEvaluateMatrix:
         C = MeshCategory(build_double_an(3), ZZ)
         X = draws(C, 3, count=1)[0]
         for q in C.vertices:
-            for e in C.radical_out(q, 0):
+            for e in radical_out(C, q, 0):
                 with pytest.raises(InvalidParameter):
                     X.evaluate_matrix(coeff, e)
 

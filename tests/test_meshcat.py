@@ -10,6 +10,7 @@ from qshape import (Matrix, MeshCategory, QQ, ZZ, Zmod, build_double_an,
 from qshape.errors import EndpointMismatch, InvalidParameter, UnsupportedFlavor
 from qshape.meshcat import BasisElement
 
+from oracles import graded_dim, radical_basis, radical_in, radical_out
 from path_oracle import (all_pairs_support, path_graded_dims,
                          scanned_nilpotency_index)
 
@@ -50,16 +51,16 @@ class TestHomBasis:
                     assert C.oracle_hom_rank(p, q) == d
 
     def test_graded_dim_examples(self):
-        assert double_cat(5).graded_dim(2, 2, 2) == 1
-        assert double_cat(3).graded_dim(1, 1, 2) == 0
-        assert double_cat(3).graded_dim(1, 3, 2) == 1
+        assert graded_dim(double_cat(5), 2, 2, 2) == 1
+        assert graded_dim(double_cat(3), 1, 1, 2) == 0
+        assert graded_dim(double_cat(3), 1, 3, 2) == 1
 
     def test_odd_distance_even_degree_vanishes(self):
         C = double_cat(4)
         for p, q in itertools.product(C.vertices, repeat=2):
             if (p - q) % 2:
                 for l in range(0, 8, 2):
-                    assert C.graded_dim(p, q, l) == 0
+                    assert graded_dim(C, p, q, l) == 0
 
     def test_oracle_agrees_per_degree(self):
         for n in (2, 3, 4):
@@ -67,7 +68,7 @@ class TestHomBasis:
             for p, q in itertools.product(C.vertices, repeat=2):
                 table = C.hom_basis_oracle(p)[q]
                 for l, rank in table.items():
-                    assert rank == C.graded_dim(p, q, l), (n, p, q, l)
+                    assert rank == graded_dim(C, p, q, l), (n, p, q, l)
 
     def test_repetitive_oracle_agrees(self):
         # every degree up to max_len: the table holds the nonzero ranks
@@ -75,7 +76,7 @@ class TestHomBasis:
         probes = [(1, 0), (2, 0), (3, 0), (1, -1), (2, 1), (3, -1)]
         for p, q in itertools.product(probes, repeat=2):
             table = C.hom_basis_oracle(p, 6).get(q, {})
-            closed = {l: C.graded_dim(p, q, l) for l in range(7)}
+            closed = {l: graded_dim(C, p, q, l) for l in range(7)}
             assert table == {l: r for l, r in closed.items() if r}, (p, q)
 
     @pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(3), Zmod(4), Zmod(9)],
@@ -110,8 +111,8 @@ class TestHomBasis:
             C = double_cat(n)
             for p, q in itertools.product(C.vertices, repeat=2):
                 for l in range(n):
-                    lhs = C.graded_dim(p, q, l) != 0
-                    rhs = C.graded_dim(q, C.serre_object(p), n - 1 - l) != 0
+                    lhs = graded_dim(C, p, q, l) != 0
+                    rhs = graded_dim(C, q, C.serre_object(p), n - 1 - l) != 0
                     assert lhs == rhs
 
 
@@ -207,10 +208,10 @@ class TestSupportRule:
     def test_radicals_read_the_bands(self):
         for C in (double_cat(4), rep_cat(3, (-3, 3))):
             for v in C.vertices:
-                assert C.radical_out(v) == tuple(
-                    b for q in C.vertices for b in C.radical_basis(v, q, 1))
-                assert C.radical_in(v, 2) == tuple(
-                    b for p in C.vertices for b in C.radical_basis(p, v, 2))
+                assert radical_out(C, v) == tuple(
+                    b for q in C.vertices for b in radical_basis(C, v, q, 1))
+                assert radical_in(C, v, 2) == tuple(
+                    b for p in C.vertices for b in radical_basis(C, p, v, 2))
 
     # (checked_pairings, checked_squares) recorded while serre_report still
     # visited every vertex pair and every arrow
@@ -316,30 +317,30 @@ class TestRadical:
     def test_power_zero_is_everything(self):
         C = double_cat(3)
         for p, q in itertools.product(C.vertices, repeat=2):
-            assert C.radical_basis(p, q, 0) == C.hom_basis(p, q)
+            assert radical_basis(C, p, q, 0) == C.hom_basis(p, q)
 
     def test_degree_two_part_of_end_2(self):
         C = double_cat(3)
-        assert [b.degree for b in C.radical_basis(2, 2, 1)] == [2]
+        assert [b.degree for b in radical_basis(C, 2, 2, 1)] == [2]
 
     def test_power_n_vanishes(self):
         for n in (2, 3, 4, 5, 6):
             C = double_cat(n)
             for p, q in itertools.product(C.vertices, repeat=2):
-                assert C.radical_basis(p, q, n) == ()
+                assert radical_basis(C, p, q, n) == ()
 
     def test_nilpotency_index(self):
         assert double_cat(2).nilpotency_index() == 2
         assert double_cat(5).nilpotency_index() == 5
-        assert double_cat(5).graded_dim(1, 5, 4) == 1  # witness for r^4 != 0
+        assert graded_dim(double_cat(5), 1, 5, 4) == 1  # witness for r^4 != 0
         assert rep_cat(2).nilpotency_index() == 2
 
     def test_radical_products_raise_degree(self):
         C = double_cat(4)
         for a, b in itertools.product((1, 2), repeat=2):
             for p, q, r in itertools.product(C.vertices, repeat=3):
-                for f in C.radical_basis(p, q, a):
-                    for g in C.radical_basis(q, r, b):
+                for f in radical_basis(C, p, q, a):
+                    for g in radical_basis(C, q, r, b):
                         res = C.compose_basis(g, f)
                         if res is not None:
                             assert res[1].degree >= a + b
@@ -348,7 +349,7 @@ class TestRadical:
         for C in (double_cat(4), rep_cat(2, (-3, 3))):
             for q in C.vertices:
                 basis = C.hom_basis(q, q)
-                radical = C.radical_basis(q, q, 1)
+                radical = radical_basis(C, q, q, 1)
                 assert len(basis) == 1 + len(radical)  # k*id + r_q
                 for f in radical:
                     for g in radical:
