@@ -258,10 +258,16 @@ def middle_homology(f: ModuleMap, g: ModuleMap) -> HomologyData:
     from coords_f·x by an element of the second.  So the cycle generators
     and the module are those of the kernel-then-coordinates route.
 
+    When C has no generators every element of B is a cycle: the group is
+    B modulo [f | rel_B], f.cokernel(), with the identity as its cycle
+    generators and no elimination.
+
     g∘f must vanish in C; NotWellDefined is raised when it does not, and
     the solve behind that check is skipped when g·f is zero on generators.
     """
     B, C = f.target, g.target
+    if C.generators == 0:
+        return HomologyData(f.cokernel(), Matrix.identity(B.ring, B.generators), B)
     gf = g.matrix * f.matrix
     if not gf.is_zero and not C.vanishes(gf):
         raise NotWellDefined("image of f does not lie in the kernel of g")

@@ -19,8 +19,9 @@ result is the minimal resolution.  The elimination-built resolutions it
 replaced are kept in the test suite as oracles, and exactness at every
 level is asserted there.
 
-Degrees 0 and 1 are the functors of the mesh category itself, and every
-per-vertex functor here reads the one stalk complex:
+Every per-vertex group here is one derived_homology_data call, which
+builds the stalk complex one level past the highest degree asked for.
+Degrees 0 and 1 are the functors of the mesh category itself:
 
 * the kernel corner K_q(X) is H^0 at q, the kernel of the side-co
   level-1 boundary X(q) -> ⊕ X(r) over the arrows q -> r;
@@ -277,28 +278,29 @@ def _complex_from_resolution(res: StalkResolution, X: Representation,
     return modules, maps
 
 
-def derived_homology_data(X: Representation, q, side: str, max_degree: int = 2):
-    """HomologyData per degree 0..max_degree for one side at one vertex."""
-    res = resolve_stalk(X.category, q, side, max_degree + 1)
-    _, maps = _complex_from_resolution(res, X, max_degree + 2)
+def derived_homology_data(X: Representation, q, side: str, degrees) -> dict:
+    """HomologyData per listed degree for one side at one vertex: the stalk
+    complex to one level past the highest, and one middle_homology each."""
+    top = max(degrees, default=0)
+    res = resolve_stalk(X.category, q, side, top + 1)
+    _, maps = _complex_from_resolution(res, X, top + 2)
     return {i: middle_homology(*res._engine.ends(maps[i], maps[i + 1]))
-            for i in range(max_degree + 1)}
+            for i in degrees}
 
 
 def derived_homology(X: Representation, q, side: str = SIDE_CN,
                      max_degree: int = 2) -> dict:
     """Presented modules H_i (side cn) or H^i (side co) for i <= max_degree."""
-    data = derived_homology_data(X, q, side, max_degree)
+    data = derived_homology_data(X, q, side, range(max_degree + 1))
     return {i: d.module for i, d in data.items()}
 
 
-def _derived_maps(phi: RepMorphism, q, side: str, degrees,
-                  max_degree: int) -> dict:
-    """Induced maps on the listed derived homology degrees, all built from
-    one computation of each end's derived homology data."""
-    res = resolve_stalk(phi.source.category, q, side, max_degree + 1)
-    dx = derived_homology_data(phi.source, q, side, max_degree)
-    dy = derived_homology_data(phi.target, q, side, max_degree)
+def _derived_maps(phi: RepMorphism, q, side: str, degrees) -> dict:
+    """Induced maps on the listed derived homology degrees, from one
+    computation of those degrees at each end."""
+    res = resolve_stalk(phi.source.category, q, side, max(degrees) + 1)
+    dx = derived_homology_data(phi.source, q, side, degrees)
+    dy = derived_homology_data(phi.target, q, side, degrees)
     ring = phi.source.ring
     out = {}
     for i in degrees:
@@ -307,12 +309,9 @@ def _derived_maps(phi: RepMorphism, q, side: str, degrees,
     return out
 
 
-def derived_homology_map(phi: RepMorphism, q, side: str, degree: int,
-                         max_degree: int | None = None) -> ModuleMap:
+def derived_homology_map(phi: RepMorphism, q, side: str, degree: int) -> ModuleMap:
     """The induced map on one derived homology group."""
-    if max_degree is None:
-        max_degree = max(degree, 2)
-    return _derived_maps(phi, q, side, (degree,), max_degree)[degree]
+    return _derived_maps(phi, q, side, (degree,))[degree]
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +329,6 @@ class CornerValues:
                 "K": self.K.describe(), "C": self.C.describe()}
 
 
-def _stalk_maps(X: Representation, q, side: str, levels: int) -> dict:
-    """The maps of the stalk complex at q on one side, levels 0..levels-1."""
-    res = resolve_stalk(X.category, q, side, levels - 1)
-    return _complex_from_resolution(res, X, levels)[1]
-
-
 def corner_functors(X: Representation, q) -> CornerValues:
     """The corner functors K_q(X) = H^0 and C_q(X) = H_0 at q.
 
@@ -345,11 +338,11 @@ def corner_functors(X: Representation, q) -> CornerValues:
     every arrow out of q kills, and so every radical morphism, as the
     radical is generated by the arrows.  Dually H_0 is the cokernel of
     the side-cn boundary ⊕ X(p) -> X(q) over the arrows p -> q: X(q)
-    modulo the images of the radical morphisms into q.  Both are read off
-    the level-1 map, without a middle homology against the zero map.
+    modulo the images of the radical morphisms into q.  Each is one
+    derived_homology_data call at degree 0.
     """
-    K, _ = _stalk_maps(X, q, SIDE_CO, 2)[1].kernel()
-    return CornerValues(q, K, _stalk_maps(X, q, SIDE_CN, 2)[1].cokernel())
+    return CornerValues(q, derived_homology_data(X, q, SIDE_CO, (0,))[0].module,
+                        derived_homology_data(X, q, SIDE_CN, (0,))[0].module)
 
 
 def mesh_homology_data(X: Representation, q) -> HomologyData:
@@ -361,8 +354,7 @@ def mesh_homology_data(X: Representation, q) -> HomologyData:
     rather than by its arrow.  The two differ by a sign on each summand,
     which changes no homology.
     """
-    maps = _stalk_maps(X, q, SIDE_CN, 3)
-    return middle_homology(maps[2], maps[1])
+    return derived_homology_data(X, q, SIDE_CN, (1,))[1]
 
 
 def mesh_homology(X: Representation, q) -> PresentedModule:
@@ -372,7 +364,7 @@ def mesh_homology(X: Representation, q) -> PresentedModule:
 
 def mesh_homology_map(phi: RepMorphism, q) -> ModuleMap:
     """The induced map on mesh homology at q, which is H_1(phi) at q."""
-    return derived_homology_map(phi, q, SIDE_CN, 1, 1)
+    return derived_homology_map(phi, q, SIDE_CN, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +419,6 @@ class ClassificationVerdict:
                 "witnesses": dict(self.witnesses)}
 
 
-# classify_object reads mesh homology from this many columns below the
-# support of X to this many above it
-CLASSIFY_SPREAD = 2
-
-
 def classify_object(X: Representation) -> ClassificationVerdict:
     """Exactness via vanishing mesh homology; projectivity and injectivity
     by combining it with corner projectivity/injectivity.
@@ -444,8 +431,9 @@ def classify_object(X: Representation) -> ClassificationVerdict:
     """
     witnesses = {}
     vanishes = True
-    for q in homology_probe_vertices(X.category, X.support, CLASSIFY_SPREAD,
-                                     CLASSIFY_SPREAD):
+    # the mesh at (r, c) spans columns c and c + 1, so it meets the support
+    # of X only from one column below its lowest through its highest
+    for q in homology_probe_vertices(X.category, X.support, 1, 0):
         H = mesh_homology(X, q)
         if not H.is_zero:
             vanishes = False
@@ -510,7 +498,7 @@ def homology_report(X: Representation, vertices=None, max_degree: int = 2,
     report = {"mesh": {}, "H_": {}, "H^": {}}
     for q in vertices:
         label = format_vertex(q)
-        data = {side: derived_homology_data(X, q, side, max_degree)
+        data = {side: derived_homology_data(X, q, side, range(max_degree + 1))
                 for side in sides}
         mesh = data[SIDE_CN][1] if SIDE_CN in data and max_degree >= 1 \
             else mesh_homology_data(X, q)
@@ -523,8 +511,11 @@ def homology_report(X: Representation, vertices=None, max_degree: int = 2,
 
 def is_weak_equivalence(phi: RepMorphism, max_degree: int = 2) -> dict:
     """Whether H_i(phi) is an isomorphism for i = 1..max_degree at every
-    vertex; degrees one and two decide (and when the radical squares to
-    zero, degree one alone does, which is cross-checked)."""
+    vertex.  Depth 3 decides every degree: levels 4 and up of the stalk
+    resolution at q are the one at σ(q) (Ω³S_q ≅ S_σ(q)), so H_i(phi) at q
+    is H_{i-3}(phi) at σ(q) for i >= 4; the default depth 2 omits H_3.
+    When the radical squares to zero, degree one alone decides, which is
+    cross-checked."""
     if max_degree < 1:
         raise InvalidParameter("max_degree must be at least 1: the verdict "
                                "compares degrees 1 and up")
@@ -536,8 +527,7 @@ def is_weak_equivalence(phi: RepMorphism, max_degree: int = 2) -> dict:
     verdict = True
     degree_one = True
     for q in _cn_probes(phi.source, phi.target, max_degree):
-        maps = _derived_maps(phi, q, SIDE_CN, range(1, max_degree + 1),
-                             max_degree)
+        maps = _derived_maps(phi, q, SIDE_CN, range(1, max_degree + 1))
         for i, f in maps.items():
             iso = f.is_isomorphism()
             table[(format_vertex(q), i)] = iso

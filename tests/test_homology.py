@@ -655,9 +655,32 @@ class TestWeakEquivalence:
         assert set(calls) == set(probes)
         for q in probes:
             for i in (1, 2):
-                f = derived_homology_map(phi, q, SIDE_CN, i, 2)
+                f = derived_homology_map(phi, q, SIDE_CN, i)
                 assert result["iso_table"][(format_vertex(q), i)] == \
                     f.is_isomorphism()
+
+    def test_middle_homology_only_for_the_degrees_read(self, monkeypatch):
+        """One middle_homology per degree asked for and per end: degrees 1
+        and 2 of source and target at each probe of weq, degree 1 of each
+        end for mesh_homology_map, and mesh homology at the 9 probes of
+        the counterexample's classify, whose support spans two columns."""
+        X, _, phi = counter_morphism(QQ)
+        calls = []
+        original = homology.middle_homology
+
+        def counting(f, g):
+            calls.append(g)
+            return original(f, g)
+        monkeypatch.setattr(homology, "middle_homology", counting)
+        is_weak_equivalence(phi, 2)
+        probes = homology._cn_probes(phi.source, phi.target, 2)
+        assert len(calls) == 4 * len(probes) == 96
+        calls.clear()
+        mesh_homology_map(phi, probes[0])
+        assert len(calls) == 2
+        calls.clear()
+        assert not classify_object(X).homology_vanishes
+        assert len(calls) == 9
 
 
 class TestCounterExample:
