@@ -15,8 +15,8 @@ import random
 from qshape import Matrix, MeshCategory, PresentedModule, ZZ, Zmod, \
     build_repetitive_an
 from qshape.homology import classify_object, mesh_homology
-from qshape.repmod import ChainComplex, complex_to_rep, random_complex, \
-    rep_to_complex
+from qshape.repmod import ChainComplex, complex_to_rep, degree_vertex, \
+    random_complex, rep_to_complex
 
 C = MeshCategory(build_repetitive_an(2, (-10, 10)), ZZ)
 
@@ -28,8 +28,9 @@ assert cc.is_complex()
 X = complex_to_rep(C, cc)
 print("support of the representation:", sorted(X.support))
 
+# the mesh at the vertex of degree k - 1 has degree k in its middle
 for k in (0, 1, 2):
-    vertex = (2, k // 2) if k % 2 == 0 else (1, (k - 1) // 2)
+    vertex = degree_vertex(k - 1)
     print(f"H_{k} direct: {cc.homology(k).describe():>5}   "
           f"through the mesh at {vertex}: {mesh_homology(X, vertex).describe()}")
 
@@ -44,10 +45,8 @@ matches = 0
 for _ in range(50):
     cc = random_complex(Zmod(5), rng)
     rep = complex_to_rep(C5, cc)
-    ok = all(
-        mesh_homology(rep, (2, k // 2) if k % 2 == 0 else (1, (k - 1) // 2))
-        .normal_form() == cc.homology(k).normal_form()
-        for k in cc.degrees())
+    ok = all(mesh_homology(rep, degree_vertex(k - 1)).normal_form()
+             == cc.homology(k).normal_form() for k in cc.degrees())
     exact_direct = all(cc.homology(k).is_zero for k in cc.degrees())
     ok = ok and (classify_object(rep).homology_vanishes == exact_direct)
     matches += ok

@@ -43,8 +43,8 @@ from .io import (MAX_N, SchemaError, build_category, category_bundle, dumps,
                  parse_morphism, parse_representation)
 from .meshcat import MeshCategory
 from .quiver import REPETITIVE_AN, format_vertex, parse_vertex
-from .repmod import (complex_to_rep, kernel_of_morphism, random_complex,
-                     validate_representation)
+from .repmod import (complex_to_rep, degree_vertex, kernel_of_morphism,
+                     random_complex, validate_representation)
 
 # oracle --max-len: twice the largest n, the default path length at n = MAX_N
 MAX_LEN = 2 * MAX_N
@@ -346,9 +346,8 @@ def _demo_chain_complex(args):
         good = True
         for k in complex_.degrees():
             direct = complex_.homology(k).normal_form()
-            # the mesh at (2, i) computes degree 2i, the one at (1, i)
-            # computes degree 2i+1
-            vertex = (2, k // 2) if k % 2 == 0 else (1, (k - 1) // 2)
+            # the mesh at degree k - 1 has degree k in its middle
+            vertex = degree_vertex(k - 1)
             through = mesh_homology(rep, vertex).normal_form()
             if direct != through:
                 good = False

@@ -339,10 +339,16 @@ def corner_functors(X: Representation, q) -> CornerValues:
     radical is generated by the arrows.  Dually H_0 is the cokernel of
     the side-cn boundary ⊕ X(p) -> X(q) over the arrows p -> q: X(q)
     modulo the images of the radical morphisms into q.  Each is one
-    derived_homology_data call at degree 0.
+    derived_homology_data call at degree 0.  X never changes, so the
+    values are kept on it, as a module keeps its normal form, and
+    zero_test after classify_object computes no corner twice.
     """
-    return CornerValues(q, derived_homology_data(X, q, SIDE_CO, (0,))[0].module,
-                        derived_homology_data(X, q, SIDE_CN, (0,))[0].module)
+    corners = X._corners.get(q)
+    if corners is None:
+        corners = X._corners[q] = CornerValues(
+            q, derived_homology_data(X, q, SIDE_CO, (0,))[0].module,
+            derived_homology_data(X, q, SIDE_CN, (0,))[0].module)
+    return corners
 
 
 def mesh_homology_data(X: Representation, q) -> HomologyData:
@@ -486,8 +492,8 @@ def homology_report(X: Representation, vertices=None, max_degree: int = 2,
 
     Keys: "mesh" maps vertex labels to module descriptions; "H_" and
     "H^" map "i at vertex" to descriptions for i = 0..max_degree.  Mesh
-    homology is H_1 on side cn, so it is read from that side's groups
-    when they reach degree one.
+    homology is H_1 on side cn, so each vertex has one side-cn complex,
+    which gives degree 1 as well as the degrees asked for.
 
     Without ``vertices`` the report covers every interior vertex of the
     window.  Every group is the one on ZA_n, where X is zero off the
@@ -495,17 +501,19 @@ def homology_report(X: Representation, vertices=None, max_degree: int = 2,
     """
     if vertices is None:
         vertices = X.category.quiver.interior_vertices()
+    degrees = range(max_degree + 1)
+    cn_degrees = range(max(max_degree, 1) + 1) if SIDE_CN in sides else (1,)
     report = {"mesh": {}, "H_": {}, "H^": {}}
     for q in vertices:
         label = format_vertex(q)
-        data = {side: derived_homology_data(X, q, side, range(max_degree + 1))
-                for side in sides}
-        mesh = data[SIDE_CN][1] if SIDE_CN in data and max_degree >= 1 \
-            else mesh_homology_data(X, q)
-        report["mesh"][label] = mesh.module.describe()
+        data = {SIDE_CN: derived_homology_data(X, q, SIDE_CN, cn_degrees)}
+        if SIDE_CO in sides:
+            data[SIDE_CO] = derived_homology_data(X, q, SIDE_CO, degrees)
+        report["mesh"][label] = data[SIDE_CN][1].module.describe()
         for side, key in ((SIDE_CN, "H_"), (SIDE_CO, "H^")):
-            for i, d in data.get(side, {}).items():
-                report[key][f"{i} at {label}"] = d.module.describe()
+            if side in sides:
+                for i in degrees:
+                    report[key][f"{i} at {label}"] = data[side][i].module.describe()
     return report
 
 

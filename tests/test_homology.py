@@ -553,6 +553,29 @@ class TestDerived:
                 assert hco[0].isomorphic(corner.K)
         assert time.perf_counter() - start < 20.0
 
+    @pytest.mark.parametrize("max_degree, sides", [
+        (0, (SIDE_CN,)), (0, (SIDE_CO,)), (1, (SIDE_CO,)), (0, (SIDE_CN, SIDE_CO)),
+        (2, (SIDE_CN, SIDE_CO))])
+    def test_report_builds_one_side_cn_complex_per_vertex(self, monkeypatch,
+                                                          max_degree, sides):
+        # mesh homology is degree 1 of the side-cn complex, which also
+        # gives the H_i asked for; side co adds its own complex
+        X = random_representation(double_cat(3), random.Random(5))
+        built = []
+        original = homology._complex_from_resolution
+
+        def counting(res, X, levels):
+            built.append(res.side)
+            return original(res, X, levels)
+        monkeypatch.setattr(homology, "_complex_from_resolution", counting)
+        report = homology.homology_report(X, None, max_degree, sides)
+        assert len(report["mesh"]) == 3
+        assert len(report["H_"]) == (3 * (max_degree + 1) if SIDE_CN in sides else 0)
+        assert built.count(SIDE_CN) == 3
+        assert built.count(SIDE_CO) == (3 if SIDE_CO in sides else 0)
+        for q in X.category.vertices:
+            assert report["mesh"][format_vertex(q)] == mesh_homology(X, q).describe()
+
 
 class TestClassification:
     def test_free_projective_all_rings(self):
@@ -602,6 +625,27 @@ class TestClassification:
         F = free_at(C, 1, PresentedModule.free(ZZ, 1))
         zt = zero_test(F)
         assert not zt["is_zero"] and zt["routes_agree"]
+
+    @pytest.mark.parametrize("make", [free_at, cofree_at])
+    def test_classify_then_zero_test_reads_each_corner_once(self, monkeypatch, make):
+        """qshape classify runs classify_object and then zero_test: mesh
+        homology at the 3 vertices of double A_3, then H^0 and H_0 at the 3
+        support vertices, kept on X for zero_test (15 calls when zero_test
+        computed them again)."""
+        X = make(double_cat(3), 2, PresentedModule.free(ZZ, 1))
+        calls = []
+        original = homology.middle_homology
+
+        def counting(f, g):
+            calls.append(g)
+            return original(f, g)
+        monkeypatch.setattr(homology, "middle_homology", counting)
+        assert classify_object(X).homology_vanishes
+        assert zero_test(X)["routes_agree"]
+        assert len(X.support) == 3
+        assert len(calls) == 3 + 2 * 3 == 9
+        assert corner_functors(X, 2) is corner_functors(X, 2)
+        assert len(calls) == 9
 
 
 class TestWeakEquivalence:

@@ -8,7 +8,7 @@ from qshape import Matrix, MeshCategory, PresentedModule, QQ, ZZ, Zmod, \
     build_double_an, build_repetitive_an
 from qshape.errors import UnsupportedFlavor, WindowTooSmall
 from qshape.repmod import (ChainComplex, Representation, RepMorphism,
-                           cofree_at, complex_to_rep,
+                           cofree_at, complex_to_rep, degree_vertex,
                            free_at, hom_space_basis, identity_morphism,
                            kernel_of_morphism, random_complex,
                            random_free_representation, random_morphism,
@@ -188,6 +188,14 @@ class TestBridge:
                     assert cc.module(k).normal_form() == back.module(k).normal_form()
                     assert cc.differential(k) == back.differential(k)
 
+    def test_mesh_at_degree_k_minus_one_has_degree_k_in_its_middle(self):
+        quiver = rep_a2().quiver
+        for k in range(-8, 9):
+            mesh = quiver.mesh_at(degree_vertex(k - 1))
+            assert mesh.tau_vertex == degree_vertex(k + 1)
+            assert [a.source for a in mesh.arrows] == [degree_vertex(k)]
+            assert [a.target for a in mesh.paired] == [degree_vertex(k)]
+
     def test_window_too_small(self):
         C = rep_a2(window=(0, 1))
         cc = ChainComplex(ZZ, {k: PresentedModule.free(ZZ, 1) for k in range(7)}, {})
@@ -219,9 +227,9 @@ class TestRandomReps:
                 assert validate_representation(random_representation(C, rng)).ok
 
     def test_cokernel_reps_on_repetitive_windows_validate(self):
-        # summands at the last column, where no vertex is interior, failed
-        # the support check in 4 of these 30 draws on A_2 and 7 on A_3,
-        # over each ring
+        # the sampler draws its summands at interior vertices, so these 30
+        # seeds per ring draw what they drew when the last column was
+        # refused
         for n in (2, 3):
             for ring in (ZZ, QQ, Zmod(3), Zmod(9)):
                 C = MeshCategory(build_repetitive_an(n, (-3, 3)), ring)
@@ -238,8 +246,8 @@ class TestRandomReps:
                     random_free_representation(C, rng)).ok
 
     def test_free_sampler_on_repetitive_windows(self):
-        # values only at interior vertices, so every draw passes the
-        # support check as well as the mesh relations
+        # values only at interior vertices; every draw satisfies the mesh
+        # relations
         for n in (2, 3):
             for p in (2, 3, 5):
                 rng = random.Random(10 * n + p)

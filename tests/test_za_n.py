@@ -13,12 +13,16 @@ import random
 
 import pytest
 
-from qshape import Matrix, MeshCategory, QQ, ZZ, Zmod, build_repetitive_an
+from qshape import (Matrix, MeshCategory, PresentedModule, QQ, ZZ, Zmod,
+                    build_repetitive_an)
 from qshape.cli import main
 from qshape.homology import (SIDE_CN, SIDE_CO, classify_object,
-                             derived_homology, is_weak_equivalence)
+                             derived_homology, homology_report,
+                             is_weak_equivalence, zero_test)
 from qshape.io import dumps, morphism_json, representation_json
-from qshape.repmod import Representation, RepMorphism, random_representation
+from qshape.repmod import (Representation, RepMorphism, free_at,
+                           random_representation, stalk_rep,
+                           validate_representation)
 
 RINGS = (ZZ, QQ, Zmod(3), Zmod(9))
 SHAPES = ((2, (-3, 3)), (3, (-4, 4)), (2, (-6, 6)), (4, (-6, 6)))
@@ -99,3 +103,51 @@ def test_weq_sees_homology_below_the_window(capsys, tmp_path):
     table = report["tables"]["isomorphisms"]
     assert table["1@-7 degree 1"] is False and table["2@-7 degree 2"] is False
     assert is_weak_equivalence(tripled(Y))["iso_table"][("1@-7", 1)] is False
+
+
+def test_a_value_in_the_last_column_validates(capsys, tmp_path):
+    # the last column's meshes reach column 4, off the window, where X is
+    # zero; this file used to exit 2 with support_ok: false
+    doc = {"category": {"flavor": "repetitive_an", "n": 2, "ring": "Z",
+                        "window": [-3, 3]},
+           "values": {"1@3": {"rank": 1}}}
+    code, report = run(capsys, tmp_path, "validate", doc)
+    assert (code, report["verdicts"]["ok"]) == (0, True)
+    code, report = run(capsys, tmp_path, "classify", doc)
+    assert code == 0
+
+
+def last_column_answers(X, probes):
+    return (classify_object(X).describe(), zero_test(X),
+            homology_report(X, probes, 3))
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_last_column_values_answer_as_one_column_wider(ring):
+    """free_at and stalk_rep at every vertex of the last column of (-3, 3)
+    validate, and answer as the same values on (-3, 4), where that column
+    is interior: probes from 3(n-1) columns below the support to one
+    column above it, degrees 0-3."""
+    modules = [PresentedModule.free(ring, 1)]
+    if ring == ZZ:
+        modules.append(PresentedModule(ZZ, 1, Matrix(ZZ, 1, 1, [3])))
+    cases = 0
+    for n in (2, 3, 4):
+        C = MeshCategory(build_repetitive_an(n, (-3, 3)), ring)
+        W = MeshCategory(build_repetitive_an(n, (-3, 4)), ring)
+        for q in ((row, 3) for row in range(1, n + 1)):
+            assert not C.is_interior(q) and W.is_interior(q)
+            for make in (free_at, stalk_rep):
+                for M in modules:
+                    X = make(C, q, M)
+                    Y = Representation(W, X.values, X.arrow_maps)
+                    assert validate_representation(X).ok
+                    assert validate_representation(Y).ok
+                    cols = [v[1] for v in X.support]
+                    probes = [(row, col)
+                              for col in range(min(cols) - 3 * (n - 1), max(cols) + 2)
+                              for row in range(1, n + 1)]
+                    assert last_column_answers(X, probes) == \
+                        last_column_answers(Y, probes), (n, q, make, M)
+                    cases += 1
+    assert cases == 9 * 2 * len(modules)
