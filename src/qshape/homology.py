@@ -19,9 +19,14 @@ result is the minimal resolution.  The elimination-built resolutions it
 replaced are kept in the test suite as oracles, and exactness at every
 level is asserted there.
 
-Every per-vertex group here is one derived_homology_data call, which
-builds the stalk complex one level past the highest degree asked for.
-Degrees 0 and 1 are the functors of the mesh category itself:
+Every per-vertex group here is read through derived_homology_data,
+which keeps each group on X, computed once per (vertex, side, degree):
+the stalk complex is built one level past the highest degree not yet
+kept.  Only degrees up to 3 are kept.  A degree i >= 4 at q is degree
+i - 3 at σ(q), because levels 4 and up of the resolution at q are the
+resolution at σ(q): Ω³S_q ≅ S_σ(q) (Brenner-Butler-King, "Periodic
+algebras which are almost Koszul", 2002).  Degrees 0 and 1 are the
+functors of the mesh category itself:
 
 * the kernel corner K_q(X) is H^0 at q, the kernel of the side-co
   level-1 boundary X(q) -> ⊕ X(r) over the arrows q -> r;
@@ -279,13 +284,37 @@ def _complex_from_resolution(res: StalkResolution, X: Representation,
 
 
 def derived_homology_data(X: Representation, q, side: str, degrees) -> dict:
-    """HomologyData per listed degree for one side at one vertex: the stalk
-    complex to one level past the highest, and one middle_homology each."""
-    top = max(degrees, default=0)
-    res = resolve_stalk(X.category, q, side, top + 1)
-    _, maps = _complex_from_resolution(res, X, top + 2)
-    return {i: middle_homology(*res._engine.ends(maps[i], maps[i + 1]))
-            for i in degrees}
+    """HomologyData per listed degree for one side at one vertex.
+
+    Groups are kept on X, keyed (vertex, side, i) for i <= 3.  A degree
+    i >= 4 at q is read as degree i - 3 at σ(q), repeatedly, since the
+    complexes agree there (Ω³S_q ≅ S_σ(q), see resolve_stalk).  Each
+    vertex with degrees not yet kept gets one stalk complex, to one level
+    past the highest of them, and one middle_homology per such degree.
+    """
+    keys = {}
+    # orbit[k] = σ^k(q), where degree i at q is read as degree i - 3k
+    orbit, sigma = [q], None
+    for i in degrees:
+        k = max(i - 1, 0) // 3
+        while len(orbit) <= k:
+            sigma = sigma or _Side(X.category, side).serre_end
+            orbit.append(sigma(orbit[-1]))
+        keys[i] = (orbit[k], side, i - 3 * k)
+    memo = X._homology
+    missing = {}
+    for key in keys.values():
+        if key not in memo:
+            v, _, j = key
+            missing.setdefault(v, set()).add(j)
+    for v, js in missing.items():
+        top = max(js)
+        res = resolve_stalk(X.category, v, side, top + 1)
+        _, maps = _complex_from_resolution(res, X, top + 2)
+        for j in sorted(js):
+            memo[v, side, j] = middle_homology(
+                *res._engine.ends(maps[j], maps[j + 1]))
+    return {i: memo[key] for i, key in keys.items()}
 
 
 def derived_homology(X: Representation, q, side: str = SIDE_CN,
@@ -338,10 +367,11 @@ def corner_functors(X: Representation, q) -> CornerValues:
     every arrow out of q kills, and so every radical morphism, as the
     radical is generated by the arrows.  Dually H_0 is the cokernel of
     the side-cn boundary ⊕ X(p) -> X(q) over the arrows p -> q: X(q)
-    modulo the images of the radical morphisms into q.  Each is one
-    derived_homology_data call at degree 0.  X never changes, so the
-    values are kept on it, as a module keeps its normal form, and
-    zero_test after classify_object computes no corner twice.
+    modulo the images of the radical morphisms into q.  Each is degree 0
+    of derived_homology_data, so a corner shares its group, kept on X,
+    with derived_homology and homology_report.  The pair is kept on X too,
+    as a module keeps its normal form, so zero_test after classify_object
+    reads each corner once.
     """
     corners = X._corners.get(q)
     if corners is None:
@@ -493,7 +523,8 @@ def homology_report(X: Representation, vertices=None, max_degree: int = 2,
     Keys: "mesh" maps vertex labels to module descriptions; "H_" and
     "H^" map "i at vertex" to descriptions for i = 0..max_degree.  Mesh
     homology is H_1 on side cn, so each vertex has one side-cn complex,
-    which gives degree 1 as well as the degrees asked for.
+    which gives degree 1 as well as the degrees asked for up to 3; a
+    degree i >= 4 is degree i - 3 at σ(q), kept on X like every group.
 
     Without ``vertices`` the report covers every interior vertex of the
     window.  Every group is the one on ZA_n, where X is zero off the
@@ -521,8 +552,11 @@ def is_weak_equivalence(phi: RepMorphism, max_degree: int = 2) -> dict:
     """Whether H_i(phi) is an isomorphism for i = 1..max_degree at every
     vertex.  Depth 3 decides every degree: levels 4 and up of the stalk
     resolution at q are the one at σ(q) (Ω³S_q ≅ S_σ(q)), so H_i(phi) at q
-    is H_{i-3}(phi) at σ(q) for i >= 4; the default depth 2 omits H_3.
-    When the radical squares to zero, degree one alone decides, which is
+    is H_{i-3}(phi) at σ(q) for i >= 4, and derived_homology_data reads
+    those groups there; the default depth 2 omits H_3.  The groups of
+    source and target are kept on them, so a later mesh_homology_map or
+    classify_object on either computes none of them again.  When the
+    radical squares to zero, degree one alone decides, which is
     cross-checked."""
     if max_degree < 1:
         raise InvalidParameter("max_degree must be at least 1: the verdict "

@@ -57,6 +57,8 @@ class Representation:
                                  if not m.is_zero)
         self._zero = PresentedModule.free(self.ring, 0)
         self._corners = {}  # homology.corner_functors, written once per vertex
+        # homology.derived_homology_data, written once per (vertex, side, i <= 3)
+        self._homology = {}
 
     def value(self, v) -> PresentedModule:
         return self.values.get(v, self._zero)
@@ -375,9 +377,8 @@ def complex_to_rep(C: MeshCategory, complex_: ChainComplex) -> Representation:
     degrees = complex_.degrees()
     for k in degrees:
         v = degree_vertex(k)
-        if not C.quiver.has_vertex(v) or not C.quiver.is_interior(v):
-            raise WindowTooSmall(
-                f"degree {k} needs interior vertex {format_vertex(v)}")
+        if not C.quiver.has_vertex(v):
+            raise WindowTooSmall(f"degree {k} needs vertex {format_vertex(v)}")
         values[v] = complex_.module(k)
     for k in degrees:
         d = complex_.differential(k)

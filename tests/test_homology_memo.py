@@ -1,0 +1,172 @@
+"""The homology groups kept on a representation, and the periodicity read.
+
+derived_homology_data keeps each group on X, keyed (vertex, side, i) for
+i <= 3, and reads a degree i >= 4 at q as degree i - 3 at σ(q).  These
+tests query one warm X in a seeded shuffled order through every reader
+and compare each group, degrees 0..7 on both sides, with middle_homology
+on the paired complex of a fresh copy of X built to degree 7, where no
+degree is folded.  They also count middle_homology calls: each group is
+computed once, and repeating a query computes nothing.
+"""
+
+import random
+
+import pytest
+
+from qshape import Matrix, MeshCategory, QQ, ZZ, Zmod, build_double_an, \
+    build_repetitive_an
+from qshape import homology
+from qshape.exactalg import induced_on_homology, middle_homology
+from qshape.homology import (SIDE_CN, SIDE_CO, _cn_probes, corner_functors,
+                             derived_homology, derived_homology_data,
+                             homology_report, is_weak_equivalence,
+                             mesh_homology, resolve_stalk)
+from qshape.quiver import format_vertex
+from qshape.repmod import Representation, random_representation
+
+from test_fast_paths import categories, draws, paired_complex
+from test_weq_periodicity import scaled
+
+RINGS = (ZZ, QQ, Zmod(3), Zmod(9))
+SIDES = (SIDE_CN, SIDE_CO)
+DEPTH = 7
+
+
+def fresh(X) -> Representation:
+    """The same values and arrow maps, with nothing kept."""
+    return Representation(X.category, X.values, X.arrow_maps)
+
+
+def fresh_groups(X, q, side, max_degree):
+    """middle_homology of every degree of one complex to max_degree + 1,
+    as the groups were computed before any was kept."""
+    eng, maps = paired_complex(fresh(X), q, side, max_degree)
+    return [middle_homology(*eng.ends(maps[i], maps[i + 1]))
+            for i in range(max_degree + 1)]
+
+
+def assert_same_group(got, want):
+    assert got.cycle_gens == want.cycle_gens
+    assert got.module.generators == want.module.generators
+    assert got.module.relations == want.module.relations
+    assert got.module.normal_form() == want.module.normal_form()
+
+
+def shuffled_queries(X, rng):
+    """Every reader at every vertex, called in a seeded order; the answers
+    keyed ("report",), ("mesh", q), ("corners", q) or (side, q)."""
+    C = X.category
+    queries = [("report", lambda: homology_report(X, C.vertices, DEPTH))]
+    for q in C.vertices:
+        queries.append(("mesh", q, lambda q=q: mesh_homology(X, q)))
+        queries.append(("corners", q, lambda q=q: corner_functors(X, q)))
+        for side in SIDES:
+            queries.append((side, q, lambda q=q, side=side:
+                            derived_homology(X, q, side, DEPTH)))
+    rng.shuffle(queries)
+    return {query[:-1]: query[-1]() for query in queries}
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_kept_and_folded_groups_equal_the_unfolded_complex(ring):
+    for k, C in enumerate(categories(ring)):
+        rng = random.Random(f"memo:{ring!r}:{k}")
+        for X in draws(C, 400 + k):
+            answers = shuffled_queries(X, rng)
+            # only degrees up to 3 are kept; 4..7 were read at σ(q)
+            assert X._homology and max(j for _, _, j in X._homology) <= 3
+            report = answers[("report",)]
+            for q in C.vertices:
+                label = format_vertex(q)
+                for side, key in ((SIDE_CN, "H_"), (SIDE_CO, "H^")):
+                    want = fresh_groups(X, q, side, DEPTH)
+                    got = derived_homology_data(X, q, side, range(DEPTH + 1))
+                    read = answers[(side, q)]
+                    for i in range(DEPTH + 1):
+                        assert_same_group(got[i], want[i])
+                        assert read[i] is got[i].module
+                        assert report[key][f"{i} at {label}"] == \
+                            want[i].module.describe()
+                cn = derived_homology_data(X, q, SIDE_CN, (0, 1))
+                assert answers[("mesh", q)] is cn[1].module
+                assert report["mesh"][label] == cn[1].module.describe()
+                corners = answers[("corners", q)]
+                assert corners.C is cn[0].module
+                assert corners.K is derived_homology_data(
+                    X, q, SIDE_CO, (0,))[0].module
+
+
+def unfolded_iso_table(X, c, max_degree):
+    """The weak-equivalence table of c·1_X with every degree read from one
+    complex at its probe, none at σ(q) and none kept."""
+    table = {}
+    for q in _cn_probes(X, X, max_degree):
+        groups = fresh_groups(X, q, SIDE_CN, max_degree)
+        res = resolve_stalk(X.category, q, SIDE_CN, max_degree + 1)
+        for i in range(1, max_degree + 1):
+            block = Matrix.block_diag(X.ring, [
+                Matrix.identity(X.ring, X.value(r).generators).scale(c)
+                for r in res.terms[i]])
+            f = induced_on_homology(groups[i], groups[i], block)
+            table[(format_vertex(q), i)] = f.is_isomorphism()
+    return table
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_weak_equivalence_of_scalars_on_repetitive_a2(ring):
+    C = MeshCategory(build_repetitive_an(2, (-6, 6)), ring)
+    for X in draws(C, 500):
+        for c in (1, -1, 2, 3):
+            want = unfolded_iso_table(X, c, 6)
+            got = is_weak_equivalence(scaled(X, c), 6)
+            assert got["iso_table"] == want
+            assert got["is_weak_equivalence"] == all(want.values())
+
+
+def counting_middle_homology(monkeypatch):
+    calls = []
+    original = homology.middle_homology
+
+    def counting(f, g):
+        calls.append(g)
+        return original(f, g)
+    monkeypatch.setattr(homology, "middle_homology", counting)
+    return calls
+
+
+def warm_sequence(X):
+    """The per-vertex reads of the benchmark's warm homology job."""
+    for q in X.category.vertices:
+        mesh_homology(X, q)
+        derived_homology(X, q, SIDE_CN, 3)
+        derived_homology(X, q, SIDE_CO, 3)
+        corner_functors(X, q)
+
+
+def test_warm_sequence_computes_eight_groups_per_vertex(monkeypatch):
+    # H_1, then H_0, H_2, H_3, then H^0..H^3; the corners read H_0 and H^0
+    # (11 calls per vertex when nothing was kept)
+    calls = counting_middle_homology(monkeypatch)
+    C = MeshCategory(build_double_an(4), ZZ)
+    X = random_representation(C, random.Random("memo counts"))
+    warm_sequence(X)
+    assert len(calls) == 8 * len(C.vertices)
+    calls.clear()
+    warm_sequence(X)
+    assert calls == []
+
+
+def test_deep_report_costs_no_more_than_depth_three(monkeypatch):
+    # degrees past 3 are read at σ(q): 8 groups per vertex of double A_6
+    # at any depth (780 calls at depth 64 when every degree was computed)
+    calls = counting_middle_homology(monkeypatch)
+    C = MeshCategory(build_double_an(6), QQ)
+    X = random_representation(C, random.Random("memo report"))
+    shallow = homology_report(fresh(X), max_degree=3)
+    assert len(calls) == 48
+    calls.clear()
+    deep = homology_report(fresh(X), max_degree=64)
+    assert len(calls) <= 48
+    assert {k: v for k, v in deep["H_"].items() if int(k.split()[0]) <= 3} \
+        == shallow["H_"]
+    assert deep["mesh"] == shallow["mesh"]

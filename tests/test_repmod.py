@@ -196,6 +196,24 @@ class TestBridge:
             assert [a.source for a in mesh.arrows] == [degree_vertex(k)]
             assert [a.target for a in mesh.paired] == [degree_vertex(k)]
 
+    def test_degree_in_the_last_column_realizes(self):
+        # degree 6 lands at 1@3, the last column of (-3, 3); on ZA_n every
+        # mesh the window cuts has an end off it, where X is zero
+        C = rep_a2(window=(-3, 3))
+        assert degree_vertex(6) == (1, 3) and not C.quiver.is_interior((1, 3))
+        one = PresentedModule.free(ZZ, 1)
+        cc = ChainComplex(ZZ, {4: one, 5: one, 6: one},
+                          {5: Matrix.zeros(ZZ, 1, 1),
+                           6: Matrix.identity(ZZ, 1).scale(2)})
+        X = complex_to_rep(C, cc)
+        assert X.support == {(1, 2), (2, 3), (1, 3)}
+        assert validate_representation(X).ok
+        back = rep_to_complex(X)
+        assert back.degrees() == cc.degrees()
+        for k in range(3, 8):
+            assert back.module(k).normal_form() == cc.module(k).normal_form()
+            assert back.differential(k) == cc.differential(k)
+
     def test_window_too_small(self):
         C = rep_a2(window=(0, 1))
         cc = ChainComplex(ZZ, {k: PresentedModule.free(ZZ, 1) for k in range(7)}, {})
