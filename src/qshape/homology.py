@@ -19,13 +19,13 @@ result is the minimal resolution.  The elimination-built resolutions it
 replaced are kept in the test suite as oracles, and exactness at every
 level is asserted there.
 
-Every per-vertex group here is read through derived_homology_data,
-which keeps each group on X, computed once per (vertex, side, degree):
-the stalk complex is built one level past the highest degree not yet
-kept.  Only degrees up to 3 are kept.  A degree i >= 4 at q is degree
-i - 3 at σ(q), because levels 4 and up of the resolution at q are the
-resolution at σ(q): Ω³S_q ≅ S_σ(q) (Brenner-Butler-King, "Periodic
-algebras which are almost Koszul", 2002).  Degrees 0 and 1 are the
+Every per-vertex group, induced map and weak-equivalence verdict is
+read at one key, its _fold (vertex, side, j <= 3): degree i >= 4 at q is
+degree i - 3 at σ(q), as levels 4 and up of the resolution at q are the
+one at σ(q): Ω³S_q ≅ S_σ(q) (Brenner-Butler-King, "Periodic algebras
+which are almost Koszul", 2002).  Groups are kept on X per key, maps read
+level j at the key's vertex, so no resolution grows past level 4, and
+is_weak_equivalence tests each key once.  Degrees 0 and 1 are the
 functors of the mesh category itself:
 
 * the kernel corner K_q(X) is H^0 at q, the kernel of the side-co
@@ -283,24 +283,29 @@ def _complex_from_resolution(res: StalkResolution, X: Representation,
     return modules, maps
 
 
-def derived_homology_data(X: Representation, q, side: str, degrees) -> dict:
-    """HomologyData per listed degree for one side at one vertex.
-
-    Groups are kept on X, keyed (vertex, side, i) for i <= 3.  A degree
-    i >= 4 at q is read as degree i - 3 at σ(q), repeatedly, since the
-    complexes agree there (Ω³S_q ≅ S_σ(q), see resolve_stalk).  Each
-    vertex with degrees not yet kept gets one stalk complex, to one level
-    past the highest of them, and one middle_homology per such degree.
-    """
+def _fold(C: MeshCategory, q, side: str, degrees) -> dict:
+    """{i: (v, side, j)}, the memo key of each listed degree i at q: degree
+    i >= 4 at q is degree i - 3 at σ(q) (see resolve_stalk), down to j <= 3."""
     keys = {}
     # orbit[k] = σ^k(q), where degree i at q is read as degree i - 3k
     orbit, sigma = [q], None
     for i in degrees:
         k = max(i - 1, 0) // 3
         while len(orbit) <= k:
-            sigma = sigma or _Side(X.category, side).serre_end
+            sigma = sigma or _Side(C, side).serre_end
             orbit.append(sigma(orbit[-1]))
         keys[i] = (orbit[k], side, i - 3 * k)
+    return keys
+
+
+def derived_homology_data(X: Representation, q, side: str, degrees) -> dict:
+    """HomologyData per listed degree for one side at one vertex.
+
+    Groups are kept on X under their _fold keys.  Each vertex with degrees
+    not yet kept gets one stalk complex, to one level past the highest of
+    them, and one middle_homology per such degree.
+    """
+    keys = _fold(X.category, q, side, degrees)
     memo = X._homology
     missing = {}
     for key in keys.values():
@@ -325,15 +330,21 @@ def derived_homology(X: Representation, q, side: str = SIDE_CN,
 
 
 def _derived_maps(phi: RepMorphism, q, side: str, degrees) -> dict:
-    """Induced maps on the listed derived homology degrees, from one
-    computation of those degrees at each end."""
-    res = resolve_stalk(phi.source.category, q, side, max(degrees) + 1)
+    """Induced maps on the listed derived homology degrees, each read at its
+    _fold key (v, side, j): the groups kept there on both ends, and φ on
+    level j of the resolution at v, which is level i of the one at q."""
+    C = phi.source.category
+    keys = _fold(C, q, side, degrees)
+    tops = {}
+    for v, _, j in keys.values():
+        tops[v] = max(j, tops.get(v, j))
+    terms = {v: resolve_stalk(C, v, side, top + 1).terms
+             for v, top in tops.items()}
     dx = derived_homology_data(phi.source, q, side, degrees)
     dy = derived_homology_data(phi.target, q, side, degrees)
-    ring = phi.source.ring
     out = {}
-    for i in degrees:
-        block = Matrix.block_diag(ring, [phi.component(r) for r in res.terms[i]])
+    for i, (v, _, j) in keys.items():
+        block = Matrix.block_diag(C.ring, [phi.component(r) for r in terms[v][j]])
         out[i] = induced_on_homology(dx[i], dy[i], block)
     return out
 
@@ -349,13 +360,8 @@ def derived_homology_map(phi: RepMorphism, q, side: str, degree: int) -> ModuleM
 
 @dataclass
 class CornerValues:
-    vertex: object
     K: PresentedModule
     C: PresentedModule
-
-    def describe(self):
-        return {"vertex": format_vertex(self.vertex),
-                "K": self.K.describe(), "C": self.C.describe()}
 
 
 def corner_functors(X: Representation, q) -> CornerValues:
@@ -367,18 +373,12 @@ def corner_functors(X: Representation, q) -> CornerValues:
     every arrow out of q kills, and so every radical morphism, as the
     radical is generated by the arrows.  Dually H_0 is the cokernel of
     the side-cn boundary ⊕ X(p) -> X(q) over the arrows p -> q: X(q)
-    modulo the images of the radical morphisms into q.  Each is degree 0
-    of derived_homology_data, so a corner shares its group, kept on X,
-    with derived_homology and homology_report.  The pair is kept on X too,
-    as a module keeps its normal form, so zero_test after classify_object
-    reads each corner once.
+    modulo the images of the radical morphisms into q.  Each is the
+    degree-0 group kept on X by derived_homology_data, which zero_test,
+    classify_object and homology_report read too.
     """
-    corners = X._corners.get(q)
-    if corners is None:
-        corners = X._corners[q] = CornerValues(
-            q, derived_homology_data(X, q, SIDE_CO, (0,))[0].module,
-            derived_homology_data(X, q, SIDE_CN, (0,))[0].module)
-    return corners
+    return CornerValues(derived_homology_data(X, q, SIDE_CO, (0,))[0].module,
+                        derived_homology_data(X, q, SIDE_CN, (0,))[0].module)
 
 
 def mesh_homology_data(X: Representation, q) -> HomologyData:
@@ -488,8 +488,6 @@ def classify_object(X: Representation) -> ClassificationVerdict:
                 injective = False
                 witnesses.setdefault("non_injective_corner", []).append(
                     (format_vertex(q), corner.K.describe()))
-    else:
-        projective = injective = False
     exact = vanishes if X.ring.is_hereditary else NOT_THEOREM_BACKED
     return ClassificationVerdict(exact, projective, injective, vanishes,
                                  witnesses)
@@ -552,9 +550,10 @@ def is_weak_equivalence(phi: RepMorphism, max_degree: int = 2) -> dict:
     """Whether H_i(phi) is an isomorphism for i = 1..max_degree at every
     vertex.  Depth 3 decides every degree: levels 4 and up of the stalk
     resolution at q are the one at σ(q) (Ω³S_q ≅ S_σ(q)), so H_i(phi) at q
-    is H_{i-3}(phi) at σ(q) for i >= 4, and derived_homology_data reads
-    those groups there; the default depth 2 omits H_3.  The groups of
-    source and target are kept on them, so a later mesh_homology_map or
+    is H_{i-3}(phi) at σ(q) for i >= 4; the default depth 2 omits H_3.
+    Each (probe, degree) entry reads the verdict of its _fold key, tested
+    once at the first probe that reaches it.  The groups of source and
+    target are kept on them, so a later mesh_homology_map or
     classify_object on either computes none of them again.  When the
     radical squares to zero, degree one alone decides, which is
     cross-checked."""
@@ -565,21 +564,23 @@ def is_weak_equivalence(phi: RepMorphism, max_degree: int = 2) -> dict:
     if not check["ok"]:
         raise InvalidMorphism(str(check["failures"]))
     C = phi.source.category
+    decided = {}  # _fold key -> whether H(φ) there is an isomorphism
     table = {}
-    verdict = True
-    degree_one = True
     for q in _cn_probes(phi.source, phi.target, max_degree):
-        maps = _derived_maps(phi, q, SIDE_CN, range(1, max_degree + 1))
-        for i, f in maps.items():
-            iso = f.is_isomorphism()
-            table[(format_vertex(q), i)] = iso
-            if not iso:
-                verdict = False
-                if i == 1:
-                    degree_one = False
+        keys = _fold(C, q, SIDE_CN, range(1, max_degree + 1))
+        # the least degree of each key not yet decided
+        least = {key: i for i, key in reversed(keys.items()) if key not in decided}
+        if least:
+            maps = _derived_maps(phi, q, SIDE_CN, sorted(least.values()))
+            for key, i in least.items():
+                decided[key] = maps[i].is_isomorphism()
+        for i, key in keys.items():
+            table[(format_vertex(q), i)] = decided[key]
+    verdict = all(table.values())
     result = {"is_weak_equivalence": verdict, "iso_table": table,
               "max_degree": max_degree}
     if C.nilpotency_index() == 2:
+        degree_one = all(iso for (_, i), iso in table.items() if i == 1)
         result["degree_one_route"] = degree_one
         result["routes_agree"] = (degree_one == verdict)
     return result

@@ -56,7 +56,6 @@ class Representation:
         self.support = frozenset(v for v, m in self.values.items()
                                  if not m.is_zero)
         self._zero = PresentedModule.free(self.ring, 0)
-        self._corners = {}  # homology.corner_functors, written once per vertex
         # homology.derived_homology_data, written once per (vertex, side, i <= 3)
         self._homology = {}
 

@@ -318,12 +318,20 @@ class TestExitCodes:
         assert json.loads(out) == {"error": "--max-degree: must be at most 64",
                                    "path": "--max-degree"}
 
-    def test_max_degree_at_the_cap_is_accepted(self, capsys, rep_file):
+    @pytest.mark.parametrize("command", ["homology", "weq"])
+    def test_max_degree_at_the_cap_is_accepted(self, capsys, rep_file, command):
+        path = rep_file if command == "homology" else str(FIXTURES / "counter.json")
         start = time.perf_counter()
-        code, out = run(capsys, "homology", "--input", rep_file,
-                        "--max-degree", "64")
+        code, out = run(capsys, command, "--input", path, "--max-degree", "64")
         assert time.perf_counter() - start < 5.0
-        assert code == 0 and json.loads(out)["verdicts"]["max_degree"] == 64
+        report = json.loads(out)
+        assert code == 0
+        if command == "homology":
+            assert report["verdicts"]["max_degree"] == 64
+        else:
+            degrees = {int(k.rsplit(" ", 1)[1])
+                       for k in report["tables"]["isomorphisms"]}
+            assert degrees == set(range(1, 65))
 
     @pytest.mark.parametrize("value,path", [
         ({"rank": 10000}, "/values/1/rank"),

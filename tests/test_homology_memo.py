@@ -6,7 +6,10 @@ tests query one warm X in a seeded shuffled order through every reader
 and compare each group, degrees 0..7 on both sides, with middle_homology
 on the paired complex of a fresh copy of X built to degree 7, where no
 degree is folded.  They also count middle_homology calls: each group is
-computed once, and repeating a query computes nothing.
+computed once, and repeating a query computes nothing.  Weak equivalence
+reads its maps and verdicts at the same keys: its tables and maps are
+compared with those of the unfolded complex, and it counts one
+isomorphism test per key.
 """
 
 import random
@@ -16,16 +19,18 @@ import pytest
 from qshape import Matrix, MeshCategory, QQ, ZZ, Zmod, build_double_an, \
     build_repetitive_an
 from qshape import homology
-from qshape.exactalg import induced_on_homology, middle_homology
-from qshape.homology import (SIDE_CN, SIDE_CO, _cn_probes, corner_functors,
-                             derived_homology, derived_homology_data,
+from qshape.exactalg import ModuleMap, induced_on_homology, middle_homology
+from qshape.fixtures import counter_morphism
+from qshape.homology import (SIDE_CN, SIDE_CO, _cn_probes, _Side,
+                             corner_functors, derived_homology,
+                             derived_homology_data, derived_homology_map,
                              homology_report, is_weak_equivalence,
                              mesh_homology, resolve_stalk)
 from qshape.quiver import format_vertex
 from qshape.repmod import Representation, random_representation
 
 from test_fast_paths import categories, draws, paired_complex
-from test_weq_periodicity import scaled
+from test_weq_periodicity import categories as weq_categories, scaled
 
 RINGS = (ZZ, QQ, Zmod(3), Zmod(9))
 SIDES = (SIDE_CN, SIDE_CO)
@@ -96,20 +101,27 @@ def test_kept_and_folded_groups_equal_the_unfolded_complex(ring):
                     X, q, SIDE_CO, (0,))[0].module
 
 
-def unfolded_iso_table(X, c, max_degree):
-    """The weak-equivalence table of c·1_X with every degree read from one
-    complex at its probe, none at σ(q) and none kept."""
-    table = {}
-    for q in _cn_probes(X, X, max_degree):
-        groups = fresh_groups(X, q, SIDE_CN, max_degree)
+def unfolded_maps(phi, max_degree):
+    """H_i(φ) for i = 1..max_degree at every probe, each read from one
+    complex at its probe on fresh copies of both ends: none at σ(q) and
+    none kept."""
+    X, Y = phi.source, phi.target
+    maps = {}
+    for q in _cn_probes(X, Y, max_degree):
+        gx = fresh_groups(X, q, SIDE_CN, max_degree)
+        gy = fresh_groups(Y, q, SIDE_CN, max_degree)
         res = resolve_stalk(X.category, q, SIDE_CN, max_degree + 1)
         for i in range(1, max_degree + 1):
-            block = Matrix.block_diag(X.ring, [
-                Matrix.identity(X.ring, X.value(r).generators).scale(c)
-                for r in res.terms[i]])
-            f = induced_on_homology(groups[i], groups[i], block)
-            table[(format_vertex(q), i)] = f.is_isomorphism()
-    return table
+            block = Matrix.block_diag(X.ring, [phi.component(r)
+                                               for r in res.terms[i]])
+            maps[(q, i)] = induced_on_homology(gx[i], gy[i], block)
+    return maps
+
+
+def unfolded_iso_table(phi, max_degree):
+    """The weak-equivalence table of φ read from unfolded_maps."""
+    return {(format_vertex(q), i): f.is_isomorphism()
+            for (q, i), f in unfolded_maps(phi, max_degree).items()}
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)
@@ -117,10 +129,36 @@ def test_weak_equivalence_of_scalars_on_repetitive_a2(ring):
     C = MeshCategory(build_repetitive_an(2, (-6, 6)), ring)
     for X in draws(C, 500):
         for c in (1, -1, 2, 3):
-            want = unfolded_iso_table(X, c, 6)
+            want = unfolded_iso_table(scaled(X, c), 6)
             got = is_weak_equivalence(scaled(X, c), 6)
             assert got["iso_table"] == want
             assert got["is_weak_equivalence"] == all(want.values())
+
+
+def weq_morphisms(ring):
+    """c·1_X for c in {1, -1, 2, 3} on draws over the periodicity test's
+    categories, then the counterexample morphism."""
+    for k, C in enumerate(weq_categories(ring)):
+        for X in draws(C, 600 + k):
+            for c in (1, -1, 2, 3):
+                yield scaled(X, c)
+    yield counter_morphism(ring)[2]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_weak_equivalence_tables_equal_the_unfolded_complex(ring):
+    for phi in weq_morphisms(ring):
+        want = unfolded_maps(phi, DEPTH)
+        table = {(format_vertex(q), i): f.is_isomorphism()
+                 for (q, i), f in want.items()}
+        got = is_weak_equivalence(phi, DEPTH)
+        assert got["iso_table"] == table
+        assert got["is_weak_equivalence"] == all(table.values())
+        if "degree_one_route" in got:
+            assert got["degree_one_route"] == all(
+                iso for (_, i), iso in table.items() if i == 1)
+        for (q, i), f in want.items():
+            assert derived_homology_map(phi, q, SIDE_CN, i).matrix == f.matrix
 
 
 def counting_middle_homology(monkeypatch):
@@ -131,6 +169,17 @@ def counting_middle_homology(monkeypatch):
         calls.append(g)
         return original(f, g)
     monkeypatch.setattr(homology, "middle_homology", counting)
+    return calls
+
+
+def counting_isomorphism_tests(monkeypatch):
+    calls = []
+    original = ModuleMap.is_isomorphism
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+    monkeypatch.setattr(ModuleMap, "is_isomorphism", counting)
     return calls
 
 
@@ -170,3 +219,43 @@ def test_deep_report_costs_no_more_than_depth_three(monkeypatch):
     assert {k: v for k, v in deep["H_"].items() if int(k.split()[0]) <= 3} \
         == shallow["H_"]
     assert deep["mesh"] == shallow["mesh"]
+
+
+def test_deep_weak_equivalence_costs_no_more_than_depth_three(monkeypatch):
+    # every (vertex, degree <= 3) of double A_6 is a probe at depth 3, so
+    # depth 64 decides nothing new (384 isomorphism tests, and resolutions
+    # of 65 levels, when every degree was decided at every probe)
+    calls = counting_middle_homology(monkeypatch)
+    isos = counting_isomorphism_tests(monkeypatch)
+    counts, tables = {}, {}
+    for depth in (3, 64):
+        C = MeshCategory(build_double_an(6), QQ)
+        X = random_representation(C, random.Random("memo report"))
+        tables[depth] = is_weak_equivalence(scaled(X, 2), depth)["iso_table"]
+        counts[depth] = (len(isos), len(calls))
+        assert max(res.length() for res in C._resolution_cache.values()) <= 4
+        isos.clear()
+        calls.clear()
+    assert counts[64] == counts[3] == (18, 18)
+    assert {k: v for k, v in tables[64].items() if k[1] <= 3} == tables[3]
+
+
+def test_weak_equivalence_decides_each_fold_key_once(monkeypatch):
+    # degree i at q is degree i - 3k <= 3 at σ^k(q); on the counterexample
+    # at depth 64 that leaves 1,554 keys (25,344 isomorphism tests, one per
+    # probe and degree, when none was shared)
+    calls = counting_middle_homology(monkeypatch)
+    isos = counting_isomorphism_tests(monkeypatch)
+    X, Y, phi = counter_morphism(QQ)
+    sigma = _Side(X.category, SIDE_CN).serre_end
+    keys = set()
+    for q in _cn_probes(X, Y, 64):
+        for i in range(1, 65):
+            v = q
+            while i > 3:
+                v, i = sigma(v), i - 3
+            keys.add((v, i))
+    result = is_weak_equivalence(phi, 64)
+    assert len(isos) == len(keys) == 1554
+    assert len(calls) == 3108
+    assert len(result["iso_table"]) == 64 * len(_cn_probes(X, Y, 64))
