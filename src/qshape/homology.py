@@ -23,10 +23,14 @@ Every per-vertex group, induced map and weak-equivalence verdict is
 read at one key, its _fold (vertex, side, j <= 3): degree i >= 4 at q is
 degree i - 3 at σ(q), as levels 4 and up of the resolution at q are the
 one at σ(q): Ω³S_q ≅ S_σ(q) (Brenner-Butler-King, "Periodic algebras
-which are almost Koszul", 2002).  Groups are kept on X per key, maps read
-level j at the key's vertex, so no resolution grows past level 4, and
-is_weak_equivalence tests each key once.  Degrees 0 and 1 are the
-functors of the mesh category itself:
+which are almost Koszul", 2002).  Groups are kept on X per key and
+shared by complex content: keys whose complexes have the same matrices
+and relations hold one group, computed once.  On double A_n, μ is the
+identity, and some complexes of the two sides coincide (H_1 and H^1 at
+an end vertex); on ZA_n, every complex away from the support is zero.
+Maps read level j at the key's vertex, so no resolution grows past
+level 4, and is_weak_equivalence tests each key once.  Degrees 0 and 1
+are the functors of the mesh category itself:
 
 * the kernel corner K_q(X) is H^0 at q, the kernel of the side-co
   level-1 boundary X(q) -> ⊕ X(r) over the arrows q -> r;
@@ -303,7 +307,9 @@ def derived_homology_data(X: Representation, q, side: str, degrees) -> dict:
 
     Groups are kept on X under their _fold keys.  Each vertex with degrees
     not yet kept gets one stalk complex, to one level past the highest of
-    them, and one middle_homology per such degree.
+    them.  Each such degree's group is shared by complex content: keys
+    whose complexes have the same (f, g, rel_B, rel_C), everything
+    middle_homology reads, hold the one group kept in X._groups.
     """
     keys = _fold(X.category, q, side, degrees)
     memo = X._homology
@@ -317,9 +323,30 @@ def derived_homology_data(X: Representation, q, side: str, degrees) -> dict:
         res = resolve_stalk(X.category, v, side, top + 1)
         _, maps = _complex_from_resolution(res, X, top + 2)
         for j in sorted(js):
-            memo[v, side, j] = middle_homology(
-                *res._engine.ends(maps[j], maps[j + 1]))
+            memo[v, side, j] = _shared_group(
+                X._groups, *res._engine.ends(maps[j], maps[j + 1]))
     return {i: memo[key] for i, key in keys.items()}
+
+
+def _shared_group(groups: dict, f: ModuleMap, g: ModuleMap) -> HomologyData:
+    """middle_homology(f, g), computed once per distinct complex.
+
+    The complex's content is all that middle_homology reads: f, g and the
+    relations of their targets (C.generators is g's row count).  groups
+    maps its shape to [(content, group), ...], so a complex is compared
+    only with those of its shape, and one of a new shape costs no hash or
+    comparison of entries.
+    """
+    rel_b, rel_c = f.target.relations, g.target.relations
+    content = (f.matrix, g.matrix, rel_b, rel_c)
+    shelf = groups.setdefault(
+        (f.matrix.rows, f.matrix.cols, g.matrix.rows, rel_b.cols, rel_c.cols), [])
+    for kept, group in shelf:
+        if kept == content:
+            return group
+    group = middle_homology(f, g)
+    shelf.append((content, group))
+    return group
 
 
 def derived_homology(X: Representation, q, side: str = SIDE_CN,

@@ -56,8 +56,14 @@ class Representation:
         self.support = frozenset(v for v, m in self.values.items()
                                  if not m.is_zero)
         self._zero = PresentedModule.free(self.ring, 0)
-        # homology.derived_homology_data, written once per (vertex, side, i <= 3)
+        # write-once memos, dropped with X: homology.derived_homology_data keeps
+        # each group in _homology per fold key (vertex, side, i <= 3), and in
+        # _groups per complex content, filed by shape, so keys whose complexes
+        # are equal share one group; evaluate_matrix keeps X(coeff * e) in
+        # _evaluated per (coeff, e)
         self._homology = {}
+        self._groups = {}
+        self._evaluated = {}
 
     def value(self, v) -> PresentedModule:
         return self.values.get(v, self._zero)
@@ -81,21 +87,31 @@ class Representation:
         the matrix is zero; otherwise elt's path stays in the window, and
         the product starts from the first arrow's matrix, so only an
         identity element builds an identity matrix; when coeff times the
-        path's sign is one, the product is returned as it is."""
+        path's sign is one, the product is returned as it is.  The result
+        is kept on X under (coeff, elt), coeff read through ring.element
+        first, so a repeated call returns the same matrix."""
         coeff = self.ring.element(coeff)
+        key = (coeff, elt)
+        out = self._evaluated.get(key)
+        if out is not None:
+            return out
         rows = self.value(elt.target).generators
         cols = self.value(elt.source).generators
         if not rows or not cols:
-            return Matrix.zeros(self.ring, rows, cols)
-        sign, arrows = self.category.basis_path(elt)
-        if not arrows:
-            out = Matrix.identity(self.ring, cols)
+            out = Matrix.zeros(self.ring, rows, cols)
         else:
-            out = self.arrow_matrix(arrows[0])
-            for arrow in arrows[1:]:
-                out = self.arrow_matrix(arrow) * out
-        scalar = self.ring.mul(coeff, sign)
-        return out if scalar == self.ring.one else out.scale(scalar)
+            sign, arrows = self.category.basis_path(elt)
+            if not arrows:
+                out = Matrix.identity(self.ring, cols)
+            else:
+                out = self.arrow_matrix(arrows[0])
+                for arrow in arrows[1:]:
+                    out = self.arrow_matrix(arrow) * out
+            scalar = self.ring.mul(coeff, sign)
+            if scalar != self.ring.one:
+                out = out.scale(scalar)
+        self._evaluated[key] = out
+        return out
 
     # -- constructions -----------------------------------------------------------
 

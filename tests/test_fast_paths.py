@@ -145,6 +145,26 @@ class TestEvaluateMatrix:
                 with pytest.raises(InvalidParameter):
                     X.evaluate_matrix(coeff, e)
 
+    @pytest.mark.parametrize("ring, inexact",
+                             [(ZZ, (0.5, 1.0, True, Fraction(1, 2))),
+                              (Zmod(9), (0.5,))], ids=["ZZ", "Zmod(9)"])
+    def test_kept_matrices_refuse_inexact_coefficients(self, ring, inexact):
+        # X(coeff * e) is kept per (ring.element(coeff), e): a repeated or
+        # equal coefficient returns the kept matrix, and a warm entry under
+        # 1 lets no inexact coefficient equal to 1 through
+        C = MeshCategory(build_double_an(3), ring)
+        X = draws(C, 3, count=1)[0]
+        for q in C.vertices:
+            for e in radical_out(C, q, 0):
+                first = X.evaluate_matrix(1, e)
+                assert first == evaluate_from_identity(X, e)
+                assert X.evaluate_matrix(1, e) is first
+                assert X.evaluate_matrix(Fraction(1), e) is first
+                assert X.evaluate_matrix(ring.canon(10), e) == first.scale(10)
+                for coeff in inexact:
+                    with pytest.raises(InvalidParameter):
+                        X.evaluate_matrix(coeff, e)
+
 
 class TestResolutionHead:
     def test_arrows_give_the_radical_scan_order(self):

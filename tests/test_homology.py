@@ -631,7 +631,8 @@ class TestClassification:
         """qshape classify runs classify_object and then zero_test: mesh
         homology at the 3 vertices of double A_3, then H^0 and H_0 at the 3
         support vertices, kept on X for zero_test (15 calls when zero_test
-        computed them again)."""
+        computed them again).  The 9 fold keys hold 6 distinct complexes
+        (9 calls when each key computed its own)."""
         X = make(double_cat(3), 2, PresentedModule.free(ZZ, 1))
         calls = []
         original = homology.middle_homology
@@ -643,10 +644,11 @@ class TestClassification:
         assert classify_object(X).homology_vanishes
         assert zero_test(X)["routes_agree"]
         assert len(X.support) == 3
-        assert len(calls) == 3 + 2 * 3 == 9
+        assert len(X._homology) == 3 + 2 * 3 == 9
+        assert len(calls) == 6
         first, again = corner_functors(X, 2), corner_functors(X, 2)
         assert first.K is again.K and first.C is again.C
-        assert len(calls) == 9
+        assert len(calls) == 6
 
 
 class TestWeakEquivalence:
@@ -705,12 +707,15 @@ class TestWeakEquivalence:
                     f.is_isomorphism()
 
     def test_middle_homology_only_for_the_degrees_read(self, monkeypatch):
-        """One middle_homology per degree asked for and per end, each on a
+        """One group kept per degree asked for and per end, each on a
         fresh counterexample: degrees 1 and 2 of source and target at each
         probe of weq, degree 1 of each end for mesh_homology_map, and mesh
         homology at the 9 probes of classify, whose support spans two
         columns.  On the objects weq has read, the groups are kept: its
-        probes reach below the support, so they cover both later calls."""
+        probes reach below the support, so they cover both later calls.
+        The 96 fold keys of weq hold 14 distinct complexes, and the 9 of
+        classify hold 6, as most probes lie off the support (96 and 9 calls
+        when each key computed its own)."""
         calls = []
         original = homology.middle_homology
 
@@ -723,14 +728,15 @@ class TestWeakEquivalence:
             calls.clear()
             call()
             return len(calls)
-        X, _, phi = counter_morphism(QQ)
+        X, Y, phi = counter_morphism(QQ)
         probes = homology._cn_probes(phi.source, phi.target, 2)
-        assert count(lambda: is_weak_equivalence(phi, 2)) \
-            == 4 * len(probes) == 96
+        assert count(lambda: is_weak_equivalence(phi, 2)) == 14
+        assert len(X._homology) + len(Y._homology) == 4 * len(probes) == 96
         _, _, fresh = counter_morphism(QQ)
         assert count(lambda: mesh_homology_map(fresh, probes[0])) == 2
         fresh_X, _, _ = counter_morphism(QQ)
-        assert count(lambda: classify_object(fresh_X)) == 9
+        assert count(lambda: classify_object(fresh_X)) == 6
+        assert len(fresh_X._homology) == 9
         assert not classify_object(fresh_X).homology_vanishes
         assert count(lambda: mesh_homology_map(phi, probes[0])) == 0
         assert count(lambda: classify_object(X)) == 0

@@ -6,7 +6,9 @@ tests query one warm X in a seeded shuffled order through every reader
 and compare each group, degrees 0..7 on both sides, with middle_homology
 on the paired complex of a fresh copy of X built to degree 7, where no
 degree is folded.  They also count middle_homology calls: each group is
-computed once, and repeating a query computes nothing.  Weak equivalence
+computed once, and repeating a query computes nothing.  Keys whose
+complexes are equal share one group: each shared group is checked
+against the fresh complexes of all its keys.  Weak equivalence
 reads its maps and verdicts at the same keys: its tables and maps are
 compared with those of the unfolded complex, and it counts one
 isomorphism test per key.
@@ -16,17 +18,18 @@ import random
 
 import pytest
 
-from qshape import Matrix, MeshCategory, QQ, ZZ, Zmod, build_double_an, \
-    build_repetitive_an
+from qshape import Matrix, MeshCategory, PresentedModule, QQ, ZZ, Zmod, \
+    build_double_an, build_repetitive_an
 from qshape import homology
 from qshape.exactalg import ModuleMap, induced_on_homology, middle_homology
 from qshape.fixtures import counter_morphism
 from qshape.homology import (SIDE_CN, SIDE_CO, _cn_probes, _Side,
                              corner_functors, derived_homology,
                              derived_homology_data, derived_homology_map,
-                             homology_report, is_weak_equivalence,
-                             mesh_homology, resolve_stalk)
-from qshape.quiver import format_vertex
+                             homology_probe_vertices, homology_report,
+                             is_weak_equivalence, mesh_homology,
+                             resolve_stalk)
+from qshape.quiver import DOUBLE_AN, format_vertex
 from qshape.repmod import Representation, random_representation
 
 from test_fast_paths import categories, draws, paired_complex
@@ -48,6 +51,11 @@ def fresh_groups(X, q, side, max_degree):
     eng, maps = paired_complex(fresh(X), q, side, max_degree)
     return [middle_homology(*eng.ends(maps[i], maps[i + 1]))
             for i in range(max_degree + 1)]
+
+
+def kept_groups(X) -> list:
+    """The distinct groups kept on X, one per distinct complex."""
+    return [group for shelf in X._groups.values() for _, group in shelf]
 
 
 def assert_same_group(got, want):
@@ -99,6 +107,67 @@ def test_kept_and_folded_groups_equal_the_unfolded_complex(ring):
                 assert corners.C is cn[0].module
                 assert corners.K is derived_homology_data(
                     X, q, SIDE_CO, (0,))[0].module
+
+
+def sharing_categories(ring):
+    return ([MeshCategory(build_double_an(n), ring) for n in (2, 3, 4, 5)]
+            + [MeshCategory(build_repetitive_an(n, (-3, 3)), ring)
+               for n in (2, 3)])
+
+
+def fold_complex(X, key):
+    """(f, g, rel_B, rel_C) of the complex at a fold key (v, side, j), built
+    on a fresh copy of X: everything middle_homology reads."""
+    v, side, j = key
+    eng, maps = paired_complex(fresh(X), v, side, j)
+    f, g = eng.ends(maps[j], maps[j + 1])
+    return f.matrix, g.matrix, f.target.relations, g.target.relations
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_shared_groups_are_those_of_equal_complexes(ring):
+    # fold keys whose complexes have equal matrices and relations share
+    # one group; each group is still the one of its own unfolded complex
+    for k, C in enumerate(sharing_categories(ring)):
+        for X in draws(C, 700 + k):
+            for q in homology_probe_vertices(C, X.support, C.n - 1, 1):
+                for side in SIDES:
+                    got = derived_homology_data(X, q, side, range(DEPTH + 1))
+                    want = fresh_groups(X, q, side, DEPTH)
+                    for i in range(DEPTH + 1):
+                        assert_same_group(got[i], want[i])
+            holders = {}
+            for key, group in X._homology.items():
+                holders.setdefault(id(group), []).append(key)
+            assert len(holders) == len(kept_groups(X)) < len(X._homology)
+            co_with_cn = 0
+            for keys in holders.values():
+                first = fold_complex(X, keys[0])
+                assert all(fold_complex(X, key) == first for key in keys[1:])
+                co_with_cn += len({side for _, side, _ in keys}) == 2
+            # on double A_n, μ is the identity, and at an end vertex side cn's
+            # levels 2 -> 1 -> 0 and side co's 0 -> 1 -> 2 are one complex
+            if C.flavor == DOUBLE_AN:
+                assert co_with_cn
+
+
+def test_complexes_equal_but_for_one_relation_share_no_group():
+    # Z --0--> B --g--> C with B or C = Z/p: for p = 2 and 3 the matrices
+    # and shapes are the same, and only a relation tells them apart
+    Z = PresentedModule.free(ZZ, 1)
+    zero, one = Matrix(ZZ, 1, 1, [0]), Matrix(ZZ, 1, 1, [1])
+
+    def cyclic(p):
+        return PresentedModule(ZZ, 1, Matrix(ZZ, 1, 1, [p]))
+    for complex_at in (
+            lambda p: (ModuleMap(Z, cyclic(p), zero), ModuleMap(cyclic(p), Z, zero)),
+            lambda p: (ModuleMap(Z, Z, zero), ModuleMap(Z, cyclic(p), one))):
+        groups = {}
+        first = {p: homology._shared_group(groups, *complex_at(p)) for p in (2, 3)}
+        assert first[2] is not first[3]
+        for p in (2, 3):
+            assert homology._shared_group(groups, *complex_at(p)) is first[p]
+            assert_same_group(first[p], middle_homology(*complex_at(p)))
 
 
 def unfolded_maps(phi, max_degree):
@@ -194,28 +263,36 @@ def warm_sequence(X):
 
 def test_warm_sequence_computes_eight_groups_per_vertex(monkeypatch):
     # H_1, then H_0, H_2, H_3, then H^0..H^3; the corners read H_0 and H^0
-    # (11 calls per vertex when nothing was kept)
+    # (11 calls per vertex when nothing was kept).  The 8 fold keys per
+    # vertex hold 26 distinct complexes: at the end vertices 1 and 4, H_1
+    # and H^1 have one complex, and H_2, H_3 at one end have those of H^3,
+    # H^2 at the other (32 calls when each key computed its own)
     calls = counting_middle_homology(monkeypatch)
     C = MeshCategory(build_double_an(4), ZZ)
     X = random_representation(C, random.Random("memo counts"))
     warm_sequence(X)
-    assert len(calls) == 8 * len(C.vertices)
+    assert len(X._homology) == 8 * len(C.vertices)
+    assert len(calls) == len(kept_groups(X)) == 26
     calls.clear()
     warm_sequence(X)
     assert calls == []
 
 
 def test_deep_report_costs_no_more_than_depth_three(monkeypatch):
-    # degrees past 3 are read at σ(q): 8 groups per vertex of double A_6
-    # at any depth (780 calls at depth 64 when every degree was computed)
+    # degrees past 3 are read at σ(q): 8 fold keys per vertex of double A_6
+    # at any depth (780 calls at depth 64 when every degree was computed),
+    # holding 42 distinct complexes (48 calls when each key computed its own)
     calls = counting_middle_homology(monkeypatch)
     C = MeshCategory(build_double_an(6), QQ)
     X = random_representation(C, random.Random("memo report"))
-    shallow = homology_report(fresh(X), max_degree=3)
-    assert len(calls) == 48
+    shallow_X, deep_X = fresh(X), fresh(X)
+    shallow = homology_report(shallow_X, max_degree=3)
+    assert len(shallow_X._homology) == 48
+    assert len(calls) == 42
     calls.clear()
-    deep = homology_report(fresh(X), max_degree=64)
-    assert len(calls) <= 48
+    deep = homology_report(deep_X, max_degree=64)
+    assert len(deep_X._homology) == 48
+    assert len(calls) == 42
     assert {k: v for k, v in deep["H_"].items() if int(k.split()[0]) <= 3} \
         == shallow["H_"]
     assert deep["mesh"] == shallow["mesh"]
@@ -243,7 +320,9 @@ def test_deep_weak_equivalence_costs_no_more_than_depth_three(monkeypatch):
 def test_weak_equivalence_decides_each_fold_key_once(monkeypatch):
     # degree i at q is degree i - 3k <= 3 at σ^k(q); on the counterexample
     # at depth 64 that leaves 1,554 keys (25,344 isomorphism tests, one per
-    # probe and degree, when none was shared)
+    # probe and degree, when none was shared).  The keys of both ends hold
+    # 15 distinct complexes, as most probes lie off the support, where the
+    # complex is zero (3,108 calls when each key computed its own)
     calls = counting_middle_homology(monkeypatch)
     isos = counting_isomorphism_tests(monkeypatch)
     X, Y, phi = counter_morphism(QQ)
@@ -257,5 +336,6 @@ def test_weak_equivalence_decides_each_fold_key_once(monkeypatch):
             keys.add((v, i))
     result = is_weak_equivalence(phi, 64)
     assert len(isos) == len(keys) == 1554
-    assert len(calls) == 3108
+    assert len(X._homology) == len(Y._homology) == 1554
+    assert len(calls) == 15
     assert len(result["iso_table"]) == 64 * len(_cn_probes(X, Y, 64))
