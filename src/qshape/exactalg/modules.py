@@ -97,7 +97,9 @@ class PresentedModule:
     # -- normal form --------------------------------------------------------
 
     def normal_form(self) -> NormalForm:
-        """Computed lazily and cached; the cache write is idempotent."""
+        """Computed lazily and cached; the cache write is idempotent.  Over
+        a field it is the rank of the relations, and over Z and Z/p^k the
+        diagonal of their Smith form, built with neither transform."""
         if self._normal_form is not None:
             return self._normal_form
         ring = self.ring
@@ -107,7 +109,7 @@ class PresentedModule:
             # Z and Z/p^k: every nonzero diagonal entry kills a generator,
             # and the non-units among them (a unit comes out as 1) are the
             # torsion factors
-            S, _, _ = smith_normal_form(self.relations)
+            S, _, _ = smith_normal_form(self.relations, u=False, v=False)
             diag = [S[i, i] for i in range(min(S.rows, S.cols))]
             nonzero = [d for d in diag if d != 0]
             nf = NormalForm(self.generators - len(nonzero),
@@ -123,8 +125,9 @@ class PresentedModule:
         return self.normal_form().is_zero
 
     def vanishes(self, vectors: Matrix) -> bool:
-        """Whether every column of ``vectors`` is zero in the module."""
-        return solve_matrix(self.relations, vectors) is not None
+        """Whether every column of ``vectors`` is zero in the module; a zero
+        matrix is, with no elimination."""
+        return vectors.is_zero or solve_matrix(self.relations, vectors) is not None
 
     def isomorphic(self, other: "PresentedModule") -> bool:
         return self.ring == other.ring and self.normal_form() == other.normal_form()
@@ -262,14 +265,12 @@ def middle_homology(f: ModuleMap, g: ModuleMap) -> HomologyData:
     B modulo [f | rel_B], f.cokernel(), with the identity as its cycle
     generators and no elimination.
 
-    g∘f must vanish in C; NotWellDefined is raised when it does not, and
-    the solve behind that check is skipped when g·f is zero on generators.
+    g∘f must vanish in C; NotWellDefined is raised when it does not.
     """
     B, C = f.target, g.target
     if C.generators == 0:
         return HomologyData(f.cokernel(), Matrix.identity(B.ring, B.generators), B)
-    gf = g.matrix * f.matrix
-    if not gf.is_zero and not C.vanishes(gf):
+    if not C.vanishes(g.matrix * f.matrix):
         raise NotWellDefined("image of f does not lie in the kernel of g")
     incl = preimage_generators(g.matrix, C.relations)
     rel = preimage_generators(incl, Matrix.hstack([f.matrix, B.relations]))

@@ -8,12 +8,14 @@ Each ring's arithmetic stays in that ring, and there are two eliminations:
   over Z/p^k.  Over Z/p^k the pivot row is scaled by the inverse of the
   pivot's unit part, so the pivot is p^v, divides every entry left, and
   one sweep clears its row and column; every entry stays in [0, p^k).
-* Q and Z/p: reduced row echelon form ``_rref``, on the raw entries
-  (Fractions over Q, ints mod p over Z/p).
+* Q and Z/p: row echelon form ``_rref``, on the raw entries (Fractions
+  over Q, ints mod p over Z/p), reduced for kernels and solving.
 
-Over Z and Z/p^k one decomposition U*M*V = S serves kernels (from V and
-the diagonal), solving (from all three) and invertibility (from the
-diagonal alone).
+Over Z and Z/p^k each caller builds only the transforms of U*M*V = S it
+reads: solving builds all three, kernels S and V, the mesh projections of
+``hom_basis_oracle`` S and U, and normal forms and invertibility the
+diagonal of S alone.  No step on S or V reads U, so S and V do not depend
+on which transforms are built.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .rings import INTEGERS, RATIONALS
 # Smith normal form over Z and Z/p^k
 # ---------------------------------------------------------------------------
 
-def _smith(entries, rows, cols, m):
+def _smith(entries, rows, cols, m, u=True, v=True):
     """Return (S, U, V) as dense integer lists with U*M*V = S, over Z when
     m = 0 and over Z/m when m = p^k, with ``entries`` then in [0, m).
 
@@ -37,26 +39,29 @@ def _smith(entries, rows, cols, m):
     they are powers of p below m (or 0), and every entry of S, U and V is
     in [0, m).  U and V are products of elementary row/column operations.
     A zero matrix is left untouched, so U and V come back as identities.
+    U (V) is built only when ``u`` (``v``) is true and is None otherwise;
+    no step reads U or V, so S, and V when built, are the same either way.
     """
     A = [list(entries[i * cols:(i + 1) * cols]) for i in range(rows)]
-    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    U = [[int(i == j) for j in range(rows)] for i in range(rows)] if u else None
+    V = [[int(i == j) for j in range(cols)] for i in range(cols)] if v else None
+    row_lists = (A, U) if u else (A,)
+    col_lists = (A, V) if v else (A,)
 
     def swap_rows(i, j):
         if i != j:
-            A[i], A[j] = A[j], A[i]
-            U[i], U[j] = U[j], U[i]
+            for X in row_lists:
+                X[i], X[j] = X[j], X[i]
 
     def swap_cols(i, j):
         if i != j:
-            for row in A:
-                row[i], row[j] = row[j], row[i]
-            for row in V:
-                row[i], row[j] = row[j], row[i]
+            for X in col_lists:
+                for row in X:
+                    row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, c):  # row_dst += c * row_src
         if c:
-            for X in (A, U):
+            for X in row_lists:
                 Xd = X[dst]
                 for k, x in enumerate(X[src]):
                     if x:
@@ -64,7 +69,7 @@ def _smith(entries, rows, cols, m):
 
     def add_col(src, dst, c):  # col_dst += c * col_src
         if c:
-            for X in (A, V):
+            for X in col_lists:
                 for row in X:
                     x = row[src]
                     if x:
@@ -95,8 +100,8 @@ def _smith(entries, rows, cols, m):
         unit = A[t][t] // best
         if m and unit != 1:  # scale the pivot to p^v = best
             inv = pow(unit, -1, m)
-            A[t] = [x * inv % m for x in A[t]]
-            U[t] = [x * inv % m for x in U[t]]
+            for X in row_lists:
+                X[t] = [x * inv % m for x in X[t]]
 
         while True:
             # clear column t
@@ -138,22 +143,23 @@ def _smith(entries, rows, cols, m):
                 break
             add_row(culprit, t, 1)  # fold the bad row in and restart
         if A[t][t] < 0:
-            for k in range(cols):
-                A[t][k] = -A[t][k]
-            for k in range(rows):
-                U[t][k] = -U[t][k]
+            for X in row_lists:
+                X[t] = [-x for x in X[t]]
         t += 1
 
     return A, U, V
 
 
 def _snf_int(entries, rows, cols):
-    """``_smith`` over Z: the entry ``smith_normal_form`` calls for Z."""
+    """``_smith`` over Z with both transforms: the entry
+    ``smith_normal_form`` calls for the full (S, U, V) over Z."""
     return _smith(entries, rows, cols, 0)
 
 
-def smith_normal_form(M: Matrix):
-    """(S, U, V) with U*M*V = S over Z or Z/p^k, from ``_smith``.
+def smith_normal_form(M: Matrix, *, u=True, v=True):
+    """(S, U, V) with U*M*V = S over Z or Z/p^k, from ``_smith``; a
+    transform turned off by ``u`` or ``v`` is not built and comes back as
+    None.
 
     The diagonal satisfies d1 | d2 | ...; over Z the entries are >= 0,
     over Z/p^k they are powers of p below p^k (or 0).  Raises
@@ -162,21 +168,26 @@ def smith_normal_form(M: Matrix):
     ring = M.ring
     if ring.kind == RATIONALS:
         raise UnsupportedRing("Smith normal form is for Z and Z/p^k")
-    if ring.kind == INTEGERS:
+    if ring.kind == INTEGERS and u and v:
         S, U, V = _snf_int(M.entries, M.rows, M.cols)
     else:
-        S, U, V = _smith(M.entries, M.rows, M.cols, ring.modulus)
-    return (Matrix._trusted(ring, M.rows, M.cols, [x for row in S for x in row]),
-            Matrix._trusted(ring, M.rows, M.rows, [x for r in U for x in r]),
-            Matrix._trusted(ring, M.cols, M.cols, [x for r in V for x in r]))
+        S, U, V = _smith(M.entries, M.rows, M.cols, ring.modulus or 0, u, v)
+
+    def matrix(lists, rows, cols):
+        return None if lists is None else \
+            Matrix._trusted(ring, rows, cols, [x for row in lists for x in row])
+    return (matrix(S, M.rows, M.cols), matrix(U, M.rows, M.rows),
+            matrix(V, M.cols, M.cols))
 
 
 # ---------------------------------------------------------------------------
 # Gaussian elimination over the fields
 # ---------------------------------------------------------------------------
 
-def _rref(M: Matrix):
+def _rref(M: Matrix, reduced=True):
     """Reduced row echelon form over a field; returns (rows, pivot cols).
+    With ``reduced`` false the entries above each pivot are left, and the
+    rows are a row echelon form with the same pivots.
 
     Works on the raw entries: Fraction arithmetic over Q, ints reduced
     mod p over Z/p.  A row operation touches only the columns where the
@@ -208,7 +219,7 @@ def _rref(M: Matrix):
                 inv = pow(x, -1, p)
                 for k in support:
                     Ar[k] = Ar[k] * inv % p
-        for i in range(rows):
+        for i in range(0 if reduced else r + 1, rows):
             Ai = A[i]
             c = Ai[j]
             if c and i != r:
@@ -224,7 +235,8 @@ def _rref(M: Matrix):
 
 
 def field_rank(M: Matrix) -> int:
-    _, pivots = _rref(M)
+    """The rank over a field: the pivot count of forward elimination."""
+    _, pivots = _rref(M, reduced=False)
     return len(pivots)
 
 
@@ -266,23 +278,24 @@ def kernel_basis(M: Matrix) -> Matrix:
     """Columns generating {x : Mx = 0}.
 
     Over Z and the fields the columns are linearly independent (a basis);
-    over Z/p^k they are a generating set.
+    over Z/p^k they are a generating set.  Over Z and Z/p^k they are read
+    from the diagonal and V of ``_smith``, which builds no U.
     """
     ring = M.ring
     if ring.is_field:
         return _field_kernel(M)
-    S, _, V = smith_normal_form(M)
-    t = min(M.rows, M.cols)
+    m = ring.modulus or 0
+    S, _, V = _smith(M.entries, M.rows, M.cols, m, u=False)
     # x_i is free where d_i = 0 and a multiple of m/d_i otherwise, with m = 0
     # over Z: there a nonzero d_i forces x_i = 0, and the column is dropped
-    m = ring.modulus or 0
-    scales = [m // d if d else 1 for d in (S[i, i] for i in range(t))]
-    scales += [1] * (M.cols - t)
+    scales = [m // S[i][i] if S[i][i] else 1 for i in range(min(M.rows, M.cols))]
+    scales += [1] * (M.cols - len(scales))
     gens = [i for i, c in enumerate(scales) if c != m]
-    if not m:  # over Z every kept column has scale 1
-        return V.take_columns(gens)
-    return Matrix._trusted(ring, M.cols, len(gens),
-                           [V[r, i] * scales[i] % m for r in range(M.cols) for i in gens])
+    if m:
+        entries = [row[i] * scales[i] % m for row in V for i in gens]
+    else:  # over Z every kept column has scale 1
+        entries = [row[i] for row in V for i in gens]
+    return Matrix._trusted(ring, M.cols, len(gens), entries)
 
 
 def solve_matrix(M: Matrix, B: Matrix):
@@ -325,5 +338,5 @@ def matrix_is_invertible(M: Matrix) -> bool:
         return ring.is_unit(M[0, 0])
     if ring.is_field:
         return field_rank(M) == M.rows
-    S, _, _ = smith_normal_form(M)
+    S, _, _ = smith_normal_form(M, u=False, v=False)
     return all(ring.is_unit(S[i, i]) for i in range(M.rows))

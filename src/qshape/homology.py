@@ -291,13 +291,16 @@ def _fold(C: MeshCategory, q, side: str, degrees) -> dict:
     """{i: (v, side, j)}, the memo key of each listed degree i at q: degree
     i >= 4 at q is degree i - 3 at σ(q) (see resolve_stalk), down to j <= 3."""
     keys = {}
-    # orbit[k] = σ^k(q), where degree i at q is read as degree i - 3k
-    orbit, sigma = [q], None
+    # orbit[k] = σ^k(q), where degree i at q is read as degree i - 3k; each
+    # σ(v) is computed once per category, in C._serre_ends
+    orbit, ends = [q], C._serre_ends
     for i in degrees:
         k = max(i - 1, 0) // 3
         while len(orbit) <= k:
-            sigma = sigma or _Side(C, side).serre_end
-            orbit.append(sigma(orbit[-1]))
+            v = orbit[-1]
+            if (v, side) not in ends:
+                ends[v, side] = _Side(C, side).serre_end(v)
+            orbit.append(ends[v, side])
         keys[i] = (orbit[k], side, i - 3 * k)
     return keys
 

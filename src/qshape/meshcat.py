@@ -67,6 +67,7 @@ class MeshCategory:
         self._left_mult_cache: dict = {}
         self._right_mult_cache: dict = {}
         self._resolution_cache: dict = {}
+        self._serre_ends: dict = {}  # (v, side) -> σ(v), read by homology._fold
 
     # -- flavor ------------------------------------------------------------
 
@@ -440,7 +441,7 @@ class MeshCategory:
                     if ring.is_field:
                         proj = kernel_basis(mesh.transpose()).transpose()
                     else:
-                        S, U, _ = smith_normal_form(mesh)
+                        S, U, _ = smith_normal_form(mesh, v=False)
                         diagonal = [S[i, i] for i in range(min(size, S.cols)) if S[i, i]]
                         if any(d != 1 for d in diagonal):
                             raise UnsupportedRing(

@@ -23,6 +23,9 @@ states in closed form or by a shorter route.
   such sums.
 * The Smith forms over Z and Z/p^k as two eliminations: division with
   remainder over Z, and the one-sweep local form over Z/p^k.
+* Eliminations that build every transform: kernels, normal forms and
+  invertibility read off the full (S, U, V), and the rank as the pivot
+  count of the reduced row echelon form.
 * Exhaustive checks over finite rings: coset enumeration, splitting and
   Baer's criterion, ideal membership, and maps induced on subquotients.
 """
@@ -36,9 +39,11 @@ from math import gcd
 from qshape.errors import InvalidParameter, NotWellDefined, WindowTooSmall
 from qshape.exactalg import (HomologyData, Matrix, ModuleMap, PresentedModule,
                              coordinates_mod, induced_on_homology, kernel_basis,
-                             middle_homology, preimage_generators, solve,
-                             solve_matrix)
+                             middle_homology, preimage_generators,
+                             smith_normal_form, solve, solve_matrix)
+from qshape.exactalg.modules import NormalForm
 from qshape.exactalg.rings import INTEGERS, INTEGERS_MOD, RATIONALS
+from qshape.exactalg.smith import _rref
 from qshape.homology import SIDE_CO, StalkResolution, _Side, _start_resolution
 from qshape.quiver import DOUBLE_AN, format_vertex, vertex_key
 from qshape.repmod import Representation, RepMorphism
@@ -654,6 +659,50 @@ def snf_local(entries, rows, cols, p, m):
                 Vk[r] = (Vk[r] - c * Vt[r]) % m
 
     return A, U, [list(row) for row in zip(*VT)]
+
+
+# ---------------------------------------------------------------------------
+# eliminations that build every transform
+# ---------------------------------------------------------------------------
+
+def full_diagonal(M: Matrix):
+    """The diagonal of S from the full smith_normal_form (S, U, V)."""
+    S, _, _ = smith_normal_form(M)
+    return [S[i, i] for i in range(min(M.rows, M.cols))]
+
+
+def kernel_basis_full(M: Matrix) -> Matrix:
+    """kernel_basis over Z and Z/p^k read off the full (S, U, V) as
+    matrices: the route before kernels built no U."""
+    S, _, V = smith_normal_form(M)
+    t = min(M.rows, M.cols)
+    m = M.ring.modulus or 0
+    scales = [m // d if d else 1 for d in (S[i, i] for i in range(t))]
+    scales += [1] * (M.cols - t)
+    gens = [i for i, c in enumerate(scales) if c != m]
+    if not m:
+        return V.take_columns(gens)
+    return Matrix._trusted(M.ring, M.cols, len(gens),
+                           [V[r, i] * scales[i] % m for r in range(M.cols) for i in gens])
+
+
+def normal_form_full(module: PresentedModule) -> NormalForm:
+    """The invariant-factor normal form over Z and Z/p^k from the full
+    (S, U, V)."""
+    nonzero = [d for d in full_diagonal(module.relations) if d != 0]
+    return NormalForm(module.generators - len(nonzero),
+                      sorted(d for d in nonzero if d != 1))
+
+
+def is_invertible_full(M: Matrix) -> bool:
+    """Invertibility over Z and Z/p^k from the full (S, U, V)."""
+    return M.rows == M.cols and all(M.ring.is_unit(d) for d in full_diagonal(M))
+
+
+def rref_rank(M: Matrix) -> int:
+    """The rank over a field as the pivot count of the reduced row echelon
+    form, above-pivot clearing included."""
+    return len(_rref(M)[1])
 
 
 # ---------------------------------------------------------------------------

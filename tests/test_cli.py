@@ -1,6 +1,7 @@
 """Command-line surface: schemas, exit codes, determinism, round trips."""
 
 import json
+import random
 import time
 from pathlib import Path
 
@@ -592,6 +593,24 @@ class TestCommands:
         start = time.process_time()
         code, out = run(capsys, *argv)
         assert time.process_time() - start < 5.0
+        assert code == 0 and json.loads(out)["verdicts"]["ok"] is True
+
+    def test_validate_dense_integer_relations_within_budget(self, capsys, tmp_path):
+        # one rank-12 value on double A_2 over Z whose relations are a seeded
+        # dense 12x12 with entries in [-9, 9]: the normal form and the mesh
+        # check at vertex 1 used to build both Smith transforms, and the
+        # zero mesh total went through a full solve (~18 s of CPU on a
+        # 2-vCPU Intel Xeon); now ~3 s
+        rng = random.Random(12)
+        entries = [str(rng.randint(-9, 9)) for _ in range(144)]
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps({
+            "category": {"flavor": "double_an", "n": 2, "ring": "Z"},
+            "values": {"1": {"rank": 12, "relations": {
+                "rows": 12, "cols": 12, "entries": entries}}}}))
+        start = time.process_time()
+        code, out = run(capsys, "validate", "--input", str(path))
+        assert time.process_time() - start < 10.0
         assert code == 0 and json.loads(out)["verdicts"]["ok"] is True
 
     def test_dims_repetitive(self, capsys):

@@ -15,7 +15,9 @@ from qshape.exactalg.smith import _smith, _snf_int
 
 from oracles import (brute_force_injective, brute_force_projective,
                      column_matrix, divides, elements,
-                     induced_map_on_subquotient, snf_int, snf_local)
+                     induced_map_on_subquotient, is_invertible_full,
+                     kernel_basis_full, normal_form_full, rref_rank, snf_int,
+                     snf_local)
 
 
 def snf_diag(M):
@@ -583,3 +585,52 @@ class TestOneSmith:
                              for _ in range(r * c)]):
                 assert _smith(entries, r, c, m) == \
                     snf_local(entries, r, c, p, m), (r, c, entries)
+
+
+class TestTransformsOnDemand:
+    """Each caller builds only the transforms it reads, and gets what the
+    full (S, U, V) gives (oracles.py): seeded shapes 0-8 x 0-8, sparse and
+    dense, over Z and Z/p^k; over the fields, forward elimination gives
+    the pivot count of the reduced form."""
+
+    @staticmethod
+    def matrices(rng, ring, draw):
+        for r in range(9):
+            for c in range(9):
+                yield Matrix(ring, r, c, [draw() for _ in range(r * c)])
+                yield Matrix(ring, r, c, [draw() if rng.random() < 0.25 else 0
+                                          for _ in range(r * c)])
+
+    @pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(8), Zmod(9), Zmod(27)],
+                             ids=repr)
+    def test_reduced_smith_matches_the_full_form(self, ring):
+        rng = random.Random(f"transforms on demand {ring!r}")
+        m = ring.modulus or 0
+        draw = (lambda: rng.randrange(m)) if m else (lambda: rng.randint(-9, 9))
+        for M in self.matrices(rng, ring, draw):
+            args = (M.entries, M.rows, M.cols, m)
+            S, U, V = _smith(*args)
+            assert _smith(*args, u=False) == (S, None, V), M
+            assert _smith(*args, u=False, v=False) == (S, None, None), M
+            assert _smith(*args, v=False) == (S, U, None), M
+            assert kernel_basis(M) == kernel_basis_full(M), M
+            module = PresentedModule(ring, M.rows, M)
+            assert module.normal_form() == normal_form_full(module), M
+            assert matrix_is_invertible(M) == is_invertible_full(M), M
+
+    def test_smith_normal_form_returns_none_for_a_transform_not_built(self):
+        M = Matrix(ZZ, 2, 3, [2, 4, 6, 1, 3, 5])
+        S, U, V = smith_normal_form(M)
+        assert smith_normal_form(M, u=False) == (S, None, V)
+        assert smith_normal_form(M, v=False) == (S, U, None)
+        assert smith_normal_form(M, u=False, v=False) == (S, None, None)
+
+    @pytest.mark.parametrize("ring", [QQ, Zmod(2), Zmod(3), Zmod(5)], ids=repr)
+    def test_field_rank_is_the_pivot_count_of_the_reduced_form(self, ring):
+        rng = random.Random(f"forward elimination {ring!r}")
+        if ring.modulus:
+            draw = lambda: rng.randrange(ring.modulus)
+        else:
+            draw = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        for M in self.matrices(rng, ring, draw):
+            assert field_rank(M) == rref_rank(M), M

@@ -15,12 +15,14 @@ isomorphism test per key.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
 from qshape import Matrix, MeshCategory, PresentedModule, QQ, ZZ, Zmod, \
     build_double_an, build_repetitive_an
 from qshape import homology
+from qshape.cli import main
 from qshape.exactalg import ModuleMap, induced_on_homology, middle_homology
 from qshape.fixtures import counter_morphism
 from qshape.homology import (SIDE_CN, SIDE_CO, _cn_probes, _Side,
@@ -38,6 +40,7 @@ from test_weq_periodicity import categories as weq_categories, scaled
 RINGS = (ZZ, QQ, Zmod(3), Zmod(9))
 SIDES = (SIDE_CN, SIDE_CO)
 DEPTH = 7
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def fresh(X) -> Representation:
@@ -339,3 +342,27 @@ def test_weak_equivalence_decides_each_fold_key_once(monkeypatch):
     assert len(X._homology) == len(Y._homology) == 1554
     assert len(calls) == 15
     assert len(result["iso_table"]) == 64 * len(_cn_probes(X, Y, 64))
+
+
+def test_weak_equivalence_computes_each_serre_end_once(monkeypatch):
+    # _fold runs 4 times per probe (is_weak_equivalence, _derived_maps and
+    # the two derived_homology_data calls), and each walks the σ-orbit of
+    # its probe; σ(v) is kept per (v, side) on the category, so the walks
+    # take 1,548 serre_end steps where they took 34,296
+    folds, steps = [], []
+    fold, serre_end = homology._fold, _Side.serre_end
+
+    def counting_fold(*args):
+        folds.append(args[1])
+        return fold(*args)
+
+    def counting_serre_end(self, q):
+        steps.append(q)
+        return serre_end(self, q)
+    monkeypatch.setattr(homology, "_fold", counting_fold)
+    monkeypatch.setattr(_Side, "serre_end", counting_serre_end)
+    code = main(["weq", "--input", str(FIXTURES / "counter.json"),
+                 "--max-degree", "64"])
+    assert code == 0
+    assert len(folds) == 1584
+    assert len(steps) == 1548
