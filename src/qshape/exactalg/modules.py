@@ -150,6 +150,67 @@ class PresentedModule:
 
     # -- constructions -----------------------------------------------------------
 
+    def pruned(self):
+        """(module, projection, kept): an isomorphic module on fewer
+        generators, by Tietze moves on unit pivots (Macaulay2's ``prune``).
+
+        Each step takes the first relation column, in column order, with a
+        unit entry u, at its first such row i: nonzero over a field, ±1 over
+        Z, prime to p over Z/p^k.  That relation reads
+        e_i = -u⁻¹ Σ_{k≠i} r_k e_k, so e_i is redundant.  Substituting it is
+        one row operation per row on the relations, after which column j
+        is zero; row i and every zero column are dropped.  The same row
+        operations on the identity give ``projection``, the isomorphism
+        onto the pruned module, and the pruned generators are those of the
+        module at ``kept``: the way back is that column selection, which
+        composed with ``projection`` is the identity on the pruned module
+        and differs from the identity here by elements of the relation
+        span.  Zero columns, relations that say nothing, are dropped before
+        the first step too.  The loop ends when no column has a unit entry;
+        over a field no relation remains.  Over Z the pivots are ±1, so
+        every entry is a minor of the relations up to sign and stays within
+        Hadamard's bound.  The normal form, cached or not, is inherited.  A
+        module whose relations have no unit entry and no zero column is
+        returned as itself.
+        """
+        ring, g, m = self.ring, self.generators, self.ring.modulus
+        is_unit = ring.is_unit
+        R = self.relations
+        rel = [list(R.row(i)) for i in range(g)]
+        proj = [[ring.one if i == k else ring.zero for k in range(g)]
+                for i in range(g)]
+        kept = list(range(g))
+        cols = R.cols
+        while True:
+            live = [k for k in range(cols) if any(row[k] for row in rel)]
+            if len(live) < cols:
+                rel = [[row[k] for k in live] for row in rel]
+                cols = len(live)
+            pivot = next(((i, j) for j in range(cols)
+                          for i in range(len(rel)) if is_unit(rel[i][j])), None)
+            if pivot is None:
+                break
+            i, j = pivot
+            inv = ring.inv(rel[i][j])
+            top, top_proj = rel.pop(i), proj.pop(i)
+            del kept[i]
+            for row, prow in zip(rel, proj):
+                if row[j]:
+                    c = row[j] * inv
+                    row[:] = [a - c * b for a, b in zip(row, top)]
+                    prow[:] = [a - c * b for a, b in zip(prow, top_proj)]
+                    if m is not None:
+                        row[:] = [a % m for a in row]
+                        prow[:] = [a % m for a in prow]
+        if cols == R.cols:  # no step was taken and no column dropped
+            return self, Matrix.identity(ring, g), tuple(kept)
+        n = len(kept)
+        out = PresentedModule(ring, n, Matrix._trusted(
+            ring, n, cols, [x for row in rel for x in row]))
+        out._normal_form = self._normal_form
+        return out, Matrix._trusted(ring, n, g, [x for row in proj for x in row]), \
+            tuple(kept)
+
     def direct_sum(self, *others: "PresentedModule") -> "PresentedModule":
         """self ⊕ others[0] ⊕ ..., with one block-diagonal relation matrix."""
         summands = (self, *others)
@@ -263,13 +324,15 @@ def middle_homology(f: ModuleMap, g: ModuleMap) -> HomologyData:
 
     When C has no generators every element of B is a cycle: the group is
     B modulo [f | rel_B], f.cokernel(), with the identity as its cycle
-    generators and no elimination.
+    generators and no elimination; when f is zero too, it is B itself,
+    whose normal form, once computed, is not computed again.
 
     g∘f must vanish in C; NotWellDefined is raised when it does not.
     """
     B, C = f.target, g.target
     if C.generators == 0:
-        return HomologyData(f.cokernel(), Matrix.identity(B.ring, B.generators), B)
+        H = B if f.matrix.is_zero else f.cokernel()
+        return HomologyData(H, Matrix.identity(B.ring, B.generators), B)
     if not C.vanishes(g.matrix * f.matrix):
         raise NotWellDefined("image of f does not lie in the kernel of g")
     incl = preimage_generators(g.matrix, C.relations)

@@ -19,6 +19,14 @@ result is the minimal resolution.  The elimination-built resolutions it
 replaced are kept in the test suite as oracles, and exactness at every
 level is asserted there.
 
+Every stalk complex is paired with X's pruned model (Representation.
+pruned): each value with every unit-pivot generator eliminated by a
+Tietze move, once per value, and each arrow read on the generators that
+remain.  The model is isomorphic to X vertex by vertex, so its complexes
+have X's homology, on fewer generators and relations; over a field no
+relation is left.  A morphism's components are carried to the models of
+its ends by _transported.
+
 Every per-vertex group, induced map and weak-equivalence verdict is
 read at one key, its _fold (vertex, side, j <= 3): degree i >= 4 at q is
 degree i - 3 at σ(q), as levels 4 and up of the resolution at q are the
@@ -259,15 +267,18 @@ def _next_level(res: StalkResolution):
 def _complex_from_resolution(res: StalkResolution, X: Representation,
                              levels: int):
     """Presented-module complex obtained by pairing the first ``levels``
-    levels of the resolution with X; a longer cached resolution costs
+    levels of the resolution with X's pruned model (Representation.pruned),
+    which is isomorphic to X vertex by vertex, so the complex is isomorphic
+    to the one paired with X itself; a longer cached resolution costs
     nothing beyond them.
 
-    Level i carries ⊕_a X(r_a).  maps[i] runs between the levels
-    ends(i-1, i): upward on side co (a cochain complex), downward on side
-    cn (a chain complex); maps[0] is the zero map between level 0 and 0.
-    Returns (modules, maps).
+    Level i carries ⊕_a Y(r_a) for the model Y.  maps[i] runs between the
+    levels ends(i-1, i): upward on side co (a cochain complex), downward on
+    side cn (a chain complex); maps[0] is the zero map between level 0 and
+    0.  Returns (modules, maps).
     """
     eng = res._engine
+    X = X.pruned()[0]
     values = [[X.value(r) for r in level] for level in res.terms[:levels]]
     dims = [[m.generators for m in level] for level in values]
     # every level has a summand, and one summand is its own sum
@@ -361,8 +372,9 @@ def derived_homology(X: Representation, q, side: str = SIDE_CN,
 
 def _derived_maps(phi: RepMorphism, q, side: str, degrees) -> dict:
     """Induced maps on the listed derived homology degrees, each read at its
-    _fold key (v, side, j): the groups kept there on both ends, and φ on
-    level j of the resolution at v, which is level i of the one at q."""
+    _fold key (v, side, j): the groups kept there on both ends, and φ,
+    carried to the pruned models, on level j of the resolution at v, which
+    is level i of the one at q."""
     C = phi.source.category
     keys = _fold(C, q, side, degrees)
     tops = {}
@@ -374,9 +386,22 @@ def _derived_maps(phi: RepMorphism, q, side: str, degrees) -> dict:
     dy = derived_homology_data(phi.target, q, side, degrees)
     out = {}
     for i, (v, _, j) in keys.items():
-        block = Matrix.block_diag(C.ring, [phi.component(r) for r in terms[v][j]])
+        block = Matrix.block_diag(C.ring, [_transported(phi, r) for r in terms[v][j]])
         out[i] = induced_on_homology(dx[i], dy[i], block)
     return out
+
+
+def _transported(phi: RepMorphism, r) -> Matrix:
+    """φ's component at r between the pruned models of its ends, the
+    models every stalk complex is built from: P_Y(r) · φ(r)[:, kept_X(r)]."""
+    M = phi.component(r)
+    source = phi.source.pruned()[1].get(r)
+    target = phi.target.pruned()[1].get(r)
+    if source is not None:
+        M = M.take_columns(source[1])
+    if target is not None:
+        M = target[0] * M
+    return M
 
 
 def derived_homology_map(phi: RepMorphism, q, side: str, degree: int) -> ModuleMap:

@@ -56,11 +56,13 @@ class Representation:
         self.support = frozenset(v for v, m in self.values.items()
                                  if not m.is_zero)
         self._zero = PresentedModule.free(self.ring, 0)
-        # write-once memos, dropped with X: homology.derived_homology_data keeps
-        # each group in _homology per fold key (vertex, side, i <= 3), and in
-        # _groups per complex content, filed by shape, so keys whose complexes
-        # are equal share one group; evaluate_matrix keeps X(coeff * e) in
-        # _evaluated per (coeff, e)
+        # write-once memos, dropped with X: pruned keeps X's pruned model in
+        # _pruned, from which homology.derived_homology_data builds every
+        # stalk complex; it keeps each group in _homology per fold key
+        # (vertex, side, i <= 3), and in _groups per complex content, filed
+        # by shape, so keys whose complexes are equal share one group;
+        # evaluate_matrix keeps X(coeff * e) in _evaluated per (coeff, e)
+        self._pruned = None
         self._homology = {}
         self._groups = {}
         self._evaluated = {}
@@ -76,6 +78,38 @@ class Representation:
             return Matrix.zeros(self.ring, self.value(arrow.target).generators,
                                 self.value(arrow.source).generators)
         return M
+
+    def pruned(self):
+        """(model, prunings): X with every value replaced by its pruned
+        module (PresentedModule.pruned), and {v: (projection, kept)} for
+        the values that lost generators.  The model's arrow a: s -> t is
+        projection_t · X(a)[:, kept_s], the arrow read on the pruned
+        generators, so projection_v is an isomorphism X -> model at every
+        vertex.  When no value changes, which is always the case for
+        relation-free values, X is its own model.  Built once and kept, with
+        None for X itself, so that X holds no reference to itself."""
+        if self._pruned is None:
+            values, prunings = dict(self.values), {}
+            for v, m in self.values.items():
+                if m.relations.cols:
+                    values[v], P, kept = m.pruned()
+                    if len(kept) < m.generators:
+                        prunings[v] = (P, kept)
+            model = None
+            if any(values[v] is not m for v, m in self.values.items()):
+                arrows = {}
+                for name, M in self.arrow_maps.items():
+                    a = self.category.quiver.arrow(name)
+                    if a.source in prunings:
+                        M = M.take_columns(prunings[a.source][1])
+                    if a.target in prunings:
+                        M = prunings[a.target][0] * M
+                    arrows[name] = M
+                model = Representation(self.category, values, arrows)
+                model._pruned = (None, {})
+            self._pruned = (model, prunings)
+        model, prunings = self._pruned
+        return (self if model is None else model), prunings
 
     # -- evaluation on arbitrary morphisms of the category ---------------------
 

@@ -10,8 +10,9 @@ states in closed form or by a shorter route.
   support reaches past it.
 * The derived-homology plumbing before its fast paths: middle homology
   by kernel, then coordinates, then relations (three eliminations), the
-  radical filtration read off every radical basis element, and path
-  products started from an identity matrix.
+  radical filtration read off every radical basis element, path
+  products started from an identity matrix, and stalk complexes paired
+  with X's own presentation rather than its pruned model.
 * The functors of degrees 0 and 1 before they were read off the stalk
   complexes: the radical filtration, whose first power gives the corner
   functors, and the mesh complex X(tau q) -> ⊕ X(p_i) -> X(q), whose
@@ -44,7 +45,8 @@ from qshape.exactalg import (HomologyData, Matrix, ModuleMap, PresentedModule,
 from qshape.exactalg.modules import NormalForm
 from qshape.exactalg.rings import INTEGERS, INTEGERS_MOD, RATIONALS
 from qshape.exactalg.smith import _rref
-from qshape.homology import SIDE_CO, StalkResolution, _Side, _start_resolution
+from qshape.homology import (SIDE_CO, StalkResolution, _assemble, _Side,
+                             _start_resolution)
 from qshape.quiver import DOUBLE_AN, format_vertex, vertex_key
 from qshape.repmod import Representation, RepMorphism
 
@@ -313,6 +315,30 @@ def middle_homology_three_eliminations(f: ModuleMap, g: ModuleMap) -> HomologyDa
         raise NotWellDefined("image of f does not lie in the kernel of g")
     rel = Matrix.hstack([coords, K.relations])
     return HomologyData(PresentedModule(B.ring, K.generators, rel), incl, B)
+
+
+def complex_from_own_presentation(res: StalkResolution, X: Representation,
+                                  levels: int):
+    """(modules, maps) of the first ``levels`` levels of the resolution
+    paired with X's values as given, each level ⊕_a X(r_a), and each
+    boundary block X applied to the resolution's entry."""
+    eng = res._engine
+    values = [[X.value(r) for r in level] for level in res.terms[:levels]]
+    dims = [[m.generators for m in level] for level in values]
+    modules = [level[0].direct_sum(*level[1:]) if len(level) > 1 else level[0]
+               for level in values]
+    maps = {0: ModuleMap.zero(*eng.ends(PresentedModule.free(X.ring, 0),
+                                        modules[0]))}
+    for i in range(1, len(values)):
+        src, dst = eng.ends(i - 1, i)
+        blocks = {}
+        for (a, b), entry in res.boundaries[i].items():
+            row, col = eng.ends(b, a)
+            if dims[dst][row] and dims[src][col]:
+                blocks[row, col] = eng.x_value_block(X, entry)
+        M = _assemble(X.ring, blocks, dims[dst], dims[src])
+        maps[i] = ModuleMap(modules[src], modules[dst], M, check=False)
+    return modules, maps
 
 
 def radical_filtration_all_degrees(X, q, power: int):

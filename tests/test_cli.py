@@ -10,6 +10,7 @@ import pytest
 from qshape import QQ, ZZ, Zmod, MeshCategory, Matrix, PresentedModule, \
     build_double_an, build_repetitive_an
 from qshape.cli import Report, build_parser, main
+from qshape.exactalg import smith
 from qshape.fixtures import counter_morphism
 from qshape.io import (SchemaError, dumps, morphism_json, parse_category,
                        parse_morphism, parse_representation,
@@ -612,6 +613,35 @@ class TestCommands:
         code, out = run(capsys, "validate", "--input", str(path))
         assert time.process_time() - start < 10.0
         assert code == 0 and json.loads(out)["verdicts"]["ok"] is True
+
+    def test_classify_eliminates_a_dense_value_at_most_twice(self, capsys,
+                                                             tmp_path, monkeypatch):
+        # one rank-6 value on double A_2 over Z with seeded dense relations in
+        # [-9, 9]: its normal form when X is built, then the kernel of mesh
+        # homology on its pruned relations; H_0 at vertex 1 is the value
+        # itself, whose normal form is kept.  With the values as drawn the
+        # same 6x6 was eliminated three times
+        rng = random.Random(12)
+        entries = [str(rng.randint(-9, 9)) for _ in range(36)]
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps({
+            "category": {"flavor": "double_an", "n": 2, "ring": "Z"},
+            "values": {"1": {"rank": 6, "relations": {
+                "rows": 6, "cols": 6, "entries": entries}}}}))
+        calls = []
+        original = smith._smith
+
+        def counting(entries, rows, cols, m, u=True, v=True):
+            if rows and cols:
+                calls.append((rows, cols, tuple(entries)))
+            return original(entries, rows, cols, m, u, v)
+        monkeypatch.setattr(smith, "_smith", counting)
+        code, out = run(capsys, "classify", "--input", str(path))
+        assert code == 0
+        assert json.loads(out)["witnesses"]["nonvanishing_mesh_homology"] == \
+            [["2", "Z/1239011"]]
+        assert calls[0] == (6, 6, tuple(int(x) for x in entries))
+        assert len(calls) <= 2
 
     def test_dims_repetitive(self, capsys):
         code, out = run(capsys, "dims", "--flavor", "repetitive_an", "--n", "2",

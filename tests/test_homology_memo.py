@@ -26,7 +26,7 @@ from qshape.cli import main
 from qshape.exactalg import ModuleMap, induced_on_homology, middle_homology
 from qshape.fixtures import counter_morphism
 from qshape.homology import (SIDE_CN, SIDE_CO, _cn_probes, _Side,
-                             corner_functors, derived_homology,
+                             _transported, corner_functors, derived_homology,
                              derived_homology_data, derived_homology_map,
                              homology_probe_vertices, homology_report,
                              is_weak_equivalence, mesh_homology,
@@ -184,7 +184,7 @@ def unfolded_maps(phi, max_degree):
         gy = fresh_groups(Y, q, SIDE_CN, max_degree)
         res = resolve_stalk(X.category, q, SIDE_CN, max_degree + 1)
         for i in range(1, max_degree + 1):
-            block = Matrix.block_diag(X.ring, [phi.component(r)
+            block = Matrix.block_diag(X.ring, [_transported(phi, r)
                                                for r in res.terms[i]])
             maps[(q, i)] = induced_on_homology(gx[i], gy[i], block)
     return maps
@@ -266,16 +266,37 @@ def warm_sequence(X):
 
 def test_warm_sequence_computes_eight_groups_per_vertex(monkeypatch):
     # H_1, then H_0, H_2, H_3, then H^0..H^3; the corners read H_0 and H^0
-    # (11 calls per vertex when nothing was kept).  The 8 fold keys per
-    # vertex hold 26 distinct complexes: at the end vertices 1 and 4, H_1
-    # and H^1 have one complex, and H_2, H_3 at one end have those of H^3,
-    # H^2 at the other (32 calls when each key computed its own)
+    # (11 calls per vertex when nothing was kept).  This draw is zero: each
+    # value is R^g modulo g relations that kill it.  Paired with the values
+    # as drawn, the 8 fold keys per vertex held 26 distinct complexes (32
+    # calls when each key computed its own); paired with the pruned model,
+    # whose values have no generators, all 32 are the zero complex, which
+    # holds one group
     calls = counting_middle_homology(monkeypatch)
     C = MeshCategory(build_double_an(4), ZZ)
     X = random_representation(C, random.Random("memo counts"))
     warm_sequence(X)
+    assert X.is_zero() and not X.pruned()[0].values
     assert len(X._homology) == 8 * len(C.vertices)
-    assert len(calls) == len(kept_groups(X)) == 26
+    assert len(calls) == len(kept_groups(X)) == 1
+    calls.clear()
+    warm_sequence(X)
+    assert calls == []
+
+
+def test_warm_sequence_on_a_nonzero_draw_computes_each_complex_once(monkeypatch):
+    # the next draw is nonzero at every vertex, and its pruned values keep
+    # one relation at vertices 1 and 2; its 32 fold keys hold 24 distinct
+    # complexes (26 with the values as drawn)
+    calls = counting_middle_homology(monkeypatch)
+    C = MeshCategory(build_double_an(4), ZZ)
+    rng = random.Random("memo counts")
+    random_representation(C, rng)
+    X = random_representation(C, rng)
+    warm_sequence(X)
+    assert X.support == set(C.vertices)
+    assert len(X._homology) == 8 * len(C.vertices)
+    assert len(calls) == len(kept_groups(X)) == 24
     calls.clear()
     warm_sequence(X)
     assert calls == []
@@ -284,18 +305,20 @@ def test_warm_sequence_computes_eight_groups_per_vertex(monkeypatch):
 def test_deep_report_costs_no_more_than_depth_three(monkeypatch):
     # degrees past 3 are read at σ(q): 8 fold keys per vertex of double A_6
     # at any depth (780 calls at depth 64 when every degree was computed),
-    # holding 42 distinct complexes (48 calls when each key computed its own)
+    # holding 41 distinct complexes (48 calls when each key computed its
+    # own; 42 with the values as drawn: on the pruned values, free over Q,
+    # H_2 at 2 and H^3 at 5 are both Q^2 --0--> Q --0--> Q^2)
     calls = counting_middle_homology(monkeypatch)
     C = MeshCategory(build_double_an(6), QQ)
     X = random_representation(C, random.Random("memo report"))
     shallow_X, deep_X = fresh(X), fresh(X)
     shallow = homology_report(shallow_X, max_degree=3)
     assert len(shallow_X._homology) == 48
-    assert len(calls) == 42
+    assert len(calls) == 41
     calls.clear()
     deep = homology_report(deep_X, max_degree=64)
     assert len(deep_X._homology) == 48
-    assert len(calls) == 42
+    assert len(calls) == 41
     assert {k: v for k, v in deep["H_"].items() if int(k.split()[0]) <= 3} \
         == shallow["H_"]
     assert deep["mesh"] == shallow["mesh"]
