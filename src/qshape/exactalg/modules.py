@@ -325,14 +325,26 @@ def middle_homology(f: ModuleMap, g: ModuleMap) -> HomologyData:
     When C has no generators every element of B is a cycle: the group is
     B modulo [f | rel_B], f.cokernel(), with the identity as its cycle
     generators and no elimination; when f is zero too, it is B itself,
-    whose normal form, once computed, is not computed again.
+    whose normal form, once computed, is not computed again.  When B has
+    none the group is 0: the cycles are 0 x k, k the nullity of rel_C
+    (its cols less the pivots of C's normal form, the units over Z/p^k),
+    and the relations [I_k | 0], one zero column per column of [f | rel_B].
 
     g∘f must vanish in C; NotWellDefined is raised when it does not.
     """
     B, C = f.target, g.target
+    ring = B.ring
     if C.generators == 0:
         H = B if f.matrix.is_zero else f.cokernel()
-        return HomologyData(H, Matrix.identity(B.ring, B.generators), B)
+        return HomologyData(H, Matrix.identity(ring, B.generators), B)
+    if B.generators == 0:
+        nf = C.normal_form()
+        pivots = C.generators - nf.free_rank - (len(nf.torsion) if ring.modulus else 0)
+        k = C.relations.cols - pivots
+        zeros = Matrix.zeros(ring, k, f.matrix.cols + B.relations.cols)
+        H = PresentedModule(ring, k, Matrix.hstack([Matrix.identity(ring, k), zeros]))
+        H._normal_form = NormalForm(0)
+        return HomologyData(H, Matrix.zeros(ring, 0, k), B)
     if not C.vanishes(g.matrix * f.matrix):
         raise NotWellDefined("image of f does not lie in the kernel of g")
     incl = preimage_generators(g.matrix, C.relations)

@@ -8,16 +8,14 @@ covariant stalk by summands Q(r, -) and derives H^i; side cn resolves
 the contravariant stalk by summands Q(-, r) and derives H_i.  Each side
 is the other read in Q^op, so the engine is written once: a pair (a, b)
 read on side co is read as (b, a) on side cn, and _Side.ends is the only
-place that decides it.
-Both resolutions are periodic, and every level is given in closed form
-with no elimination: one summand per arrow at q, then the far end of the
-mesh at q, then one summand σ(q) reached by the top-degree morphism,
-after which the resolution at σ(q) repeats.  This is Ω³S_q ≅ S_σ(q) for
-the mesh algebras of type A (Brenner-Butler-King, "Periodic algebras
-which are almost Koszul", 2002); see resolve_stalk.  Over a field the
-result is the minimal resolution.  The elimination-built resolutions it
-replaced are kept in the test suite as oracles, and exactness at every
-level is asserted there.
+place that decides it.  Both resolutions are periodic and given in
+closed form with no elimination (resolve_stalk): the arrows at q, the
+far end μ(q) of its mesh, then σ(q), after which the resolution at σ(q)
+repeats.  This is Ω³S_q ≅ S_σ(q) for the mesh algebras of type A
+(Brenner-Butler-King, "Periodic algebras which are almost Koszul",
+2002); over a field the resolution is minimal.  The elimination-built
+resolutions it replaced are kept in the test suite as oracles, which
+assert exactness at every level.
 
 Every stalk complex is paired with X's pruned model (Representation.
 pruned): each value with every unit-pivot generator eliminated by a
@@ -28,17 +26,24 @@ relation is left.  A morphism's components are carried to the models of
 its ends by _transported.
 
 Every per-vertex group, induced map and weak-equivalence verdict is
-read at one key, its _fold (vertex, side, j <= 3): degree i >= 4 at q is
-degree i - 3 at σ(q), as levels 4 and up of the resolution at q are the
-one at σ(q): Ω³S_q ≅ S_σ(q) (Brenner-Butler-King, "Periodic algebras
-which are almost Koszul", 2002).  Groups are kept on X per key and
-shared by complex content: keys whose complexes have the same matrices
-and relations hold one group, computed once.  On double A_n, μ is the
-identity, and some complexes of the two sides coincide (H_1 and H^1 at
-an end vertex); on ZA_n, every complex away from the support is zero.
-Maps read level j at the key's vertex, so no resolution grows past
-level 4, and is_weak_equivalence tests each key once.  Degrees 0 and 1
-are the functors of the mesh category itself:
+read at one route key, its _fold (vertex, side, j <= 3): levels 4 and
+up at q are the resolution at σ(q), so degree i >= 4 at q is degree
+i - 3 at σ(q).  The two sides are segments of one periodic resolution,
+and with the signs of resolve_stalk side co's complexes of degrees 1-3
+are side cn's, level by level; with w = μ(v) on side co and u = σ(w):
+
+* degree 1 at v, X(v) -> ⊕ X(r) -> X(w), is side cn's levels 2 -> 1 -> 0
+  at w, as the arrows into w are those out of v;
+* degrees 2 and 3 at v, levels 1 -> 2 -> 3 and 2 -> 3 -> 4, are side
+  cn's levels 4 -> 3 -> 2 and 3 -> 2 -> 1 at u, whose σ(u) is w and
+  whose τ(u) is side co's σ(v).
+
+So each group is kept on X under its _twin key and computed once, and a
+complex whose terms have no generators, as every one off the support on
+ZA_n, is the zero group with no elimination.  Maps read level j at the
+route key's vertex, so no resolution grows past level 4, and
+is_weak_equivalence tests each key once.  Degrees 0 and 1 are the
+functors of the mesh category itself:
 
 * the kernel corner K_q(X) is H^0 at q, the kernel of the side-co
   level-1 boundary X(q) -> ⊕ X(r) over the arrows q -> r;
@@ -50,10 +55,8 @@ are the functors of the mesh category itself:
 Every answer is one on the infinite quiver ZA_n: a representation on a
 window is zero off it, every rule here reads coordinates only, and the
 probes of the decision procedures run past the window wherever homology
-can be nonzero.
-
-Everything is desk-scale exact arithmetic: homology groups come back as
-presented modules in invariant-factor normal form.
+can be nonzero.  Homology groups come back as presented modules in
+invariant-factor normal form.
 """
 
 from __future__ import annotations
@@ -80,10 +83,8 @@ SIDE_CN = "cn"   # contravariant stalk: resolves S_<q], derives H_i (homology)
 class _Side:
     """The one place the side of a resolution is decided.
 
-    Side co resolves the covariant stalk by summands Q(r, -), side cn the
-    contravariant stalk by summands Q(-, r); each is the other read in
-    Q^op.  ``ends(a, b)`` orders a pair the way side co reads it, (a, b),
-    or reversed, (b, a), on side cn, and ``oriented`` applies the same rule
+    ``ends(a, b)`` orders a pair the way side co reads it, (a, b), or
+    reversed, (b, a), on side cn, and ``oriented`` applies the same rule
     to a two-argument map.  Everything below has one body: a boundary entry
     between summands a and b lies in Q(ends(a, b)), and the r-summand's
     value at s has rank d(ends(r, s)).  An entry is stored as its terms
@@ -107,6 +108,9 @@ class _Side:
         # and S^-1(μ q) = τ^(n-1) S(μ q) on side cn, as S^2 = τ^(1-n)
         self._mu_shift = -1 if co else 1
         self._sigma_shift = 0 if co else C.n - 1
+        # signs of the (at most two) entries of levels 1 and 2 (resolve_stalk)
+        plain, signed = (C.ring.one,) * 2, (C.ring.one, C.ring.neg(C.ring.one))
+        self.signs = {1: signed, 2: plain} if co else {1: plain, 2: signed}
 
     @staticmethod
     def _terms(entry, act) -> Matrix:
@@ -191,11 +195,11 @@ def _assemble(ring, blocks, row_dims, col_dims):
     return Matrix._trusted(ring, rows, cols, out)
 
 
-def _start_resolution(eng: _Side, q, head) -> StalkResolution:
+def _start_resolution(eng: _Side, q, head, signs=None) -> StalkResolution:
     """Levels zero and one: the vertex q and one summand per (entry, vertex)
-    of head."""
-    one = eng.C.ring.one
-    bd1 = {(0, b): ((one, e),) for b, (e, _) in enumerate(head)}
+    of head, the entries carrying ``signs`` in order, or 1 without them."""
+    signs = signs or [eng.C.ring.one] * len(head)
+    bd1 = {(0, b): ((sign, e),) for b, ((e, _), sign) in enumerate(zip(head, signs))}
     return StalkResolution(eng.side, q, [[q], [r for _, r in head]],
                            [None, bd1], eng)
 
@@ -209,19 +213,19 @@ def resolve_stalk(C: MeshCategory, q, side: str, length: int) -> StalkResolution
     * level 1: one summand per arrow out of (side co) or into (side cn) q,
       the entry being that arrow's basis element;
     * level 2: the one summand μ(q), reached from the level-1 summands
-      by the arms of the mesh, with entries +1 (first arm) and -1 (second
-      arm, where there is one) on their degree-one basis elements.  All
-      parallel signed paths are equal, so two arms cancel, and on a
-      boundary row the single arm's composite is zero;
+      by the arms of the mesh on their degree-one basis elements.  Every
+      entry of levels 1 and 2 is +1 but one, -1: the second arrow on side
+      co, the second arm on side cn (where there is one), so that side
+      co's complexes are side cn's (see _twin); moving it negates one
+      summand.  All parallel signed paths are equal, so two arms cancel,
+      and on a boundary row the single arm's composite is zero;
     * level 3: the one summand σ(q), with σ(q) = S(μ q) on side co and
       S^-1(μ q) on side cn for the Serre functor S, the entry being the
       top-degree basis element (on double A_n, σ(q) = n + 1 - q);
     * level i >= 4: a copy of level i - 3 of the resolution at σ(q), whose
       level 0 is this one's level 3.
 
-    This is the periodicity Ω³S_q ≅ S_σ(q) of the mesh algebras of type A
-    (Brenner-Butler-King, "Periodic algebras which are almost Koszul",
-    2002); over a field the resolution is minimal.  The rules read
+    This is Ω³S_q ≅ S_σ(q) (see the module docstring).  The rules read
     coordinates only, so every vertex of ZA_n has its resolution, inside
     the window or not.  Results are cached on the category, and a cached
     resolution is extended in place when a longer one is asked for.
@@ -230,7 +234,8 @@ def resolve_stalk(C: MeshCategory, q, side: str, length: int) -> StalkResolution
     res = C._resolution_cache.get(key)
     if res is None:
         eng = _Side(C, side)
-        res = C._resolution_cache[key] = _start_resolution(eng, q, eng.head(q))
+        res = _start_resolution(eng, q, eng.head(q), eng.signs[1])
+        C._resolution_cache[key] = res
     while res.length() < length:
         terms, entries = _next_level(res)
         res.terms.append(terms)
@@ -250,7 +255,7 @@ def _next_level(res: StalkResolution):
         src = resolve_stalk(C, eng.serre_end(res.vertex), res.side, i - 3)
         return list(src.terms[i - 3]), dict(src.boundaries[i - 3])
     if i == 2:
-        r, degree, signs = eng.mesh_end(res.vertex), 1, (ring.one, ring.neg(ring.one))
+        r, degree, signs = eng.mesh_end(res.vertex), 1, eng.signs[2]
     else:
         r, degree, signs = eng.serre_end(res.vertex), C.top_degree(), (ring.one,)
     entries = {}
@@ -266,16 +271,12 @@ def _next_level(res: StalkResolution):
 
 def _complex_from_resolution(res: StalkResolution, X: Representation,
                              levels: int):
-    """Presented-module complex obtained by pairing the first ``levels``
-    levels of the resolution with X's pruned model (Representation.pruned),
-    which is isomorphic to X vertex by vertex, so the complex is isomorphic
-    to the one paired with X itself; a longer cached resolution costs
-    nothing beyond them.
-
-    Level i carries ⊕_a Y(r_a) for the model Y.  maps[i] runs between the
-    levels ends(i-1, i): upward on side co (a cochain complex), downward on
-    side cn (a chain complex); maps[0] is the zero map between level 0 and
-    0.  Returns (modules, maps).
+    """(modules, maps) of the first ``levels`` levels of the resolution
+    paired with X's pruned model Y (Representation.pruned), isomorphic to X
+    vertex by vertex; a longer cached resolution costs nothing beyond them.
+    Level i carries ⊕_a Y(r_a), and maps[i] runs between levels
+    ends(i-1, i): upward on side co (a cochain complex), downward on side
+    cn (a chain complex); maps[0] is the zero map between level 0 and 0.
     """
     eng = res._engine
     X = X.pruned()[0]
@@ -298,69 +299,66 @@ def _complex_from_resolution(res: StalkResolution, X: Representation,
     return modules, maps
 
 
+def _serre_end(C: MeshCategory, v, side: str):
+    """σ(v) on one side, computed once per category in C._serre_ends."""
+    ends = C._serre_ends
+    if (v, side) not in ends:
+        ends[v, side] = _Side(C, side).serre_end(v)
+    return ends[v, side]
+
+
 def _fold(C: MeshCategory, q, side: str, degrees) -> dict:
-    """{i: (v, side, j)}, the memo key of each listed degree i at q: degree
+    """{i: (v, side, j)}, the route key of each listed degree i at q: degree
     i >= 4 at q is degree i - 3 at σ(q) (see resolve_stalk), down to j <= 3."""
-    keys = {}
-    # orbit[k] = σ^k(q), where degree i at q is read as degree i - 3k; each
-    # σ(v) is computed once per category, in C._serre_ends
-    orbit, ends = [q], C._serre_ends
+    keys, orbit = {}, [q]  # orbit[k] = σ^k(q): degree i at q is read as i - 3k
     for i in degrees:
         k = max(i - 1, 0) // 3
         while len(orbit) <= k:
-            v = orbit[-1]
-            if (v, side) not in ends:
-                ends[v, side] = _Side(C, side).serre_end(v)
-            orbit.append(ends[v, side])
+            orbit.append(_serre_end(C, orbit[-1], side))
         keys[i] = (orbit[k], side, i - 3 * k)
     return keys
+
+
+def _twin(C: MeshCategory, key):
+    """The key a route key's group is kept under: side co's degree 1 at v
+    is side cn's degree 1 at w = μ(v), and its degrees 2 and 3 are side
+    cn's 3 and 2 at σ(w) (see the module docstring); degree 0 and every
+    side-cn key are their own twins."""
+    v, side, j = key
+    if side == SIDE_CN or j == 0:
+        return key
+    w = _Side(C, SIDE_CO).mesh_end(v)
+    return (w, SIDE_CN, 1) if j == 1 else (_serre_end(C, w, SIDE_CO), SIDE_CN, 5 - j)
 
 
 def derived_homology_data(X: Representation, q, side: str, degrees) -> dict:
     """HomologyData per listed degree for one side at one vertex.
 
-    Groups are kept on X under their _fold keys.  Each vertex with degrees
-    not yet kept gets one stalk complex, to one level past the highest of
-    them.  Each such degree's group is shared by complex content: keys
-    whose complexes have the same (f, g, rel_B, rel_C), everything
-    middle_homology reads, hold the one group kept in X._groups.
+    Each degree is read at its _fold route key and kept on X under its
+    _twin.  Each route vertex with degrees not kept gets one complex of
+    the side asked for, to one level past the highest; it equals the
+    twin's, so the group does not depend on the route.  A complex whose
+    three terms have no generators is 0, with no middle_homology call.
     """
-    keys = _fold(X.category, q, side, degrees)
+    C = X.category
+    keys = _fold(C, q, side, degrees)
+    filed = {i: _twin(C, key) for i, key in keys.items()}
     memo = X._homology
-    missing = {}
-    for key in keys.values():
-        if key not in memo:
-            v, _, j = key
-            missing.setdefault(v, set()).add(j)
-    for v, js in missing.items():
-        top = max(js)
-        res = resolve_stalk(X.category, v, side, top + 1)
+    missing = {}  # route vertex -> {degree j: twin key}
+    for i, (v, _, j) in keys.items():
+        if filed[i] not in memo:
+            missing.setdefault(v, {})[j] = filed[i]
+    for v, twins in missing.items():
+        top = max(twins)
+        res = resolve_stalk(C, v, side, top + 1)
         _, maps = _complex_from_resolution(res, X, top + 2)
-        for j in sorted(js):
-            memo[v, side, j] = _shared_group(
-                X._groups, *res._engine.ends(maps[j], maps[j + 1]))
-    return {i: memo[key] for i, key in keys.items()}
-
-
-def _shared_group(groups: dict, f: ModuleMap, g: ModuleMap) -> HomologyData:
-    """middle_homology(f, g), computed once per distinct complex.
-
-    The complex's content is all that middle_homology reads: f, g and the
-    relations of their targets (C.generators is g's row count).  groups
-    maps its shape to [(content, group), ...], so a complex is compared
-    only with those of its shape, and one of a new shape costs no hash or
-    comparison of entries.
-    """
-    rel_b, rel_c = f.target.relations, g.target.relations
-    content = (f.matrix, g.matrix, rel_b, rel_c)
-    shelf = groups.setdefault(
-        (f.matrix.rows, f.matrix.cols, g.matrix.rows, rel_b.cols, rel_c.cols), [])
-    for kept, group in shelf:
-        if kept == content:
-            return group
-    group = middle_homology(f, g)
-    shelf.append((content, group))
-    return group
+        for j, key in sorted(twins.items()):
+            f, g = res._engine.ends(maps[j], maps[j + 1])
+            if f.source.generators or f.target.generators or g.target.generators:
+                memo[key] = middle_homology(f, g)
+            else:
+                memo[key] = HomologyData(f.target, Matrix.identity(X.ring, 0), f.target)
+    return {i: memo[key] for i, key in filed.items()}
 
 
 def derived_homology(X: Representation, q, side: str = SIDE_CN,
@@ -372,9 +370,9 @@ def derived_homology(X: Representation, q, side: str = SIDE_CN,
 
 def _derived_maps(phi: RepMorphism, q, side: str, degrees) -> dict:
     """Induced maps on the listed derived homology degrees, each read at its
-    _fold key (v, side, j): the groups kept there on both ends, and φ,
-    carried to the pruned models, on level j of the resolution at v, which
-    is level i of the one at q."""
+    _fold route key (v, side, j): the groups kept for it on both ends, and
+    φ, carried to the pruned models, on level j of the resolution at v,
+    which is level i of the one at q."""
     C = phi.source.category
     keys = _fold(C, q, side, degrees)
     tops = {}
@@ -420,17 +418,14 @@ class CornerValues:
 
 
 def corner_functors(X: Representation, q) -> CornerValues:
-    """The corner functors K_q(X) = H^0 and C_q(X) = H_0 at q.
+    """The corner functors K_q(X) = H^0 and C_q(X) = H_0 at q, the
+    degree-0 groups kept on X by derived_homology_data.
 
-    Level 1 of the side-co stalk complex is ⊕ X(r) over the arrows
-    q -> r, and nothing reaches level 0 from below, so H^0 is the kernel
-    of its level-1 boundary X(q) -> ⊕ X(r): the elements of X(q) that
-    every arrow out of q kills, and so every radical morphism, as the
-    radical is generated by the arrows.  Dually H_0 is the cokernel of
-    the side-cn boundary ⊕ X(p) -> X(q) over the arrows p -> q: X(q)
-    modulo the images of the radical morphisms into q.  Each is the
-    degree-0 group kept on X by derived_homology_data, which zero_test,
-    classify_object and homology_report read too.
+    H^0 is the kernel of the side-co boundary X(q) -> ⊕ X(r) over the
+    arrows q -> r: the elements of X(q) killed by every arrow out of q,
+    and so by every radical morphism, as the arrows generate the radical.
+    Dually H_0 is the cokernel of the side-cn boundary ⊕ X(p) -> X(q):
+    X(q) modulo the images of the radical morphisms into q.
     """
     return CornerValues(derived_homology_data(X, q, SIDE_CO, (0,))[0].module,
                         derived_homology_data(X, q, SIDE_CN, (0,))[0].module)
@@ -439,11 +434,9 @@ def corner_functors(X: Representation, q) -> CornerValues:
 def mesh_homology_data(X: Representation, q) -> HomologyData:
     """H_1 at q, the homology of the mesh complex at q.
 
-    Levels 2 -> 1 -> 0 of the side-cn stalk complex are
-    X(tau q) -> ⊕ X(p_i) -> X(q) over the arrows p_i -> q of the mesh at
-    q: the mesh complex, with each entry signed by its basis element
-    rather than by its arrow.  The two differ by a sign on each summand,
-    which changes no homology.
+    Levels 2 -> 1 -> 0 of the side-cn stalk complex are the mesh complex
+    X(tau q) -> ⊕ X(p_i) -> X(q), each entry signed by its basis element
+    rather than by its arrow, which negates summands: no homology changes.
     """
     return derived_homology_data(X, q, SIDE_CN, (1,))[1]
 
@@ -476,12 +469,9 @@ def homology_probe_vertices(C: MeshCategory, support, below: int, above: int):
 
 
 def _cn_probes(X: Representation, Y: Representation, max_degree: int):
-    """Vertices where some H_i (i <= max_degree) of X or Y can be nonzero.
-
-    The contravariant stalk resolution at q has level-i summands within
-    i*(n-1) columns above q, so only probes from max support column down
-    to min support column minus the total reach matter.
-    """
+    """Vertices where some H_i (i <= max_degree) of X or Y can be nonzero:
+    the side-cn resolution at q has level-i summands within i(n-1) columns
+    above q, so probes run from that reach below the support to its top."""
     C = X.category
     return homology_probe_vertices(C, X.support | Y.support,
                                    (max_degree + 1) * (C.n - 1), 0)
@@ -603,9 +593,8 @@ def homology_report(X: Representation, vertices=None, max_degree: int = 2,
 
 def is_weak_equivalence(phi: RepMorphism, max_degree: int = 2) -> dict:
     """Whether H_i(phi) is an isomorphism for i = 1..max_degree at every
-    vertex.  Depth 3 decides every degree: levels 4 and up of the stalk
-    resolution at q are the one at σ(q) (Ω³S_q ≅ S_σ(q)), so H_i(phi) at q
-    is H_{i-3}(phi) at σ(q) for i >= 4; the default depth 2 omits H_3.
+    vertex.  Depth 3 decides every degree, as H_i(phi) at q is
+    H_{i-3}(phi) at σ(q) for i >= 4; the default depth 2 omits H_3.
     Each (probe, degree) entry reads the verdict of its _fold key, tested
     once at the first probe that reaches it.  The groups of source and
     target are kept on them, so a later mesh_homology_map or

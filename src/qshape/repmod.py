@@ -58,13 +58,12 @@ class Representation:
         self._zero = PresentedModule.free(self.ring, 0)
         # write-once memos, dropped with X: pruned keeps X's pruned model in
         # _pruned, from which homology.derived_homology_data builds every
-        # stalk complex; it keeps each group in _homology per fold key
-        # (vertex, side, i <= 3), and in _groups per complex content, filed
-        # by shape, so keys whose complexes are equal share one group;
+        # stalk complex; it keeps each group in _homology per twin key
+        # (vertex, side cn, i <= 3) or (vertex, side co, 0), so side co's
+        # degrees 1-3 share side cn's groups (homology._twin);
         # evaluate_matrix keeps X(coeff * e) in _evaluated per (coeff, e)
         self._pruned = None
         self._homology = {}
-        self._groups = {}
         self._evaluated = {}
 
     def value(self, v) -> PresentedModule:

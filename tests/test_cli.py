@@ -29,6 +29,32 @@ def run(capsys, *argv):
     return code, out
 
 
+def dense_rank_six(tmp_path):
+    """(path, entries) of one rank-6 value on double A_2 over Z whose
+    relations are a seeded dense 6x6 with entries in [-9, 9]."""
+    rng = random.Random(12)
+    entries = [str(rng.randint(-9, 9)) for _ in range(36)]
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({
+        "category": {"flavor": "double_an", "n": 2, "ring": "Z"},
+        "values": {"1": {"rank": 6, "relations": {
+            "rows": 6, "cols": 6, "entries": entries}}}}))
+    return path, entries
+
+
+def counting_smith(monkeypatch) -> list:
+    """(rows, cols, entries) of every _smith call on a nonempty matrix."""
+    calls = []
+    original = smith._smith
+
+    def counting(entries, rows, cols, m, u=True, v=True):
+        if rows and cols:
+            calls.append((rows, cols, tuple(entries)))
+        return original(entries, rows, cols, m, u, v)
+    monkeypatch.setattr(smith, "_smith", counting)
+    return calls
+
+
 @pytest.fixture()
 def counter_file(tmp_path):
     _, _, phi = counter_morphism(QQ)
@@ -621,27 +647,27 @@ class TestCommands:
         # homology on its pruned relations; H_0 at vertex 1 is the value
         # itself, whose normal form is kept.  With the values as drawn the
         # same 6x6 was eliminated three times
-        rng = random.Random(12)
-        entries = [str(rng.randint(-9, 9)) for _ in range(36)]
-        path = tmp_path / "dense.json"
-        path.write_text(json.dumps({
-            "category": {"flavor": "double_an", "n": 2, "ring": "Z"},
-            "values": {"1": {"rank": 6, "relations": {
-                "rows": 6, "cols": 6, "entries": entries}}}}))
-        calls = []
-        original = smith._smith
-
-        def counting(entries, rows, cols, m, u=True, v=True):
-            if rows and cols:
-                calls.append((rows, cols, tuple(entries)))
-            return original(entries, rows, cols, m, u, v)
-        monkeypatch.setattr(smith, "_smith", counting)
+        path, entries = dense_rank_six(tmp_path)
+        calls = counting_smith(monkeypatch)
         code, out = run(capsys, "classify", "--input", str(path))
         assert code == 0
         assert json.loads(out)["witnesses"]["nonvanishing_mesh_homology"] == \
             [["2", "Z/1239011"]]
         assert calls[0] == (6, 6, tuple(int(x) for x in entries))
         assert len(calls) <= 2
+
+    @pytest.mark.parametrize("command", ["classify", "homology"])
+    def test_dense_value_is_eliminated_once(self, capsys, tmp_path, monkeypatch,
+                                            command):
+        # the rank-6 file above: the value's normal form when X is built is
+        # the only elimination.  The kernels that followed it (one for
+        # classify, two for homology) were of complexes whose middle term,
+        # X(2), has no generators, whose group is 0 with no elimination
+        path, entries = dense_rank_six(tmp_path)
+        calls = counting_smith(monkeypatch)
+        code, _ = run(capsys, command, "--input", str(path))
+        assert code == 0
+        assert calls == [(6, 6, tuple(int(x) for x in entries))]
 
     def test_dims_repetitive(self, capsys):
         code, out = run(capsys, "dims", "--flavor", "repetitive_an", "--n", "2",

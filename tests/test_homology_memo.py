@@ -6,12 +6,12 @@ tests query one warm X in a seeded shuffled order through every reader
 and compare each group, degrees 0..7 on both sides, with middle_homology
 on the paired complex of a fresh copy of X built to degree 7, where no
 degree is folded.  They also count middle_homology calls: each group is
-computed once, and repeating a query computes nothing.  Keys whose
-complexes are equal share one group: each shared group is checked
-against the fresh complexes of all its keys.  Weak equivalence
-reads its maps and verdicts at the same keys: its tables and maps are
-compared with those of the unfolded complex, and it counts one
-isomorphism test per key.
+computed once, and repeating a query computes nothing.  Side co's
+degrees 1-3 are kept under their side-cn twin keys: each shared group is
+checked against the fresh complexes of all the keys that read it.  Weak
+equivalence reads its maps and verdicts at the same keys: its tables
+and maps are compared with those of the unfolded complex, and it counts
+one isomorphism test per key.
 """
 
 import random
@@ -19,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from qshape import Matrix, MeshCategory, PresentedModule, QQ, ZZ, Zmod, \
-    build_double_an, build_repetitive_an
+from qshape import Matrix, MeshCategory, QQ, ZZ, Zmod, build_double_an, \
+    build_repetitive_an
 from qshape import homology
 from qshape.cli import main
 from qshape.exactalg import ModuleMap, induced_on_homology, middle_homology
@@ -31,7 +31,7 @@ from qshape.homology import (SIDE_CN, SIDE_CO, _cn_probes, _Side,
                              homology_probe_vertices, homology_report,
                              is_weak_equivalence, mesh_homology,
                              resolve_stalk)
-from qshape.quiver import DOUBLE_AN, format_vertex
+from qshape.quiver import format_vertex
 from qshape.repmod import Representation, random_representation
 
 from test_fast_paths import categories, draws, paired_complex
@@ -54,11 +54,6 @@ def fresh_groups(X, q, side, max_degree):
     eng, maps = paired_complex(fresh(X), q, side, max_degree)
     return [middle_homology(*eng.ends(maps[i], maps[i + 1]))
             for i in range(max_degree + 1)]
-
-
-def kept_groups(X) -> list:
-    """The distinct groups kept on X, one per distinct complex."""
-    return [group for shelf in X._groups.values() for _, group in shelf]
 
 
 def assert_same_group(got, want):
@@ -129,48 +124,29 @@ def fold_complex(X, key):
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)
 def test_shared_groups_are_those_of_equal_complexes(ring):
-    # fold keys whose complexes have equal matrices and relations share
-    # one group; each group is still the one of its own unfolded complex
+    # the route keys that read one group are a side-co key of degree 1-3
+    # and its side-cn twin, whose complexes have equal matrices and
+    # relations; each group is still the one of its own unfolded complex
     for k, C in enumerate(sharing_categories(ring)):
         for X in draws(C, 700 + k):
+            readers = {}
             for q in homology_probe_vertices(C, X.support, C.n - 1, 1):
                 for side in SIDES:
                     got = derived_homology_data(X, q, side, range(DEPTH + 1))
                     want = fresh_groups(X, q, side, DEPTH)
+                    keys = homology._fold(C, q, side, range(DEPTH + 1))
                     for i in range(DEPTH + 1):
                         assert_same_group(got[i], want[i])
-            holders = {}
-            for key, group in X._homology.items():
-                holders.setdefault(id(group), []).append(key)
-            assert len(holders) == len(kept_groups(X)) < len(X._homology)
+                        readers.setdefault(id(got[i]), set()).add(keys[i])
+            assert len(readers) == len(X._homology)
             co_with_cn = 0
-            for keys in holders.values():
-                first = fold_complex(X, keys[0])
-                assert all(fold_complex(X, key) == first for key in keys[1:])
+            for keys in readers.values():
+                twin, = {homology._twin(C, key) for key in keys}
+                assert twin in X._homology
+                assert all(fold_complex(X, key) == fold_complex(X, twin)
+                           for key in keys)
                 co_with_cn += len({side for _, side, _ in keys}) == 2
-            # on double A_n, μ is the identity, and at an end vertex side cn's
-            # levels 2 -> 1 -> 0 and side co's 0 -> 1 -> 2 are one complex
-            if C.flavor == DOUBLE_AN:
-                assert co_with_cn
-
-
-def test_complexes_equal_but_for_one_relation_share_no_group():
-    # Z --0--> B --g--> C with B or C = Z/p: for p = 2 and 3 the matrices
-    # and shapes are the same, and only a relation tells them apart
-    Z = PresentedModule.free(ZZ, 1)
-    zero, one = Matrix(ZZ, 1, 1, [0]), Matrix(ZZ, 1, 1, [1])
-
-    def cyclic(p):
-        return PresentedModule(ZZ, 1, Matrix(ZZ, 1, 1, [p]))
-    for complex_at in (
-            lambda p: (ModuleMap(Z, cyclic(p), zero), ModuleMap(cyclic(p), Z, zero)),
-            lambda p: (ModuleMap(Z, Z, zero), ModuleMap(Z, cyclic(p), one))):
-        groups = {}
-        first = {p: homology._shared_group(groups, *complex_at(p)) for p in (2, 3)}
-        assert first[2] is not first[3]
-        for p in (2, 3):
-            assert homology._shared_group(groups, *complex_at(p)) is first[p]
-            assert_same_group(first[p], middle_homology(*complex_at(p)))
+            assert co_with_cn
 
 
 def unfolded_maps(phi, max_degree):
@@ -264,30 +240,29 @@ def warm_sequence(X):
         corner_functors(X, q)
 
 
-def test_warm_sequence_computes_eight_groups_per_vertex(monkeypatch):
+def test_warm_sequence_keeps_five_groups_per_vertex(monkeypatch):
     # H_1, then H_0, H_2, H_3, then H^0..H^3; the corners read H_0 and H^0
-    # (11 calls per vertex when nothing was kept).  This draw is zero: each
-    # value is R^g modulo g relations that kill it.  Paired with the values
-    # as drawn, the 8 fold keys per vertex held 26 distinct complexes (32
-    # calls when each key computed its own); paired with the pruned model,
-    # whose values have no generators, all 32 are the zero complex, which
-    # holds one group
+    # (11 calls per vertex when nothing was kept).  H^1..H^3 are kept under
+    # their side-cn twin keys, so the 8 groups per vertex are 5 keys.  This
+    # draw is zero: each value is R^g modulo g relations that kill it.  Its
+    # pruned model has no generators, so every complex is the zero group,
+    # with no call
     calls = counting_middle_homology(monkeypatch)
     C = MeshCategory(build_double_an(4), ZZ)
     X = random_representation(C, random.Random("memo counts"))
     warm_sequence(X)
     assert X.is_zero() and not X.pruned()[0].values
-    assert len(X._homology) == 8 * len(C.vertices)
-    assert len(calls) == len(kept_groups(X)) == 1
-    calls.clear()
-    warm_sequence(X)
+    assert len(X._homology) == 5 * len(C.vertices)
     assert calls == []
+    kept = dict(X._homology)
+    warm_sequence(X)
+    assert calls == [] and X._homology == kept
 
 
 def test_warm_sequence_on_a_nonzero_draw_computes_each_complex_once(monkeypatch):
     # the next draw is nonzero at every vertex, and its pruned values keep
-    # one relation at vertices 1 and 2; its 32 fold keys hold 24 distinct
-    # complexes (26 with the values as drawn)
+    # one relation at vertices 1 and 2; each of its 20 keys computes its
+    # group once
     calls = counting_middle_homology(monkeypatch)
     C = MeshCategory(build_double_an(4), ZZ)
     rng = random.Random("memo counts")
@@ -295,30 +270,28 @@ def test_warm_sequence_on_a_nonzero_draw_computes_each_complex_once(monkeypatch)
     X = random_representation(C, rng)
     warm_sequence(X)
     assert X.support == set(C.vertices)
-    assert len(X._homology) == 8 * len(C.vertices)
-    assert len(calls) == len(kept_groups(X)) == 24
+    assert len(X._homology) == 5 * len(C.vertices)
+    assert len(calls) == 20
     calls.clear()
     warm_sequence(X)
     assert calls == []
 
 
 def test_deep_report_costs_no_more_than_depth_three(monkeypatch):
-    # degrees past 3 are read at σ(q): 8 fold keys per vertex of double A_6
-    # at any depth (780 calls at depth 64 when every degree was computed),
-    # holding 41 distinct complexes (48 calls when each key computed its
-    # own; 42 with the values as drawn: on the pruned values, free over Q,
-    # H_2 at 2 and H^3 at 5 are both Q^2 --0--> Q --0--> Q^2)
+    # degrees past 3 are read at σ(q), and side co's degrees 1-3 at their
+    # side-cn twins: 5 keys per vertex of double A_6 at any depth (780
+    # calls at depth 64 when every degree was computed), each computed once
     calls = counting_middle_homology(monkeypatch)
     C = MeshCategory(build_double_an(6), QQ)
     X = random_representation(C, random.Random("memo report"))
     shallow_X, deep_X = fresh(X), fresh(X)
     shallow = homology_report(shallow_X, max_degree=3)
-    assert len(shallow_X._homology) == 48
-    assert len(calls) == 41
+    assert len(shallow_X._homology) == 30
+    assert len(calls) == 30
     calls.clear()
     deep = homology_report(deep_X, max_degree=64)
-    assert len(deep_X._homology) == 48
-    assert len(calls) == 41
+    assert len(deep_X._homology) == 30
+    assert len(calls) == 30
     assert {k: v for k, v in deep["H_"].items() if int(k.split()[0]) <= 3} \
         == shallow["H_"]
     assert deep["mesh"] == shallow["mesh"]
@@ -346,9 +319,9 @@ def test_deep_weak_equivalence_costs_no_more_than_depth_three(monkeypatch):
 def test_weak_equivalence_decides_each_fold_key_once(monkeypatch):
     # degree i at q is degree i - 3k <= 3 at σ^k(q); on the counterexample
     # at depth 64 that leaves 1,554 keys (25,344 isomorphism tests, one per
-    # probe and degree, when none was shared).  The keys of both ends hold
-    # 15 distinct complexes, as most probes lie off the support, where the
-    # complex is zero (3,108 calls when each key computed its own)
+    # probe and degree, when none was shared).  Most probes lie off the
+    # support, where the complex has no generators and is the zero group:
+    # 30 of the 3,108 keys of both ends call middle_homology
     calls = counting_middle_homology(monkeypatch)
     isos = counting_isomorphism_tests(monkeypatch)
     X, Y, phi = counter_morphism(QQ)
@@ -363,7 +336,7 @@ def test_weak_equivalence_decides_each_fold_key_once(monkeypatch):
     result = is_weak_equivalence(phi, 64)
     assert len(isos) == len(keys) == 1554
     assert len(X._homology) == len(Y._homology) == 1554
-    assert len(calls) == 15
+    assert len(calls) == 30
     assert len(result["iso_table"]) == 64 * len(_cn_probes(X, Y, 64))
 
 
