@@ -42,7 +42,8 @@ So each group is kept on X under its _twin key and computed once, and a
 complex whose terms have no generators, as every one off the support on
 ZA_n, is the zero group with no elimination.  Maps read level j at the
 route key's vertex, so no resolution grows past level 4, and
-is_weak_equivalence tests each key once.  Degrees 0 and 1 are the
+is_weak_equivalence tests each key once, building no map where both
+groups have no generators.  Degrees 0 and 1 are the
 functors of the mesh category itself:
 
 * the kernel corner K_q(X) is H^0 at q, the kernel of the side-co
@@ -327,7 +328,8 @@ def _twin(C: MeshCategory, key):
     v, side, j = key
     if side == SIDE_CN or j == 0:
         return key
-    w = _Side(C, SIDE_CO).mesh_end(v)
+    row, col = C._coords(v)
+    w = vertex_at(row, col, -1)  # μ(v) on side co, one column down
     return (w, SIDE_CN, 1) if j == 1 else (_serre_end(C, w, SIDE_CO), SIDE_CN, 5 - j)
 
 
@@ -368,11 +370,13 @@ def derived_homology(X: Representation, q, side: str = SIDE_CN,
     return {i: d.module for i, d in data.items()}
 
 
-def _derived_maps(phi: RepMorphism, q, side: str, degrees) -> dict:
+def _derived_maps(phi: RepMorphism, q, side: str, degrees, groups=None) -> dict:
     """Induced maps on the listed derived homology degrees, each read at its
     _fold route key (v, side, j): the groups kept for it on both ends, and
     φ, carried to the pruned models, on level j of the resolution at v,
-    which is level i of the one at q."""
+    which is level i of the one at q.  ``groups`` is the pair of
+    derived_homology_data results of φ's source and target at q covering
+    those degrees, when the caller holds them already."""
     C = phi.source.category
     keys = _fold(C, q, side, degrees)
     tops = {}
@@ -380,8 +384,8 @@ def _derived_maps(phi: RepMorphism, q, side: str, degrees) -> dict:
         tops[v] = max(j, tops.get(v, j))
     terms = {v: resolve_stalk(C, v, side, top + 1).terms
              for v, top in tops.items()}
-    dx = derived_homology_data(phi.source, q, side, degrees)
-    dy = derived_homology_data(phi.target, q, side, degrees)
+    dx, dy = groups or (derived_homology_data(phi.source, q, side, degrees),
+                        derived_homology_data(phi.target, q, side, degrees))
     out = {}
     for i, (v, _, j) in keys.items():
         block = Matrix.block_diag(C.ring, [_transported(phi, r) for r in terms[v][j]])
@@ -596,11 +600,12 @@ def is_weak_equivalence(phi: RepMorphism, max_degree: int = 2) -> dict:
     vertex.  Depth 3 decides every degree, as H_i(phi) at q is
     H_{i-3}(phi) at σ(q) for i >= 4; the default depth 2 omits H_3.
     Each (probe, degree) entry reads the verdict of its _fold key, tested
-    once at the first probe that reaches it.  The groups of source and
-    target are kept on them, so a later mesh_homology_map or
-    classify_object on either computes none of them again.  When the
-    radical squares to zero, degree one alone decides, which is
-    cross-checked."""
+    once at the first probe that reaches it; where the groups of both ends
+    have no generators, as off the support, the verdict is True with no
+    map built.  The groups of source and target are kept on them, so a
+    later mesh_homology_map or classify_object on either computes none of
+    them again.  When the radical squares to zero, degree one alone
+    decides, which is cross-checked."""
     if max_degree < 1:
         raise InvalidParameter("max_degree must be at least 1: the verdict "
                                "compares degrees 1 and up")
@@ -615,9 +620,15 @@ def is_weak_equivalence(phi: RepMorphism, max_degree: int = 2) -> dict:
         # the least degree of each key not yet decided
         least = {key: i for i, key in reversed(keys.items()) if key not in decided}
         if least:
-            maps = _derived_maps(phi, q, SIDE_CN, sorted(least.values()))
+            degrees = sorted(least.values())
+            dx = derived_homology_data(phi.source, q, SIDE_CN, degrees)
+            dy = derived_homology_data(phi.target, q, SIDE_CN, degrees)
+            # a map between groups with no generators is an isomorphism
+            live = [i for i in degrees
+                    if dx[i].module.generators or dy[i].module.generators]
+            maps = _derived_maps(phi, q, SIDE_CN, live, (dx, dy)) if live else {}
             for key, i in least.items():
-                decided[key] = maps[i].is_isomorphism()
+                decided[key] = i not in maps or maps[i].is_isomorphism()
         for i, key in keys.items():
             table[(format_vertex(q), i)] = decided[key]
     verdict = all(table.values())

@@ -25,12 +25,16 @@ flattened row-major to vec(U),
 so each linear condition sum A · U · B = 0 on the unknowns is one block
 row of Kronecker products, and its solutions are one kernel.
 
-Everything is immutable after construction and safe to share.
+Everything is immutable after construction and safe to share.  What a
+representation derives from its values (its support, its pruned model,
+its homology groups) is computed on first read and kept, write-once, so
+building one eliminates nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import (InvalidMorphism, InvalidParameter, UnsupportedFlavor,
                      WindowTooSmall)
@@ -53,18 +57,27 @@ class Representation:
             if not category.quiver.has_vertex(v):
                 raise InvalidParameter(f"value at unknown vertex {v!r}")
         self.arrow_maps = dict(arrow_maps)
-        self.support = frozenset(v for v, m in self.values.items()
-                                 if not m.is_zero)
         self._zero = PresentedModule.free(self.ring, 0)
-        # write-once memos, dropped with X: pruned keeps X's pruned model in
+        # write-once memos, dropped with X: support keeps the vertices whose
+        # value is nonzero in _support; pruned keeps X's pruned model in
         # _pruned, from which homology.derived_homology_data builds every
         # stalk complex; it keeps each group in _homology per twin key
         # (vertex, side cn, i <= 3) or (vertex, side co, 0), so side co's
         # degrees 1-3 share side cn's groups (homology._twin);
         # evaluate_matrix keeps X(coeff * e) in _evaluated per (coeff, e)
+        self._support = None
         self._pruned = None
         self._homology = {}
         self._evaluated = {}
+
+    @property
+    def support(self) -> frozenset:
+        """The vertices whose value is nonzero, read off the values' own
+        normal forms on first use and kept: building X eliminates nothing."""
+        if self._support is None:
+            self._support = frozenset(v for v, m in self.values.items()
+                                      if not m.is_zero)
+        return self._support
 
     def value(self, v) -> PresentedModule:
         return self.values.get(v, self._zero)
@@ -234,9 +247,11 @@ def _tensor_functor(C: MeshCategory, M: PresentedModule, corners, support,
         for r in sorted(dims, key=vertex_key):
             rel = Matrix.block_diag(C.ring, [M.relations] * dims[r])
             values[r] = PresentedModule(C.ring, dims[r] * M.generators, rel)
-    one = Matrix.identity(C.ring, M.generators)
-    arrows = {a.name: Matrix.block_diag(C.ring, [action(a, t) for t in corners]).kron(one)
+    arrows = {a.name: Matrix.block_diag(C.ring, [action(a, t) for t in corners])
               for a in C.quiver.arrows if a.source in values or a.target in values}
+    if M.generators != 1:  # A ⊗ 1_M is A itself for M of one generator
+        one = Matrix.identity(C.ring, M.generators)
+        arrows = {name: A.kron(one) for name, A in arrows.items()}
     return Representation(C, values, arrows)
 
 
@@ -504,26 +519,40 @@ def random_representation(C: MeshCategory, rng, summands=3):
     validate; the interior vertices are drawn because golden files record
     what each seed draws.  Written as its presentation: ⊕ Q(t, v) modulo
     the columns of the morphism at v, with the arrows of ⊕ Q(t, -).
+
+    One coefficient c_e is drawn per basis element e of Q(t, s), and the
+    block of summands (t, s) at v is the sum of the c_e (- ∘ e):
+    Q(s, v) -> Q(t, v), which sends f to c_e times the element of degree
+    deg f + deg e.  So each value's relations are written in one pass
+    into one flat list, c_e at (that element's row, f's column), and
+    reduced once into the ring.
     """
+    ring = C.ring
     verts = C.quiver.interior_vertices()
     sources = [rng.choice(verts) for _ in range(rng.randint(1, summands))]
     targets = [rng.choice(verts) for _ in range(rng.randint(1, summands))]
     P = representable_sum(C, targets)
-    # one coefficient c per basis element e of Q(tv, sv); at v the block
-    # of summands (tv, sv) is the sum of the c * (- ∘ e): Q(sv, v) -> Q(tv, v)
-    coeffs = [[[(e, C.ring.canon(rng.randint(-2, 2)))
-                for e in C.hom_basis(tv, sv)] for sv in sources]
+    # the nonzero (deg e, c_e) per summand pair, one draw per e in order
+    coeffs = [[[(e.degree, c) for e in C.hom_basis(tv, sv)
+                if (c := rng.randint(-2, 2))] for sv in sources]
               for tv in targets]
-
-    def block(tv, sv, terms, v):
-        return sum((C.right_mult_matrix(C.ring.one, e, v).scale(c)
-                    for e, c in terms if c),
-                   Matrix.zeros(C.ring, C.d(tv, v), C.d(sv, v)))
-
-    values = {v: PresentedModule(C.ring, m.generators, Matrix.vstack([
-        Matrix.hstack([block(tv, sv, terms, v) for sv, terms in zip(sources, row)])
-        for tv, row in zip(targets, coeffs)]))
-        for v, m in P.values.items()}
+    values = {}
+    for v, m in P.values.items():
+        col_off = [0, *accumulate(C.d(sv, v) for sv in sources)]
+        cols = col_off[-1]
+        out = [0] * (m.generators * cols)
+        r0 = 0
+        for tv, row in zip(targets, coeffs):
+            row_of = {b.degree: r0 + i for i, b in enumerate(C.hom_basis(tv, v))}
+            r0 += len(row_of)
+            for c0, sv, terms in zip(col_off, sources, row):
+                for j, f in enumerate(C.hom_basis(sv, v), c0):
+                    for degree, c in terms:
+                        i = row_of.get(f.degree + degree)
+                        if i is not None:
+                            out[i * cols + j] += c
+        values[v] = PresentedModule(ring, m.generators, Matrix._trusted(
+            ring, m.generators, cols, map(ring.canon, out)))
     return Representation(C, values, P.arrow_maps)
 
 

@@ -20,8 +20,8 @@ states in closed form or by a shorter route.
   dimensions they read.
 * Representations built the long way: functors that ask every vertex
   for their rank, sums of representables folded from binary direct sums,
-  and random representations as the cokernel of a morphism between two
-  such sums.
+  and random representations with every block a sum of scaled matrices,
+  stacked, or as the cokernel of a morphism between two such sums.
 * The Smith forms over Z and Z/p^k as two eliminations: division with
   remainder over Z, and the one-sweep local form over Z/p^k.
 * Eliminations that build every transform: kernels, normal forms and
@@ -48,7 +48,7 @@ from qshape.exactalg.smith import _rref
 from qshape.homology import (SIDE_CO, StalkResolution, _assemble, _Side,
                              _start_resolution)
 from qshape.quiver import DOUBLE_AN, format_vertex, vertex_key
-from qshape.repmod import Representation, RepMorphism
+from qshape.repmod import Representation, RepMorphism, representable_sum
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +474,15 @@ def cokernel_of_morphism(phi: RepMorphism) -> Representation:
     return Representation(Y.category, values, dict(Y.arrow_maps))
 
 
-def random_representation_by_cokernel(C, rng, summands=3) -> Representation:
-    """``random_representation``'s draws, built as the cokernel of the
-    morphism P' -> P between folded sums of representables."""
+def _sampler_draws(C, rng, summands):
+    """``random_representation``'s draws, (sources, targets, component):
+    component(v) is the morphism ⊕ Q(s, v) -> ⊕ Q(t, v), block by block,
+    each block of summands (t, s) the sum of the c (- ∘ e) over the basis
+    elements e of Q(t, s), scaled from the cached multiplication matrices
+    and stacked."""
     verts = C.quiver.interior_vertices()
     sources = [rng.choice(verts) for _ in range(rng.randint(1, summands))]
     targets = [rng.choice(verts) for _ in range(rng.randint(1, summands))]
-    P = representable_sum_by_folding(C, targets)
-    Pprime = representable_sum_by_folding(C, sources)
     coeffs = [[[(e, C.ring.canon(rng.randint(-2, 2)))
                 for e in C.hom_basis(tv, sv)] for sv in sources]
               for tv in targets]
@@ -491,10 +492,32 @@ def random_representation_by_cokernel(C, rng, summands=3) -> Representation:
                     for e, c in terms if c),
                    Matrix.zeros(C.ring, C.d(tv, v), C.d(sv, v)))
 
-    comps = {v: Matrix.vstack([
-        Matrix.hstack([block(tv, sv, terms, v) for sv, terms in zip(sources, row)])
-        for tv, row in zip(targets, coeffs)])
-        for v in set(P.values) | set(Pprime.values)}
+    def component(v):
+        return Matrix.vstack([
+            Matrix.hstack([block(tv, sv, terms, v)
+                           for sv, terms in zip(sources, row)])
+            for tv, row in zip(targets, coeffs)])
+    return sources, targets, component
+
+
+def random_representation_by_blocks(C, rng, summands=3) -> Representation:
+    """``random_representation`` as it was before it wrote each value in one
+    pass: every block a sum of scaled matrices, hstacked and vstacked, on
+    the values and arrows of ⊕ Q(t, -)."""
+    _, targets, component = _sampler_draws(C, rng, summands)
+    P = representable_sum(C, targets)
+    values = {v: PresentedModule(C.ring, m.generators, component(v))
+              for v, m in P.values.items()}
+    return Representation(C, values, P.arrow_maps)
+
+
+def random_representation_by_cokernel(C, rng, summands=3) -> Representation:
+    """``random_representation``'s draws, built as the cokernel of the
+    morphism P' -> P between folded sums of representables."""
+    sources, targets, component = _sampler_draws(C, rng, summands)
+    P = representable_sum_by_folding(C, targets)
+    Pprime = representable_sum_by_folding(C, sources)
+    comps = {v: component(v) for v in set(P.values) | set(Pprime.values)}
     return cokernel_of_morphism(RepMorphism(Pprime, P, comps))
 
 

@@ -29,17 +29,22 @@ def run(capsys, *argv):
     return code, out
 
 
-def dense_rank_six(tmp_path):
-    """(path, entries) of one rank-6 value on double A_2 over Z whose
-    relations are a seeded dense 6x6 with entries in [-9, 9]."""
+def dense_value(tmp_path, rank):
+    """(path, entries) of one value at vertex 1 of double A_2 over Z whose
+    relations are a seeded dense rank x rank matrix with entries in [-9, 9]."""
     rng = random.Random(12)
-    entries = [str(rng.randint(-9, 9)) for _ in range(36)]
+    entries = [str(rng.randint(-9, 9)) for _ in range(rank * rank)]
     path = tmp_path / "dense.json"
     path.write_text(json.dumps({
         "category": {"flavor": "double_an", "n": 2, "ring": "Z"},
-        "values": {"1": {"rank": 6, "relations": {
-            "rows": 6, "cols": 6, "entries": entries}}}}))
+        "values": {"1": {"rank": rank, "relations": {
+            "rows": rank, "cols": rank, "entries": entries}}}}))
     return path, entries
+
+
+def dense_rank_six(tmp_path):
+    """(path, entries) of the rank-6 dense value."""
+    return dense_value(tmp_path, 6)
 
 
 def counting_smith(monkeypatch) -> list:
@@ -627,18 +632,24 @@ class TestCommands:
         # dense 12x12 with entries in [-9, 9]: the normal form and the mesh
         # check at vertex 1 used to build both Smith transforms, and the
         # zero mesh total went through a full solve (~18 s of CPU on a
-        # 2-vCPU Intel Xeon); now ~3 s
-        rng = random.Random(12)
-        entries = [str(rng.randint(-9, 9)) for _ in range(144)]
-        path = tmp_path / "dense.json"
-        path.write_text(json.dumps({
-            "category": {"flavor": "double_an", "n": 2, "ring": "Z"},
-            "values": {"1": {"rank": 12, "relations": {
-                "rows": 12, "cols": 12, "entries": entries}}}}))
+        # 2-vCPU Intel Xeon), then ~3 s for the normal form alone; now no
+        # elimination at all, ~0.01 s
+        path, _ = dense_value(tmp_path, 12)
         start = time.process_time()
         code, out = run(capsys, "validate", "--input", str(path))
         assert time.process_time() - start < 10.0
         assert code == 0 and json.loads(out)["verdicts"]["ok"] is True
+
+    def test_validate_dense_value_eliminates_nothing(self, capsys, tmp_path,
+                                                    monkeypatch):
+        # the rank-12 file above: every arrow and mesh total is zero, so
+        # validation needs no normal form, and building X takes none (the
+        # value's took 2.4 s of CPU when X's support was read at build time)
+        path, _ = dense_value(tmp_path, 12)
+        calls = counting_smith(monkeypatch)
+        code, out = run(capsys, "validate", "--input", str(path))
+        assert code == 0 and json.loads(out)["verdicts"]["ok"] is True
+        assert calls == []
 
     def test_classify_eliminates_a_dense_value_at_most_twice(self, capsys,
                                                              tmp_path, monkeypatch):
@@ -659,15 +670,23 @@ class TestCommands:
     @pytest.mark.parametrize("command", ["classify", "homology"])
     def test_dense_value_is_eliminated_once(self, capsys, tmp_path, monkeypatch,
                                             command):
-        # the rank-6 file above: the value's normal form when X is built is
-        # the only elimination.  The kernels that followed it (one for
-        # classify, two for homology) were of complexes whose middle term,
-        # X(2), has no generators, whose group is 0 with no elimination
+        # the rank-6 file above: one normal form is the only elimination.
+        # classify reads the support, so it is the value's own; homology
+        # reads none, so it is that of the value's pruned 5x5 relations,
+        # the third term of a complex whose middle term, X(2), has no
+        # generators.  The kernels that followed it (one for classify, two
+        # for homology) were of such complexes, whose group is 0 with no
+        # elimination
         path, entries = dense_rank_six(tmp_path)
+        relations = Matrix(ZZ, 6, 6, [int(x) for x in entries])
+        if command == "homology":
+            relations = PresentedModule(ZZ, 6, relations).pruned()[0].relations
         calls = counting_smith(monkeypatch)
         code, _ = run(capsys, command, "--input", str(path))
         assert code == 0
-        assert calls == [(6, 6, tuple(int(x) for x in entries))]
+        assert calls == [(relations.rows, relations.cols, relations.entries)]
+        assert (relations.rows, relations.cols) == \
+            {"classify": (6, 6), "homology": (5, 5)}[command]
 
     def test_dims_repetitive(self, capsys):
         code, out = run(capsys, "dims", "--flavor", "repetitive_an", "--n", "2",
