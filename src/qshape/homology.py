@@ -26,11 +26,15 @@ relation is left.  A morphism's components are carried to the models of
 its ends by _transported.
 
 Every per-vertex group, induced map and weak-equivalence verdict is
-read at one route key, its _fold (vertex, side, j <= 3): levels 4 and
-up at q are the resolution at σ(q), so degree i >= 4 at q is degree
-i - 3 at σ(q).  The two sides are segments of one periodic resolution,
-and with the signs of resolve_stalk side co's complexes of degrees 1-3
-are side cn's, level by level; with w = μ(v) on side co and u = σ(w):
+read at a route key from _route: levels 4 and up at q are the
+resolution at σ(q), so degree i at q is degree j = i - 3k <= 3 at
+v = σ^k(q).  μ and σ^k are closed forms in (row, column) (_mu, _sigma):
+μ moves one column, down on side co and up on side cn, and σ twice moves
+n + 1 columns the same way; on double A_n, μ is the identity and σ(r) =
+n + 1 - r.  X keeps the group under a kept key: the two sides are
+segments of one periodic resolution, and with the signs of resolve_stalk
+side co's complexes of degrees 1-3 are side cn's, level by level; with
+w = μ(v) on side co and u = σ(w):
 
 * degree 1 at v, X(v) -> ⊕ X(r) -> X(w), is side cn's levels 2 -> 1 -> 0
   at w, as the arrows into w are those out of v;
@@ -38,13 +42,13 @@ are side cn's, level by level; with w = μ(v) on side co and u = σ(w):
   cn's levels 4 -> 3 -> 2 and 3 -> 2 -> 1 at u, whose σ(u) is w and
   whose τ(u) is side co's σ(v).
 
-So each group is kept on X under its _twin key and computed once, and a
+So each group is kept on X under its kept key and computed once, and a
 complex whose terms have no generators, as every one off the support on
 ZA_n, is the zero group with no elimination.  Maps read level j at the
-route key's vertex, so no resolution grows past level 4, and
-is_weak_equivalence tests each key once, building no map where both
-groups have no generators.  Degrees 0 and 1 are the
-functors of the mesh category itself:
+route vertex (_induced), so no resolution grows past level 4, and
+is_weak_equivalence tests each route key once, building no map where
+both groups have no generators.  Degrees 0 and 1 are the functors of
+the mesh category itself:
 
 * the kernel corner K_q(X) is H^0 at q, the kernel of the side-co
   level-1 boundary X(q) -> ⊕ X(r) over the arrows q -> r;
@@ -105,10 +109,6 @@ class _Side:
         # entries act on a summand's values by precomposition on side co
         # (values Q(r, s)) and by postcomposition on side cn (values Q(s, r))
         self._entry_mult = C.right_mult_matrix if co else C.left_mult_matrix
-        # μ = τ^-1 (co) or τ (cn) moves one column; σ(q) is S(μ q) on side co
-        # and S^-1(μ q) = τ^(n-1) S(μ q) on side cn, as S^2 = τ^(1-n)
-        self._mu_shift = -1 if co else 1
-        self._sigma_shift = 0 if co else C.n - 1
         # signs of the (at most two) entries of levels 1 and 2 (resolve_stalk)
         plain, signed = (C.ring.one,) * 2, (C.ring.one, C.ring.neg(C.ring.one))
         self.signs = {1: signed, 2: plain} if co else {1: plain, 2: signed}
@@ -130,27 +130,34 @@ class _Side:
         into q are those of its mesh, and the arrows out of q are the ones
         paired with them in the mesh at tau^-1(q), one column down."""
         out = self.side == SIDE_CO
-        row, col = self.C._coords(q)
-        mesh = self.C.quiver.mesh_at(vertex_at(row, col, -1) if out else q)
+        mesh = self.C.quiver.mesh_at(_mu(self.C, q, SIDE_CO) if out else q)
         return [(e, self.ends(e.source, e.target)[1])
                 for _, e in map(self.C.arrow_elt, mesh.paired if out else mesh.arrows)]
-
-    def _shift(self, v, cols: int):
-        row, col = self.C._coords(v)
-        return vertex_at(row, col, cols)
-
-    def mesh_end(self, q):
-        """μ(q), where the arms of the mesh at q meet: the level-2 summand."""
-        return self._shift(q, self._mu_shift)
-
-    def serre_end(self, q):
-        """σ(q), the level-3 summand and the start of the next period."""
-        return self._shift(self.C.serre_object(self.mesh_end(q)), self._sigma_shift)
 
     def x_value_block(self, X: Representation, entry) -> Matrix:
         """X applied to a boundary entry in Q(ends(a, b)): X(a) -> X(b) on
         side co, X(b) -> X(a) on side cn."""
         return self._terms(entry, X.evaluate_matrix)
+
+
+def _mu(C: MeshCategory, v, side: str):
+    """μ(v), where the arms of the mesh at v meet: τ^-1(v), one column down,
+    on side co and τ(v), one column up, on side cn (v on double A_n)."""
+    row, col = C._coords(v)
+    return vertex_at(row, col, -1 if side == SIDE_CO else 1)
+
+
+def _sigma(C: MeshCategory, v, side: str, k: int):
+    """σ^k(v), k >= 0.  σ(v), the level-3 summand, is S(μ v) on side co and
+    S^-1(μ v) = τ^(n-1) S(μ v) on side cn (S^2 = τ^(1-n)), with S(r, c) =
+    (n+1-r, c+1-r): one step sends (r, c) to (n+1-r, c-r) on side co and to
+    (n+1-r, c+n+1-r) on side cn, and two steps move n + 1 columns, down on
+    side co and up on side cn.  On double A_n, σ(r) = n + 1 - r."""
+    row, col = C._coords(v)
+    pairs, odd = divmod(k, 2)
+    shift = pairs * (C.n + 1) + odd * (row if side == SIDE_CO else C.n + 1 - row)
+    return vertex_at(C.n + 1 - row if odd else row, col,
+                     -shift if side == SIDE_CO else shift)
 
 
 @dataclass
@@ -217,7 +224,7 @@ def resolve_stalk(C: MeshCategory, q, side: str, length: int) -> StalkResolution
       by the arms of the mesh on their degree-one basis elements.  Every
       entry of levels 1 and 2 is +1 but one, -1: the second arrow on side
       co, the second arm on side cn (where there is one), so that side
-      co's complexes are side cn's (see _twin); moving it negates one
+      co's complexes are side cn's (see _route); moving it negates one
       summand.  All parallel signed paths are equal, so two arms cancel,
       and on a boundary row the single arm's composite is zero;
     * level 3: the one summand σ(q), with σ(q) = S(μ q) on side co and
@@ -226,7 +233,8 @@ def resolve_stalk(C: MeshCategory, q, side: str, length: int) -> StalkResolution
     * level i >= 4: a copy of level i - 3 of the resolution at σ(q), whose
       level 0 is this one's level 3.
 
-    This is Ω³S_q ≅ S_σ(q) (see the module docstring).  The rules read
+    This is Ω³S_q ≅ S_σ(q) (see the module docstring).  μ and σ are
+    closed forms in the row and column of q (_mu, _sigma): the rules read
     coordinates only, so every vertex of ZA_n has its resolution, inside
     the window or not.  Results are cached on the category, and a cached
     resolution is extended in place when a longer one is asked for.
@@ -253,12 +261,12 @@ def _next_level(res: StalkResolution):
     if i >= 4:
         # level i - 3 of σ(q)'s resolution; when σ(q) = q that is this
         # resolution, which is cached before it is extended
-        src = resolve_stalk(C, eng.serre_end(res.vertex), res.side, i - 3)
+        src = resolve_stalk(C, _sigma(C, res.vertex, res.side, 1), res.side, i - 3)
         return list(src.terms[i - 3]), dict(src.boundaries[i - 3])
     if i == 2:
-        r, degree, signs = eng.mesh_end(res.vertex), 1, eng.signs[2]
+        r, degree, signs = _mu(C, res.vertex, res.side), 1, eng.signs[2]
     else:
-        r, degree, signs = eng.serre_end(res.vertex), C.top_degree(), (ring.one,)
+        r, degree, signs = _sigma(C, res.vertex, res.side, 1), C.top_degree(), (ring.one,)
     entries = {}
     for b, (a, sign) in enumerate(zip(res.terms[i - 1], signs)):
         e = next(x for x in C.hom_basis(*eng.ends(a, r)) if x.degree == degree)
@@ -300,67 +308,49 @@ def _complex_from_resolution(res: StalkResolution, X: Representation,
     return modules, maps
 
 
-def _serre_end(C: MeshCategory, v, side: str):
-    """σ(v) on one side, computed once per category in C._serre_ends."""
-    ends = C._serre_ends
-    if (v, side) not in ends:
-        ends[v, side] = _Side(C, side).serre_end(v)
-    return ends[v, side]
-
-
-def _fold(C: MeshCategory, q, side: str, degrees) -> dict:
-    """{i: (v, side, j)}, the route key of each listed degree i at q: degree
-    i >= 4 at q is degree i - 3 at σ(q) (see resolve_stalk), down to j <= 3."""
-    keys, orbit = {}, [q]  # orbit[k] = σ^k(q): degree i at q is read as i - 3k
-    for i in degrees:
-        k = max(i - 1, 0) // 3
-        while len(orbit) <= k:
-            orbit.append(_serre_end(C, orbit[-1], side))
-        keys[i] = (orbit[k], side, i - 3 * k)
-    return keys
-
-
-def _twin(C: MeshCategory, key):
-    """The key a route key's group is kept under: side co's degree 1 at v
-    is side cn's degree 1 at w = μ(v), and its degrees 2 and 3 are side
-    cn's 3 and 2 at σ(w) (see the module docstring); degree 0 and every
-    side-cn key are their own twins."""
-    v, side, j = key
+def _route(C: MeshCategory, q, side: str, i: int):
+    """(route key, kept key) of degree i at q on one side.  The route key
+    is (v, side, j) with v = σ^k(q) and j = i - 3k <= 3, k = max(i - 1, 0)
+    // 3, as levels 4 and up are the resolution at σ(q) (resolve_stalk);
+    k = 0 reads no coordinates.  X keeps the group under the route key but
+    for side co's degrees 1-3: degree 1 at v is side cn's degree 1 at
+    w = μ(v), and degrees 2 and 3 are side cn's 3 and 2 at σ(w) (see the
+    module docstring)."""
+    k = max(i - 1, 0) // 3
+    v, j = (_sigma(C, q, side, k) if k else q), i - 3 * k
     if side == SIDE_CN or j == 0:
-        return key
-    row, col = C._coords(v)
-    w = vertex_at(row, col, -1)  # μ(v) on side co, one column down
-    return (w, SIDE_CN, 1) if j == 1 else (_serre_end(C, w, SIDE_CO), SIDE_CN, 5 - j)
+        return (v, side, j), (v, side, j)
+    w = _mu(C, v, SIDE_CO)
+    kept = (w, SIDE_CN, 1) if j == 1 else (_sigma(C, w, SIDE_CO, 1), SIDE_CN, 5 - j)
+    return (v, side, j), kept
 
 
 def derived_homology_data(X: Representation, q, side: str, degrees) -> dict:
     """HomologyData per listed degree for one side at one vertex.
 
-    Each degree is read at its _fold route key and kept on X under its
-    _twin.  Each route vertex with degrees not kept gets one complex of
-    the side asked for, to one level past the highest; it equals the
-    twin's, so the group does not depend on the route.  A complex whose
+    Each degree is read at its _route key and kept on X under its kept
+    key.  Each route vertex with degrees not kept gets one complex of the
+    side asked for, to one level past the highest; it equals the kept
+    key's, so the group does not depend on the route.  A complex whose
     three terms have no generators is 0, with no middle_homology call.
     """
-    C = X.category
-    keys = _fold(C, q, side, degrees)
-    filed = {i: _twin(C, key) for i, key in keys.items()}
-    memo = X._homology
-    missing = {}  # route vertex -> {degree j: twin key}
-    for i, (v, _, j) in keys.items():
-        if filed[i] not in memo:
-            missing.setdefault(v, {})[j] = filed[i]
-    for v, twins in missing.items():
-        top = max(twins)
+    C, memo = X.category, X._homology
+    kept, missing = {}, {}  # missing: route vertex -> {degree j: kept key}
+    for i in degrees:
+        (v, _, j), kept[i] = _route(C, q, side, i)
+        if kept[i] not in memo:
+            missing.setdefault(v, {})[j] = kept[i]
+    for v, wanted in missing.items():
+        top = max(wanted)
         res = resolve_stalk(C, v, side, top + 1)
         _, maps = _complex_from_resolution(res, X, top + 2)
-        for j, key in sorted(twins.items()):
+        for j, key in sorted(wanted.items()):
             f, g = res._engine.ends(maps[j], maps[j + 1])
             if f.source.generators or f.target.generators or g.target.generators:
                 memo[key] = middle_homology(f, g)
             else:
                 memo[key] = HomologyData(f.target, Matrix.identity(X.ring, 0), f.target)
-    return {i: memo[key] for i, key in filed.items()}
+    return {i: memo[key] for i, key in kept.items()}
 
 
 def derived_homology(X: Representation, q, side: str = SIDE_CN,
@@ -370,27 +360,14 @@ def derived_homology(X: Representation, q, side: str = SIDE_CN,
     return {i: d.module for i, d in data.items()}
 
 
-def _derived_maps(phi: RepMorphism, q, side: str, degrees, groups=None) -> dict:
-    """Induced maps on the listed derived homology degrees, each read at its
-    _fold route key (v, side, j): the groups kept for it on both ends, and
-    φ, carried to the pruned models, on level j of the resolution at v,
-    which is level i of the one at q.  ``groups`` is the pair of
-    derived_homology_data results of φ's source and target at q covering
-    those degrees, when the caller holds them already."""
-    C = phi.source.category
-    keys = _fold(C, q, side, degrees)
-    tops = {}
-    for v, _, j in keys.values():
-        tops[v] = max(j, tops.get(v, j))
-    terms = {v: resolve_stalk(C, v, side, top + 1).terms
-             for v, top in tops.items()}
-    dx, dy = groups or (derived_homology_data(phi.source, q, side, degrees),
-                        derived_homology_data(phi.target, q, side, degrees))
-    out = {}
-    for i, (v, _, j) in keys.items():
-        block = Matrix.block_diag(C.ring, [_transported(phi, r) for r in terms[v][j]])
-        out[i] = induced_on_homology(dx[i], dy[i], block)
-    return out
+def _induced(phi: RepMorphism, route, hx, hy) -> ModuleMap:
+    """The map φ induces between hx and hy, the groups of its source and
+    target at one route key (v, side, j): φ, carried to the pruned models,
+    on level j of the resolution at v, as the degree routed there reads."""
+    v, side, j = route
+    terms = resolve_stalk(phi.source.category, v, side, j).terms[j]
+    block = Matrix.block_diag(phi.source.ring, [_transported(phi, r) for r in terms])
+    return induced_on_homology(hx, hy, block)
 
 
 def _transported(phi: RepMorphism, r) -> Matrix:
@@ -408,7 +385,9 @@ def _transported(phi: RepMorphism, r) -> Matrix:
 
 def derived_homology_map(phi: RepMorphism, q, side: str, degree: int) -> ModuleMap:
     """The induced map on one derived homology group."""
-    return _derived_maps(phi, q, side, (degree,))[degree]
+    hx, hy = (derived_homology_data(Z, q, side, (degree,))[degree]
+              for Z in (phi.source, phi.target))
+    return _induced(phi, _route(phi.source.category, q, side, degree)[0], hx, hy)
 
 
 # ---------------------------------------------------------------------------
@@ -571,18 +550,16 @@ def homology_report(X: Representation, vertices=None, max_degree: int = 2,
     "H^" map "i at vertex" to descriptions for i = 0..max_degree.  Mesh
     homology is H_1 on side cn, so each vertex has one side-cn complex,
     which gives degree 1 as well as the degrees asked for up to 3; a
-    degree i >= 4 is degree i - 3 at σ(q), kept on X like every group.
+    degree i >= 4 is read at its _route key, kept on X like every group.
 
-    Without ``vertices`` the report covers every interior vertex of the
-    window.  Every group is the one on ZA_n, where X is zero off the
-    window, so a given vertex may lie anywhere in ZA_n.
+    Without ``vertices`` the report covers every vertex of the window, its
+    last column included.  Every group is the one on ZA_n, where X is zero
+    off the window, so a given vertex may lie anywhere in ZA_n.
     """
-    if vertices is None:
-        vertices = X.category.quiver.interior_vertices()
     degrees = range(max_degree + 1)
     cn_degrees = range(max(max_degree, 1) + 1) if SIDE_CN in sides else (1,)
     report = {"mesh": {}, "H_": {}, "H^": {}}
-    for q in vertices:
+    for q in X.category.vertices if vertices is None else vertices:
         label = format_vertex(q)
         data = {SIDE_CN: derived_homology_data(X, q, SIDE_CN, cn_degrees)}
         if SIDE_CO in sides:
@@ -599,7 +576,7 @@ def is_weak_equivalence(phi: RepMorphism, max_degree: int = 2) -> dict:
     """Whether H_i(phi) is an isomorphism for i = 1..max_degree at every
     vertex.  Depth 3 decides every degree, as H_i(phi) at q is
     H_{i-3}(phi) at σ(q) for i >= 4; the default depth 2 omits H_3.
-    Each (probe, degree) entry reads the verdict of its _fold key, tested
+    Each (probe, degree) entry reads the verdict of its _route key, tested
     once at the first probe that reaches it; where the groups of both ends
     have no generators, as off the support, the verdict is True with no
     map built.  The groups of source and target are kept on them, so a
@@ -613,22 +590,19 @@ def is_weak_equivalence(phi: RepMorphism, max_degree: int = 2) -> dict:
     if not check["ok"]:
         raise InvalidMorphism(str(check["failures"]))
     C = phi.source.category
-    decided = {}  # _fold key -> whether H(φ) there is an isomorphism
+    decided = {}  # route key -> whether H(φ) there is an isomorphism
     table = {}
     for q in _cn_probes(phi.source, phi.target, max_degree):
-        keys = _fold(C, q, SIDE_CN, range(1, max_degree + 1))
+        keys = {i: _route(C, q, SIDE_CN, i)[0] for i in range(1, max_degree + 1)}
         # the least degree of each key not yet decided
         least = {key: i for i, key in reversed(keys.items()) if key not in decided}
         if least:
-            degrees = sorted(least.values())
-            dx = derived_homology_data(phi.source, q, SIDE_CN, degrees)
-            dy = derived_homology_data(phi.target, q, SIDE_CN, degrees)
-            # a map between groups with no generators is an isomorphism
-            live = [i for i in degrees
-                    if dx[i].module.generators or dy[i].module.generators]
-            maps = _derived_maps(phi, q, SIDE_CN, live, (dx, dy)) if live else {}
+            dx, dy = (derived_homology_data(Z, q, SIDE_CN, sorted(least.values()))
+                      for Z in (phi.source, phi.target))
             for key, i in least.items():
-                decided[key] = i not in maps or maps[i].is_isomorphism()
+                # a map between groups with no generators is an isomorphism
+                live = dx[i].module.generators or dy[i].module.generators
+                decided[key] = not live or _induced(phi, key, dx[i], dy[i]).is_isomorphism()
         for i, key in keys.items():
             table[(format_vertex(q), i)] = decided[key]
     verdict = all(table.values())

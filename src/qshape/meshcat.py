@@ -67,7 +67,6 @@ class MeshCategory:
         self._left_mult_cache: dict = {}
         self._right_mult_cache: dict = {}
         self._resolution_cache: dict = {}
-        self._serre_ends: dict = {}  # (v, side) -> σ(v), read by homology._fold
 
     # -- flavor ------------------------------------------------------------
 

@@ -61,9 +61,9 @@ class Representation:
         # write-once memos, dropped with X: support keeps the vertices whose
         # value is nonzero in _support; pruned keeps X's pruned model in
         # _pruned, from which homology.derived_homology_data builds every
-        # stalk complex; it keeps each group in _homology per twin key
+        # stalk complex; it keeps each group in _homology per kept key
         # (vertex, side cn, i <= 3) or (vertex, side co, 0), so side co's
-        # degrees 1-3 share side cn's groups (homology._twin);
+        # degrees 1-3 share side cn's groups (homology._route);
         # evaluate_matrix keeps X(coeff * e) in _evaluated per (coeff, e)
         self._support = None
         self._pruned = None
@@ -201,22 +201,22 @@ class ValidationReport:
 
 
 def validate_representation(X: Representation) -> ValidationReport:
-    """Check arrow well-definedness and every in-window mesh relation.
-
-    A value may sit at any vertex of the window, its last column included:
-    on ZA_n every mesh the window cuts has an end off it, where X is zero,
-    so its relation holds.  Returns a verdict rather than raising;
-    residual matrices of failing meshes are included for diagnosis.
-    """
+    """Check arrow well-definedness and every mesh relation, reading only
+    what X holds: an arrow X holds no map for is zero, and the residual of
+    the mesh at q maps X(tau q) to X(q), so only a mesh with both ends among
+    X's values can fail.  A value may sit in the window's last column, as
+    on ZA_n every mesh the window cuts has an end off it.  Returns a verdict
+    rather than raising; residual matrices of failing meshes are included."""
     quiver = X.category.quiver
     report = ValidationReport(ok=True)
-    for a in quiver.arrows:
+    for a in map(quiver.arrow, sorted(X.arrow_maps)):
         M = X.arrow_matrix(a)
         src, tgt = X.value(a.source), X.value(a.target)
         if M.rows != tgt.generators or M.cols != src.generators or (
                 src.relations.cols and not tgt.vanishes(M * src.relations)):
             report.bad_arrows.append(a.name)
-    for q in quiver.interior_vertices():
+    for q in sorted((q for q in X.values if quiver.tau(q) in X.values),
+                    key=vertex_key):
         mesh = quiver.mesh_at(q)
         total = Matrix.zeros(X.ring, X.value(q).generators,
                              X.value(mesh.tau_vertex).generators)
@@ -311,7 +311,9 @@ class RepMorphism:
 
 
 def validate_morphism(phi: RepMorphism) -> dict:
-    """Naturality of phi against every arrow, not only path generators."""
+    """Naturality of phi against every arrow, not only path generators; the
+    square of an arrow into t lies in Y(t), so only arrows into Y's values
+    can fail."""
     X, Y = phi.source, phi.target
     failures = []
     for v in set(X.values) | set(Y.values) | set(phi.components):
@@ -322,7 +324,8 @@ def validate_morphism(phi: RepMorphism) -> dict:
         relations = X.value(v).relations
         if relations.cols and not Y.value(v).vanishes(comp * relations):
             failures.append(("relations", format_vertex(v)))
-    for a in X.category.quiver.arrows:
+    into = [a for t in Y.values for a in X.category.quiver.arrows_into(t)]
+    for a in sorted(into, key=lambda a: a.name):
         diff = (phi.component(a.target) * X.arrow_matrix(a)
                 - Y.arrow_matrix(a) * phi.component(a.source))
         if not Y.value(a.target).vanishes(diff):

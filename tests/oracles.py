@@ -21,7 +21,8 @@ states in closed form or by a shorter route.
 * Representations built the long way: functors that ask every vertex
   for their rank, sums of representables folded from binary direct sums,
   and random representations with every block a sum of scaled matrices,
-  stacked, or as the cokernel of a morphism between two such sums.
+  stacked, or as the cokernel of a morphism between two such sums; and
+  validation as a scan of every arrow and interior mesh of the window.
 * The Smith forms over Z and Z/p^k as two eliminations: division with
   remainder over Z, and the one-sweep local form over Z/p^k.
 * Eliminations that build every transform: kernels, normal forms and
@@ -48,7 +49,8 @@ from qshape.exactalg.smith import _rref
 from qshape.homology import (SIDE_CO, StalkResolution, _assemble, _Side,
                              _start_resolution)
 from qshape.quiver import DOUBLE_AN, format_vertex, vertex_key
-from qshape.repmod import Representation, RepMorphism, representable_sum
+from qshape.repmod import (MeshResidual, Representation, RepMorphism,
+                           ValidationReport, representable_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +521,49 @@ def random_representation_by_cokernel(C, rng, summands=3) -> Representation:
     Pprime = representable_sum_by_folding(C, sources)
     comps = {v: component(v) for v in set(P.values) | set(Pprime.values)}
     return cokernel_of_morphism(RepMorphism(Pprime, P, comps))
+
+
+def validate_representation_by_window_scan(X: Representation) -> ValidationReport:
+    """validate_representation as a scan of the whole window: every arrow
+    of the quiver, then the mesh at every interior vertex."""
+    quiver = X.category.quiver
+    report = ValidationReport(ok=True)
+    for a in quiver.arrows:
+        M = X.arrow_matrix(a)
+        src, tgt = X.value(a.source), X.value(a.target)
+        if M.rows != tgt.generators or M.cols != src.generators or (
+                src.relations.cols and not tgt.vanishes(M * src.relations)):
+            report.bad_arrows.append(a.name)
+    for q in quiver.interior_vertices():
+        mesh = quiver.mesh_at(q)
+        total = Matrix.zeros(X.ring, X.value(q).generators,
+                             X.value(mesh.tau_vertex).generators)
+        for a, sa in zip(mesh.arrows, mesh.paired):
+            total = total + X.arrow_matrix(a) * X.arrow_matrix(sa)
+        if not X.value(q).vanishes(total):
+            report.mesh_residuals.append(MeshResidual(q, total))
+    report.ok = not report.mesh_residuals and not report.bad_arrows
+    return report
+
+
+def validate_morphism_by_window_scan(phi: RepMorphism) -> dict:
+    """validate_morphism with naturality read on every arrow of the quiver."""
+    X, Y = phi.source, phi.target
+    failures = []
+    for v in set(X.values) | set(Y.values) | set(phi.components):
+        comp = phi.component(v)
+        if comp.rows != Y.value(v).generators or comp.cols != X.value(v).generators:
+            failures.append(("shape", format_vertex(v)))
+            continue
+        relations = X.value(v).relations
+        if relations.cols and not Y.value(v).vanishes(comp * relations):
+            failures.append(("relations", format_vertex(v)))
+    for a in X.category.quiver.arrows:
+        diff = (phi.component(a.target) * X.arrow_matrix(a)
+                - Y.arrow_matrix(a) * phi.component(a.source))
+        if not Y.value(a.target).vanishes(diff):
+            failures.append(("naturality", a.name))
+    return {"ok": not failures, "failures": failures}
 
 
 # ---------------------------------------------------------------------------

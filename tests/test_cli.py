@@ -726,18 +726,18 @@ class TestCommands:
 
     def test_homology_without_vertex_skips_what_leaves_the_window(self, capsys):
         # the interior vertices whose resolutions left the window, 1@-8
-        # among them, were listed as "skipped"; now each one is answered
+        # among them, were listed as "skipped"; now each one is answered,
+        # and so is every vertex of the window's last column
         path = (FIXTURES / "counter_X.json").as_posix()
         code, out = run(capsys, "homology", "--input", path)
         assert code == 0
         tables = json.loads(out)["tables"]
         assert "skipped" not in tables
         X = parse_representation(json.loads(Path(path).read_text()))
-        interior = {format_vertex(q)
-                    for q in X.category.quiver.interior_vertices()}
-        assert set(tables["mesh"]) == interior
-        assert {k.split(" at ")[1] for k in tables["H_"]} == interior
-        assert "1@-8" in interior
+        listed = {format_vertex(q) for q in X.category.vertices}
+        assert set(tables["mesh"]) == listed
+        assert {k.split(" at ")[1] for k in tables["H_"]} == listed
+        assert "1@-8" in listed
         code, out = run(capsys, "homology", "--input", path, "--vertex", "2@0")
         single = json.loads(out)["tables"]
         for key in ("mesh", "H_", "H^"):

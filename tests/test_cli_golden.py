@@ -122,6 +122,17 @@ def golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
+def test_golden_records_every_case_it_builds():
+    # the cases below run only what the file records, so a case added to
+    # build_cases() and never recorded would go untested; equal argv and
+    # input also show that re-recording the file changed outputs only
+    built = {case: {"argv": argv, "input": json.loads(json.dumps(data))}
+             for case, (argv, data) in build_cases().items()}
+    recorded = {case: {"argv": entry["argv"], "input": entry["input"]}
+                for case, entry in golden().items()}
+    assert built == recorded
+
+
 @pytest.mark.parametrize("case", sorted(golden()) if GOLDEN.exists() else [])
 def test_stdout_matches_the_golden_text(case, tmp_path):
     entry = golden()[case]

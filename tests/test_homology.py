@@ -340,15 +340,17 @@ class TestResolutions:
         cats = [double_cat(n) for n in (2, 3, 6)] + [
             MeshCategory(build_repetitive_an(n, (-9, 9)), ZZ) for n in (2, 3, 5)]
         for C in cats:
-            co, cn = homology._Side(C, SIDE_CO), homology._Side(C, SIDE_CN)
             for q in C.vertices:
-                assert co.serre_end(q) == C.serre_object(co.mesh_end(q))
-                assert C.serre_object(cn.serre_end(q)) == cn.mesh_end(q)
+                co_sigma, cn_sigma = (homology._sigma(C, q, side, 1)
+                                      for side in (SIDE_CO, SIDE_CN))
+                co_mu, cn_mu = (homology._mu(C, q, side) for side in (SIDE_CO, SIDE_CN))
+                assert co_sigma == C.serre_object(co_mu)
+                assert C.serre_object(cn_sigma) == cn_mu
                 if C.flavor == DOUBLE_AN:
-                    assert co.serre_end(q) == cn.serre_end(q) == C.n + 1 - q
+                    assert co_sigma == cn_sigma == C.n + 1 - q
                 else:  # tau moves one column up
-                    assert co.mesh_end(q) == (q[0], q[1] - 1)
-                    assert cn.mesh_end(q) == (q[0], q[1] + 1)
+                    assert co_mu == (q[0], q[1] - 1)
+                    assert cn_mu == (q[0], q[1] + 1)
 
     def test_closed_form_entries_are_single_terms(self):
         # levels 1-3 store one (coefficient, basis element) term per entry:

@@ -11,27 +11,26 @@ degrees 1-3 are kept under their side-cn twin keys: each shared group is
 checked against the fresh complexes of all the keys that read it.  Weak
 equivalence reads its maps and verdicts at the same keys: its tables
 and maps are compared with those of the unfolded complex, and it counts
-one isomorphism test per key.
+one isomorphism test per key.  The closed form of σ^k that the keys are
+read at is compared with k steps of the Serre functor.
 """
 
 import random
-from pathlib import Path
 
 import pytest
 
 from qshape import Matrix, MeshCategory, QQ, ZZ, Zmod, build_double_an, \
     build_repetitive_an
 from qshape import homology
-from qshape.cli import main
 from qshape.exactalg import ModuleMap, induced_on_homology, middle_homology
 from qshape.fixtures import counter_morphism
-from qshape.homology import (SIDE_CN, SIDE_CO, _cn_probes, _Side,
+from qshape.homology import (SIDE_CN, SIDE_CO, _cn_probes,
                              _transported, corner_functors, derived_homology,
                              derived_homology_data, derived_homology_map,
                              homology_probe_vertices, homology_report,
                              is_weak_equivalence, mesh_homology,
                              resolve_stalk)
-from qshape.quiver import format_vertex
+from qshape.quiver import format_vertex, vertex_at
 from qshape.repmod import Representation, random_representation
 
 from test_fast_paths import categories, draws, paired_complex
@@ -40,7 +39,6 @@ from test_weq_periodicity import categories as weq_categories, scaled
 RINGS = (ZZ, QQ, Zmod(3), Zmod(9))
 SIDES = (SIDE_CN, SIDE_CO)
 DEPTH = 7
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def fresh(X) -> Representation:
@@ -134,14 +132,15 @@ def test_shared_groups_are_those_of_equal_complexes(ring):
                 for side in SIDES:
                     got = derived_homology_data(X, q, side, range(DEPTH + 1))
                     want = fresh_groups(X, q, side, DEPTH)
-                    keys = homology._fold(C, q, side, range(DEPTH + 1))
+                    keys = {i: homology._route(C, q, side, i)[0]
+                            for i in range(DEPTH + 1)}
                     for i in range(DEPTH + 1):
                         assert_same_group(got[i], want[i])
                         readers.setdefault(id(got[i]), set()).add(keys[i])
             assert len(readers) == len(X._homology)
             co_with_cn = 0
             for keys in readers.values():
-                twin, = {homology._twin(C, key) for key in keys}
+                twin, = {homology._route(C, *key)[1] for key in keys}
                 assert twin in X._homology
                 assert all(fold_complex(X, key) == fold_complex(X, twin)
                            for key in keys)
@@ -328,14 +327,10 @@ def test_weak_equivalence_decides_each_fold_key_once(monkeypatch):
     calls = counting_middle_homology(monkeypatch)
     isos = counting_isomorphism_tests(monkeypatch)
     X, Y, phi = counter_morphism(QQ)
-    sigma = _Side(X.category, SIDE_CN).serre_end
     keys = set()
     for q in _cn_probes(X, Y, 64):
         for i in range(1, 65):
-            v = q
-            while i > 3:
-                v, i = sigma(v), i - 3
-            keys.add((v, i))
+            keys.add(homology._route(X.category, q, SIDE_CN, i)[0])
     result = is_weak_equivalence(phi, 64)
     live = {key for key, d in X._homology.items()
             if d.module.generators or Y._homology[key].module.generators}
@@ -346,26 +341,38 @@ def test_weak_equivalence_decides_each_fold_key_once(monkeypatch):
     assert len(result["iso_table"]) == 64 * len(_cn_probes(X, Y, 64))
 
 
-def test_weak_equivalence_computes_each_serre_end_once(monkeypatch):
-    # _fold runs 3 times per probe (is_weak_equivalence and the two
-    # derived_homology_data calls), and once more at the 7 probes whose
-    # groups have generators (_derived_maps), and each walks the σ-orbit of
-    # its probe; σ(v) is kept per (v, side) on the category, so the walks
-    # take 1,548 serre_end steps where they took 34,296
-    folds, steps = [], []
-    fold, serre_end = homology._fold, _Side.serre_end
+def serre_step(C, v, side):
+    """One σ step by its definition, for the Serre functor C.serre_object
+    and μ one column down (side co, τ^-1) or up (side cn, τ), τ being read
+    off the mesh at the vertex (quiver.tau): S(μ v) on side co and
+    S^-1(μ v) = τ^(n-1) S(μ v) on side cn, as S^2 = τ^(1-n)."""
+    tau = C.quiver.tau
+    row, col = C._coords(v)
+    if side == SIDE_CO:
+        mu = vertex_at(row, col, -1)
+        assert tau(mu) == v
+        return C.serre_object(mu)
+    mu = tau(v)
+    step = C.serre_object(mu)
+    for _ in range(C.n - 1):
+        step = tau(step)
+    assert C.serre_object(step) == mu
+    return step
 
-    def counting_fold(*args):
-        folds.append(args[1])
-        return fold(*args)
 
-    def counting_serre_end(self, q):
-        steps.append(q)
-        return serre_end(self, q)
-    monkeypatch.setattr(homology, "_fold", counting_fold)
-    monkeypatch.setattr(_Side, "serre_end", counting_serre_end)
-    code = main(["weq", "--input", str(FIXTURES / "counter.json"),
-                 "--max-degree", "64"])
-    assert code == 0
-    assert len(folds) == 1195
-    assert len(steps) == 1548
+def test_sigma_closed_form_equals_k_serre_steps():
+    # σ^k by its closed form against k steps of its definition, on double
+    # and repetitive A_2..A_6 (window (-5, 5)), both sides, every vertex,
+    # k = 0..24: repetitive orbits leave the window within a few steps
+    cases = 0
+    for n in range(2, 7):
+        for C in (MeshCategory(build_double_an(n), ZZ),
+                  MeshCategory(build_repetitive_an(n, (-5, 5)), ZZ)):
+            for side in SIDES:
+                for q in C.vertices:
+                    v = q
+                    for k in range(25):
+                        assert homology._sigma(C, q, side, k) == v, (C, side, q, k)
+                        v = serre_step(C, v, side)
+                        cases += 1
+    assert cases == 12000

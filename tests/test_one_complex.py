@@ -10,9 +10,9 @@ isomorphism verdict and the normal forms of its kernel and cokernel.
 ``derived_homology_data`` asked for some degrees gives what it gives for
 degrees 0..3 restricted to them, degree 0 is the kernel or cokernel of
 the level-1 map, and ``derived_homology_map`` gives the matrices of
-``_derived_maps`` over degrees 0..3.  ``classify_object`` probes only
-where a mesh meets the support, and answers as it did on a band of two
-columns either side of it.
+``_induced`` on the groups of degrees 0..3 read at once.
+``classify_object`` probes only where a mesh meets the support, and
+answers as it did on a band of two columns either side of it.
 Inputs are seeded ``random_representation`` draws over Z, Q, F_3 and Z/9
 on double A_2..A_4 and on repetitive A_2 (-5, 5) and A_3 (-4, 4), at every
 interior vertex of the window and at every vertex of ZA_n within that
@@ -29,7 +29,7 @@ from qshape import Matrix, MeshCategory, QQ, ZZ, Zmod, build_double_an, \
 from qshape import homology
 from qshape.exactalg import middle_homology
 from qshape.homology import (SIDE_CN, SIDE_CO, _complex_from_resolution,
-                             _derived_maps, classify_object, corner_functors,
+                             _induced, _route, classify_object, corner_functors,
                              derived_homology_data, derived_homology_map,
                              homology_probe_vertices, mesh_homology,
                              mesh_homology_map, resolve_stalk)
@@ -154,10 +154,12 @@ def test_listed_degrees_match_the_full_complex(ring):
                 got.append(full[0].module.normal_form())
                 want.append(degree_zero_by_level_one(X, q, side))
                 for phi in phis:
-                    maps = _derived_maps(phi, q, side, DEGREES)
+                    hx = derived_homology_data(phi.source, q, side, DEGREES)
+                    hy = derived_homology_data(phi.target, q, side, DEGREES)
                     got.append([derived_homology_map(phi, q, side, i).matrix
                                 for i in DEGREES])
-                    want.append([maps[i].matrix for i in DEGREES])
+                    want.append([_induced(phi, _route(X.category, q, side, i)[0],
+                                          hx[i], hy[i]).matrix for i in DEGREES])
                 cases += 1
                 nonzero += any(not full[i].module.is_zero for i in DEGREES)
                 if got != want:

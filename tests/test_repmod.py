@@ -1,12 +1,14 @@
 """Representations: validation, standard constructions, the chain bridge."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from qshape import Matrix, MeshCategory, PresentedModule, QQ, ZZ, Zmod, \
     build_double_an, build_repetitive_an
-from qshape.errors import UnsupportedFlavor, WindowTooSmall
+from qshape.errors import InvalidParameter, UnsupportedFlavor, WindowTooSmall
+from qshape.quiver import vertex_key
 from qshape.repmod import (ChainComplex, Representation, RepMorphism,
                            cofree_at, complex_to_rep, degree_vertex,
                            free_at, hom_space_basis, identity_morphism,
@@ -14,12 +16,13 @@ from qshape.repmod import (ChainComplex, Representation, RepMorphism,
                            random_free_representation, random_morphism,
                            random_representation, rep_to_complex,
                            representable_rep, representable_sum, stalk_rep,
-                           validate_morphism, validate_representation,
-                           zero_morphism)
+                           ValidationReport, validate_morphism,
+                           validate_representation, zero_morphism)
 
 from oracles import (cofree_at_every_vertex, free_at_every_vertex,
                      random_representation_by_cokernel,
-                     representable_sum_by_folding)
+                     representable_sum_by_folding, validate_morphism_by_window_scan,
+                     validate_representation_by_window_scan)
 
 
 def double_cat(n, ring=ZZ):
@@ -334,3 +337,92 @@ class TestAgainstLongRoutes:
                 Y = random_representation_by_cokernel(C, ref_rng, summands=5)
                 assert_same_representation(X, Y)
                 assert rng.random() == ref_rng.random()  # the same draws
+
+
+def perturbed(M, widen):
+    """The zero matrix one column wider than M, or M with 1 added to its
+    first entry."""
+    if widen:
+        return Matrix.zeros(M.ring, M.rows, M.cols + 1)
+    return M + Matrix(M.ring, M.rows, M.cols, [1] + [0] * (M.rows * M.cols - 1))
+
+
+def validation_inputs(C, rng):
+    """Representations and morphisms to validate on one category: seeded
+    draws, each with one arrow entry perturbed and one arrow widened by a
+    column; the scalar 2·1_X, with one component entry perturbed and one
+    component widened; a value at the window's last vertex; and an arrow
+    and a component that break a relation."""
+    ring = C.ring
+    one = PresentedModule.free(ring, 1)
+    reps, morphisms = [], []
+    for _ in range(3):
+        X = random_representation(C, rng)
+        reps.append(X)
+        live = [name for name, M in X.arrow_maps.items() if M.rows and M.cols]
+        for widen in (False, True):
+            maps = dict(X.arrow_maps)
+            if live:
+                name = rng.choice(live)
+                maps[name] = perturbed(maps[name], widen)
+            reps.append(Representation(C, X.values, maps))
+        comps = {v: Matrix.identity(ring, m.generators).scale(2)
+                 for v, m in X.values.items()}
+        morphisms.append(RepMorphism(X, X, comps))
+        for widen in (False, True):
+            broken = dict(comps)
+            v = rng.choice(sorted(comps, key=vertex_key))
+            broken[v] = perturbed(comps[v], widen)
+            morphisms.append(RepMorphism(X, X, broken))
+    reps += [stalk_rep(C, C.vertices[-1], one), free_at(C, C.vertices[-1], one)]
+    # a relation the map does not respect: Z/3 (or 0 over a field) into R
+    a = rng.choice(C.quiver.arrows)
+    torsion = PresentedModule(ring, 1, Matrix(ring, 1, 1, [1 if ring.is_field else 3]))
+    reps.append(Representation(C, {a.source: torsion, a.target: one},
+                               {a.name: Matrix.identity(ring, 1)}))
+    morphisms.append(RepMorphism(stalk_rep(C, a.source, torsion),
+                                 stalk_rep(C, a.source, one),
+                                 {a.source: Matrix.identity(ring, 1)}))
+    return reps, morphisms
+
+
+def validation_outcome(check, arg):
+    """What a validation returns, or "raises" where a product of matrices
+    of mismatched shapes is refused."""
+    try:
+        result = check(arg)
+    except InvalidParameter:
+        return "raises"
+    return result.describe() if isinstance(result, ValidationReport) else result
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=["Z", "Q", "F3", "Z9"])
+def test_validation_reads_what_it_holds_as_the_window_scan(ring):
+    # validate_representation reads X's arrows and the meshes at its values,
+    # validate_morphism the arrows into Y's values; each reports what the
+    # scan of the whole window reported (tests/oracles.py), or refuses what
+    # it refused: a widened map in a mesh or square it reads
+    cats = ([double_cat(n, ring) for n in (2, 3, 4)]
+            + [MeshCategory(build_repetitive_an(n, window), ring)
+               for n in (2, 3) for window in ((-3, 3), (-60, 60))])
+    seen = Counter()
+    for k, C in enumerate(cats):
+        reps, morphisms = validation_inputs(C, random.Random(f"validate:{ring!r}:{k}"))
+        for kind, check, oracle, args in (
+                ("representation", validate_representation,
+                 validate_representation_by_window_scan, reps),
+                ("morphism", validate_morphism, validate_morphism_by_window_scan,
+                 morphisms)):
+            for arg in args:
+                want = validation_outcome(oracle, arg)
+                got = validation_outcome(check, arg)
+                if want == "raises" != got:
+                    # the scan multiplied a widened map into a mesh or a
+                    # square that cannot fail; it is reported instead
+                    assert not got["ok"], (C, kind)
+                    seen[kind, "reported"] += 1
+                    got = "raises"
+                assert got == want, (C, kind)
+                seen[kind, want if want == "raises" else want["ok"]] += 1
+    assert all(seen[kind, ok] for kind in ("representation", "morphism")
+               for ok in (True, False)), seen

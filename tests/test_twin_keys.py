@@ -3,7 +3,8 @@
 Both sides are segments of one periodic resolution (Ω³S_q ≅ S_σ(q)),
 and with side co's -1 on its second level-1 arrow the segments agree
 entry by entry: degree 1 at v is side cn's degree 1 at μ(v), and
-degrees 2 and 3 are side cn's degrees 3 and 2 at σ(μ(v)) (homology._twin).
+degrees 2 and 3 are side cn's degrees 3 and 2 at σ(μ(v)), the kept key
+that homology._route gives.
 For seeded draws over every ring kind, at every probe, these tests
 compare each side-co complex of degree 1-3 with its twin's, everything
 middle_homology reads, and the summands of its terms, and check that
@@ -17,7 +18,7 @@ import pytest
 from qshape import MeshCategory, QQ, ZZ, Zmod, build_double_an, \
     build_repetitive_an
 from qshape.homology import (SIDE_CN, SIDE_CO, _complex_from_resolution,
-                             _twin, derived_homology_data,
+                             _route, derived_homology_data,
                              homology_probe_vertices, resolve_stalk)
 from qshape.repmod import random_representation
 
@@ -63,7 +64,7 @@ def test_side_co_complexes_are_their_twins(ring):
         for X in (random_representation(C, rng) for _ in range(4)):
             for q in probes(X):
                 for j in (1, 2, 3):
-                    twin = _twin(C, (q, SIDE_CO, j))
+                    twin = _route(C, q, SIDE_CO, j)[1]
                     w, side, i = twin
                     assert side == SIDE_CN and i == (1 if j == 1 else 5 - j)
                     content = complex_content(X, (q, SIDE_CO, j))

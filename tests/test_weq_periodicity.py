@@ -19,7 +19,7 @@ import pytest
 from qshape import Matrix, MeshCategory, QQ, ZZ, Zmod, build_double_an, \
     build_repetitive_an
 from qshape.exactalg import ModuleMap
-from qshape.homology import SIDE_CN, _cn_probes, _Side, is_weak_equivalence
+from qshape.homology import SIDE_CN, _cn_probes, _sigma, is_weak_equivalence
 from qshape.quiver import format_vertex
 from qshape.repmod import (RepMorphism, complex_to_rep, random_complex,
                            random_representation)
@@ -45,7 +45,6 @@ def test_degrees_past_three_repeat_one_serre_step_along(ring):
     compared = not_iso = 0
     mismatches = []
     for k, C in enumerate(categories(ring)):
-        sigma = _Side(C, SIDE_CN).serre_end
         rng = random.Random(f"periodicity:{ring!r}:{k}")
         for draw in range(DRAWS):
             X = random_representation(C, rng)
@@ -55,7 +54,8 @@ def test_degrees_past_three_repeat_one_serre_step_along(ring):
                 table = deep["iso_table"]
                 for q in _cn_probes(X, X, 6):
                     for i in range(4, 7):
-                        there = table.get((format_vertex(sigma(q)), i - 3))
+                        step = format_vertex(_sigma(C, q, SIDE_CN, 1))
+                        there = table.get((step, i - 3))
                         if there is None:
                             continue
                         here = table[(format_vertex(q), i)]

@@ -117,6 +117,23 @@ def test_a_value_in_the_last_column_validates(capsys, tmp_path):
     assert code == 0
 
 
+def test_homology_lists_the_last_column(capsys, tmp_path):
+    # homology without --vertex lists every vertex of the window; it listed
+    # only the interior ones, and missed H_0 = H^0 = Z at 1@3 and the mesh
+    # homology Z at 2@3
+    doc = {"category": {"flavor": "repetitive_an", "n": 2, "ring": "Z",
+                        "window": [-3, 3]},
+           "values": {"1@3": {"rank": 1}}}
+    code, report = run(capsys, tmp_path, "homology", doc)
+    assert code == 0
+    tables = report["tables"]
+    assert len(tables["mesh"]) == 14
+    assert {t: {k: v for k, v in table.items() if v != "0"}
+            for t, table in tables.items()} == {
+        "mesh": {"2@3": "Z"}, "H^": {"0 at 1@3": "Z"},
+        "H_": {"0 at 1@3": "Z", "1 at 2@3": "Z", "2 at 1@2": "Z"}}
+
+
 def last_column_answers(X, probes):
     return (classify_object(X).describe(), zero_test(X),
             homology_report(X, probes, 3))
