@@ -255,10 +255,11 @@ class ModuleMap:
     # -- kernel / cokernel ----------------------------------------------------
 
     def kernel(self):
-        """(K, incl) with K a presented module and incl: K gens -> source gens."""
-        gens = preimage_generators(self.matrix, self.target.relations)
-        rel = preimage_generators(gens, self.source.relations)
-        return PresentedModule(self.source.ring, gens.cols, rel), gens
+        """(K, incl) with K a presented module and incl: K gens -> source
+        gens: the middle homology of 0 -> source -> target."""
+        h = middle_homology(ModuleMap.zero(PresentedModule.free(self.source.ring, 0),
+                                           self.source), self)
+        return h.module, h.cycle_gens
 
     def cokernel(self) -> PresentedModule:
         rel = Matrix.hstack([self.matrix, self.target.relations])
@@ -312,15 +313,17 @@ class HomologyData:
 
 
 def middle_homology(f: ModuleMap, g: ModuleMap) -> HomologyData:
-    """ker(g)/im(f) as a presented module, in two eliminations.
+    """ker(g)/im(f) as a presented module.
 
-    The cycles are incl = generators of {b : g·b ∈ rel_C}, and the
-    relations are generators of {c : incl·c ∈ im f + rel_B}, one preimage
-    each.  That is the span of [coords_f | K.relations] with coords_f the
-    coordinates of f in incl and K.relations generating {c : incl·c ∈
-    rel_B}: any c in the preimage, with incl·c = f·x + rel_B·y, differs
-    from coords_f·x by an element of the second.  So the cycle generators
-    and the module are those of the kernel-then-coordinates route.
+    When C has no relations the cycles are ker g itself, and one
+    elimination of g, kernel_basis(g, modulo=[f | rel_B]), gives both its
+    generators incl and the coordinates on them of f and rel_B, which
+    must lie in ker g; those coordinates, with an annihilator per
+    torsion generator over Z/p^k, are the relations.  Otherwise, in two
+    eliminations, incl generates {b : g·b ∈ rel_C} and the relations
+    generate {c : incl·c ∈ im f + rel_B}, one preimage each.  Either way
+    the relations span {c : incl·c ∈ im f + rel_B}, and with C free incl
+    is kernel_basis(g) on both, so the group does not depend on the route.
 
     When C has no generators every element of B is a cycle: the group is
     B modulo [f | rel_B], f.cokernel(), with the identity as its cycle
@@ -330,7 +333,9 @@ def middle_homology(f: ModuleMap, g: ModuleMap) -> HomologyData:
     (its cols less the pivots of C's normal form, the units over Z/p^k),
     and the relations [I_k | 0], one zero column per column of [f | rel_B].
 
-    g∘f must vanish in C; NotWellDefined is raised when it does not.
+    g∘f must vanish in C; NotWellDefined is raised when it does not,
+    read off kernel_basis's rows on the one-elimination route, and also
+    when g does not kill rel_B there.
     """
     B, C = f.target, g.target
     ring = B.ring
@@ -345,11 +350,15 @@ def middle_homology(f: ModuleMap, g: ModuleMap) -> HomologyData:
         H = PresentedModule(ring, k, Matrix.hstack([Matrix.identity(ring, k), zeros]))
         H._normal_form = NormalForm(0)
         return HomologyData(H, Matrix.zeros(ring, 0, k), B)
-    if not C.vanishes(g.matrix * f.matrix):
-        raise NotWellDefined("image of f does not lie in the kernel of g")
-    incl = preimage_generators(g.matrix, C.relations)
-    rel = preimage_generators(incl, Matrix.hstack([f.matrix, B.relations]))
-    return HomologyData(PresentedModule(B.ring, incl.cols, rel), incl, B)
+    boundaries = Matrix.hstack([f.matrix, B.relations])
+    if C.relations.cols:
+        if not C.vanishes(g.matrix * f.matrix):
+            raise NotWellDefined("image of f does not lie in the kernel of g")
+        incl = preimage_generators(g.matrix, C.relations)
+        rel = preimage_generators(incl, boundaries)
+    else:  # kernel_basis checks that g·f and g·rel_B are 0 on its own rows
+        incl, rel = kernel_basis(g.matrix, modulo=boundaries)
+    return HomologyData(PresentedModule(ring, incl.cols, rel), incl, B)
 
 
 def induced_on_homology(hx: HomologyData, hy: HomologyData,

@@ -15,14 +15,18 @@ Over Z and Z/p^k each caller builds only the transforms of U*M*V = S it
 reads: solving builds all three, kernels S and V, the mesh projections of
 ``hom_basis_oracle`` S and U, and normal forms and invertibility the
 diagonal of S alone.  No step on S or V reads U, so S and V do not depend
-on which transforms are built.
+on which transforms are built.  A kernel taken modulo vectors X of ker M
+(``kernel_basis(M, modulo=X)``, the middle homology of a complex into a
+module with no relations) also carries V⁻¹·X, applying each column
+operation on V to X as its inverse row operation; the coordinates of X
+on the kernel generators are its rows, one elimination in all.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from ..errors import UnsupportedRing
+from ..errors import NotWellDefined, UnsupportedRing
 from .matrix import Matrix
 from .rings import INTEGERS, RATIONALS
 
@@ -31,7 +35,7 @@ from .rings import INTEGERS, RATIONALS
 # Smith normal form over Z and Z/p^k
 # ---------------------------------------------------------------------------
 
-def _smith(entries, rows, cols, m, u=True, v=True):
+def _smith(entries, rows, cols, m, u=True, v=True, vinv=None):
     """Return (S, U, V) as dense integer lists with U*M*V = S, over Z when
     m = 0 and over Z/m when m = p^k, with ``entries`` then in [0, m).
 
@@ -41,10 +45,16 @@ def _smith(entries, rows, cols, m, u=True, v=True):
     A zero matrix is left untouched, so U and V come back as identities.
     U (V) is built only when ``u`` (``v``) is true and is None otherwise;
     no step reads U or V, so S, and V when built, are the same either way.
+
+    ``vinv``, when given, is a list of ``cols`` rows, the rows of some X.
+    Each column operation on V is applied to it, in place, as the inverse
+    row operation, so it ends as V⁻¹·X (V⁻¹ itself for X = I) with no
+    inverse or product taken; no step reads it either.
     """
     A = [list(entries[i * cols:(i + 1) * cols]) for i in range(rows)]
     U = [[int(i == j) for j in range(rows)] for i in range(rows)] if u else None
     V = [[int(i == j) for j in range(cols)] for i in range(cols)] if v else None
+    W = vinv
     row_lists = (A, U) if u else (A,)
     col_lists = (A, V) if v else (A,)
 
@@ -58,6 +68,8 @@ def _smith(entries, rows, cols, m, u=True, v=True):
             for X in col_lists:
                 for row in X:
                     row[i], row[j] = row[j], row[i]
+            if W is not None:
+                W[i], W[j] = W[j], W[i]
 
     def add_row(src, dst, c):  # row_dst += c * row_src
         if c:
@@ -74,6 +86,11 @@ def _smith(entries, rows, cols, m, u=True, v=True):
                     x = row[src]
                     if x:
                         row[dst] = (row[dst] + c * x) % m if m else row[dst] + c * x
+            if W is not None:  # undone on the left by row_src -= c * row_dst
+                Ws = W[src]
+                for k, x in enumerate(W[dst]):
+                    if x:
+                        Ws[k] = (Ws[k] - c * x) % m if m else Ws[k] - c * x
 
     t = 0
     n = min(rows, cols)
@@ -240,7 +257,7 @@ def field_rank(M: Matrix) -> int:
     return len(pivots)
 
 
-def _field_kernel(M: Matrix) -> Matrix:
+def _field_kernel(M: Matrix, modulo=None):
     ring = M.ring
     A, pivots = _rref(M)
     free = [j for j in range(M.cols) if j not in pivots]
@@ -251,8 +268,20 @@ def _field_kernel(M: Matrix) -> Matrix:
         for r, pj in enumerate(pivots):
             v[pj] = ring.neg(A[r][f])
         cols.append(v)
-    return Matrix._trusted(ring, M.cols, len(cols),
-                           [cols[j][i] for i in range(M.cols) for j in range(len(cols))])
+    K = Matrix._trusted(ring, M.cols, len(cols),
+                        [cols[j][i] for i in range(M.cols) for j in range(len(cols))])
+    if modulo is None:
+        return K
+    # x is in ker M exactly when every pivot row of A vanishes on it, and
+    # then x = K·x[free]
+    X, p = modulo.to_lists(), ring.modulus or 0
+    for r, pj in enumerate(pivots):
+        terms = [(X[f], A[r][f]) for f in free if A[r][f]]
+        for j, x in enumerate(X[pj]):
+            x += sum(a * row[j] for row, a in terms)
+            if x % p if p else x:
+                raise NotWellDefined("a column lies outside the kernel")
+    return K, modulo.take_rows(free)
 
 
 def _field_solve_matrix(M: Matrix, B: Matrix):
@@ -274,18 +303,29 @@ def _field_solve_matrix(M: Matrix, B: Matrix):
 # kernels and solving over every supported ring
 # ---------------------------------------------------------------------------
 
-def kernel_basis(M: Matrix) -> Matrix:
-    """Columns generating {x : Mx = 0}.
+def kernel_basis(M: Matrix, modulo: Matrix | None = None):
+    """Columns K generating {x : Mx = 0}.  With ``modulo``, whose columns
+    must lie in ker M, it returns (K, R): R presents ker M / span(modulo)
+    on the generators K, read off the same elimination, and NotWellDefined
+    is raised for a column outside ker M.
 
-    Over Z and the fields the columns are linearly independent (a basis);
-    over Z/p^k they are a generating set.  Over Z and Z/p^k they are read
-    from the diagonal and V of ``_smith``, which builds no U.
+    Over Z and the fields the columns of K are linearly independent (a
+    basis); over Z/p^k they are a generating set.  Over a field K is read
+    from the reduced echelon form, and a kernel vector x is K·x[free], so
+    R is modulo's rows at the free columns.  Over Z and Z/p^k K is read
+    from the diagonal and V of ``_smith``, which builds no U: column i is
+    (m/d_i)·V_i, kept where d_i is not a unit (m = 0 over Z, where only
+    d_i = 0 is kept).  Then y = V⁻¹x, carried through ``_smith`` on
+    modulo's rows, has d_i·y_i = 0 in every row exactly when Mx = 0, and
+    x = K·(y_i / (m/d_i)) over the kept i; over Z/p^k a generator with
+    0 < d_i is killed by d_i, one more column of R each.
     """
     ring = M.ring
     if ring.is_field:
-        return _field_kernel(M)
+        return _field_kernel(M, modulo)
     m = ring.modulus or 0
-    S, _, V = _smith(M.entries, M.rows, M.cols, m, u=False)
+    Y = None if modulo is None else modulo.to_lists()
+    S, _, V = _smith(M.entries, M.rows, M.cols, m, u=False, vinv=Y)
     # x_i is free where d_i = 0 and a multiple of m/d_i otherwise, with m = 0
     # over Z: there a nonzero d_i forces x_i = 0, and the column is dropped
     scales = [m // S[i][i] if S[i][i] else 1 for i in range(min(M.rows, M.cols))]
@@ -295,7 +335,18 @@ def kernel_basis(M: Matrix) -> Matrix:
         entries = [row[i] * scales[i] % m for row in V for i in gens]
     else:  # over Z every kept column has scale 1
         entries = [row[i] for row in V for i in gens]
-    return Matrix._trusted(ring, M.cols, len(gens), entries)
+    K = Matrix._trusted(ring, M.cols, len(gens), entries)
+    if modulo is None:
+        return K
+    # d_i·y_i = 0 (mod m) is y_i = 0 where the scale is 0 (over Z) or m
+    # (a unit d_i), and m/d_i dividing y_i otherwise
+    if any(y % c if c else y for c, row in zip(scales, Y) for y in row):
+        raise NotWellDefined("a column lies outside the kernel")
+    torsion = [i for i in gens if scales[i] != 1]  # killed by d_i = m/scale
+    rel = [[y // scales[i] for y in Y[i]] + [m // scales[i] if t == i else 0
+                                             for t in torsion] for i in gens]
+    return K, Matrix._trusted(ring, len(gens), modulo.cols + len(torsion),
+                              [x for row in rel for x in row])
 
 
 def solve_matrix(M: Matrix, B: Matrix):

@@ -200,24 +200,37 @@ class ValidationReport:
                 "mesh_residuals": [r.describe() for r in self.mesh_residuals]}
 
 
+def _fits(M: Matrix, source: PresentedModule, target: PresentedModule) -> bool:
+    """Whether M can be a map source -> target: its ring and shape."""
+    return (M.ring == target.ring and M.rows == target.generators
+            and M.cols == source.generators)
+
+
 def validate_representation(X: Representation) -> ValidationReport:
     """Check arrow well-definedness and every mesh relation, reading only
     what X holds: an arrow X holds no map for is zero, and the residual of
     the mesh at q maps X(tau q) to X(q), so only a mesh with both ends among
     X's values can fail.  A value may sit in the window's last column, as
     on ZA_n every mesh the window cuts has an end off it.  Returns a verdict
-    rather than raising; residual matrices of failing meshes are included."""
+    rather than raising; residual matrices of failing meshes are included.
+    An arrow map of the wrong shape or ring is a bad arrow, and the meshes
+    through it, whose products are not defined, are skipped."""
     quiver = X.category.quiver
     report = ValidationReport(ok=True)
+    misshapen = set()
     for a in map(quiver.arrow, sorted(X.arrow_maps)):
         M = X.arrow_matrix(a)
         src, tgt = X.value(a.source), X.value(a.target)
-        if M.rows != tgt.generators or M.cols != src.generators or (
-                src.relations.cols and not tgt.vanishes(M * src.relations)):
+        if not _fits(M, src, tgt):
+            misshapen.add(a.name)
+            report.bad_arrows.append(a.name)
+        elif src.relations.cols and not tgt.vanishes(M * src.relations):
             report.bad_arrows.append(a.name)
     for q in sorted((q for q in X.values if quiver.tau(q) in X.values),
                     key=vertex_key):
         mesh = quiver.mesh_at(q)
+        if any(a.name in misshapen for a in mesh.arrows + mesh.paired):
+            continue
         total = Matrix.zeros(X.ring, X.value(q).generators,
                              X.value(mesh.tau_vertex).generators)
         for a, sa in zip(mesh.arrows, mesh.paired):
@@ -232,23 +245,30 @@ def validate_representation(X: Representation) -> ValidationReport:
 # standard representations
 # ---------------------------------------------------------------------------
 
+def _corner_sum(C: MeshCategory, corners, support, rank, action):
+    """(dims, arrows): the rank at each r of ⊕ over the corners t (in
+    order, repeats kept) of R^rank(t, r) at each r in support(t), and the
+    arrows at those r, each acting by the block diagonal of action(a, t)."""
+    dims = {}
+    for t in corners:
+        for r in support(t):
+            dims[r] = dims.get(r, 0) + rank(t, r)
+    arrows = {a.name: Matrix.block_diag(C.ring, [action(a, t) for t in corners])
+              for a in C.quiver.arrows if a.source in dims or a.target in dims}
+    return dims, arrows
+
+
 def _tensor_functor(C: MeshCategory, M: PresentedModule, corners, support,
                     rank, action) -> Representation:
     """⊕ over the corners t (in order, repeats kept) of M^rank(t, r) at each r
     in support(t), the arrow a acting by ⊕ action(a, t) ⊗ 1_M."""
     if M.ring != C.ring:
         raise InvalidParameter("module ring differs from the category ring")
-    dims = {}
-    for t in corners:
-        for r in support(t):
-            dims[r] = dims.get(r, 0) + rank(t, r)
-    values = {}
-    if M.generators:
-        for r in sorted(dims, key=vertex_key):
-            rel = Matrix.block_diag(C.ring, [M.relations] * dims[r])
-            values[r] = PresentedModule(C.ring, dims[r] * M.generators, rel)
-    arrows = {a.name: Matrix.block_diag(C.ring, [action(a, t) for t in corners])
-              for a in C.quiver.arrows if a.source in values or a.target in values}
+    dims, arrows = _corner_sum(C, corners, support, rank, action) \
+        if M.generators else ({}, {})
+    values = {r: PresentedModule(C.ring, dims[r] * M.generators,
+                                 Matrix.block_diag(C.ring, [M.relations] * dims[r]))
+              for r in sorted(dims, key=vertex_key)}
     if M.generators != 1:  # A ⊗ 1_M is A itself for M of one generator
         one = Matrix.identity(C.ring, M.generators)
         arrows = {name: A.kron(one) for name, A in arrows.items()}
@@ -313,19 +333,29 @@ class RepMorphism:
 def validate_morphism(phi: RepMorphism) -> dict:
     """Naturality of phi against every arrow, not only path generators; the
     square of an arrow into t lies in Y(t), so only arrows into Y's values
-    can fail."""
+    can fail.  A component, or an arrow map of X or Y, of the wrong shape
+    or ring is reported as a "shape" failure, and the squares through it,
+    whose products are not defined, are skipped: a verdict, not a raise."""
     X, Y = phi.source, phi.target
     failures = []
+    misshapen = set()
     for v in set(X.values) | set(Y.values) | set(phi.components):
         comp = phi.component(v)
-        if comp.rows != Y.value(v).generators or comp.cols != X.value(v).generators:
+        if not _fits(comp, X.value(v), Y.value(v)):
             failures.append(("shape", format_vertex(v)))
+            misshapen.add(v)
             continue
         relations = X.value(v).relations
         if relations.cols and not Y.value(v).vanishes(comp * relations):
             failures.append(("relations", format_vertex(v)))
     into = [a for t in Y.values for a in X.category.quiver.arrows_into(t)]
     for a in sorted(into, key=lambda a: a.name):
+        if a.source in misshapen or a.target in misshapen:
+            continue
+        if not all(_fits(Z.arrow_matrix(a), Z.value(a.source), Z.value(a.target))
+                   for Z in (X, Y)):
+            failures.append(("shape", a.name))
+            continue
         diff = (phi.component(a.target) * X.arrow_matrix(a)
                 - Y.arrow_matrix(a) * phi.component(a.source))
         if not Y.value(a.target).vanishes(diff):
@@ -534,16 +564,17 @@ def random_representation(C: MeshCategory, rng, summands=3):
     verts = C.quiver.interior_vertices()
     sources = [rng.choice(verts) for _ in range(rng.randint(1, summands))]
     targets = [rng.choice(verts) for _ in range(rng.randint(1, summands))]
-    P = representable_sum(C, targets)
+    # ⊕ Q(t, -) has Σ_t d(t, v) generators at v; its values are not built
+    gens, arrows = _corner_sum(C, targets, C.hom_targets, C.d, C.arrow_left_mult)
     # the nonzero (deg e, c_e) per summand pair, one draw per e in order
     coeffs = [[[(e.degree, c) for e in C.hom_basis(tv, sv)
                 if (c := rng.randint(-2, 2))] for sv in sources]
               for tv in targets]
     values = {}
-    for v, m in P.values.items():
+    for v in sorted(gens, key=vertex_key):
         col_off = [0, *accumulate(C.d(sv, v) for sv in sources)]
         cols = col_off[-1]
-        out = [0] * (m.generators * cols)
+        out = [0] * (gens[v] * cols)
         r0 = 0
         for tv, row in zip(targets, coeffs):
             row_of = {b.degree: r0 + i for i, b in enumerate(C.hom_basis(tv, v))}
@@ -554,9 +585,9 @@ def random_representation(C: MeshCategory, rng, summands=3):
                         i = row_of.get(f.degree + degree)
                         if i is not None:
                             out[i * cols + j] += c
-        values[v] = PresentedModule(ring, m.generators, Matrix._trusted(
-            ring, m.generators, cols, map(ring.canon, out)))
-    return Representation(C, values, P.arrow_maps)
+        values[v] = PresentedModule(ring, gens[v], Matrix._trusted(
+            ring, gens[v], cols, map(ring.canon, out)))
+    return Representation(C, values, arrows)
 
 
 def random_free_representation(C: MeshCategory, rng) -> Representation:

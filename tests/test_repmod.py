@@ -8,7 +8,7 @@ import pytest
 from qshape import Matrix, MeshCategory, PresentedModule, QQ, ZZ, Zmod, \
     build_double_an, build_repetitive_an
 from qshape.errors import InvalidParameter, UnsupportedFlavor, WindowTooSmall
-from qshape.quiver import vertex_key
+from qshape.quiver import format_vertex, vertex_key
 from qshape.repmod import (ChainComplex, Representation, RepMorphism,
                            cofree_at, complex_to_rep, degree_vertex,
                            free_at, hom_space_basis, identity_morphism,
@@ -396,12 +396,20 @@ def validation_outcome(check, arg):
     return result.describe() if isinstance(result, ValidationReport) else result
 
 
+def shape_reported(kind, report) -> bool:
+    """Whether a validation report names a map of the wrong shape."""
+    if kind == "representation":
+        return bool(report["bad_arrows"])
+    return any(what == "shape" for what, _ in report["failures"])
+
+
 @pytest.mark.parametrize("ring", RINGS, ids=["Z", "Q", "F3", "Z9"])
 def test_validation_reads_what_it_holds_as_the_window_scan(ring):
     # validate_representation reads X's arrows and the meshes at its values,
     # validate_morphism the arrows into Y's values; each reports what the
-    # scan of the whole window reported (tests/oracles.py), or refuses what
-    # it refused: a widened map in a mesh or square it reads
+    # scan of the whole window reported (tests/oracles.py).  Where the scan
+    # raised, on a widened map in a mesh or square, the check skips that
+    # mesh or square and reports the map's shape
     cats = ([double_cat(n, ring) for n in (2, 3, 4)]
             + [MeshCategory(build_repetitive_an(n, window), ring)
                for n in (2, 3) for window in ((-3, 3), (-60, 60))])
@@ -416,13 +424,37 @@ def test_validation_reads_what_it_holds_as_the_window_scan(ring):
             for arg in args:
                 want = validation_outcome(oracle, arg)
                 got = validation_outcome(check, arg)
-                if want == "raises" != got:
-                    # the scan multiplied a widened map into a mesh or a
-                    # square that cannot fail; it is reported instead
-                    assert not got["ok"], (C, kind)
+                assert got != "raises", (C, kind)
+                if want == "raises":
+                    assert not got["ok"] and shape_reported(kind, got), (C, kind)
                     seen[kind, "reported"] += 1
-                    got = "raises"
+                    continue
                 assert got == want, (C, kind)
-                seen[kind, want if want == "raises" else want["ok"]] += 1
+                seen[kind, want["ok"]] += 1
     assert all(seen[kind, ok] for kind in ("representation", "morphism")
-               for ok in (True, False)), seen
+               for ok in (True, False, "reported")), seen
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=["Z", "Q", "F3", "Z9"])
+def test_a_misshapen_arrow_map_is_reported_by_both_validations(ring):
+    # the mesh and the naturality square through an arrow map one column
+    # wider, or over another ring, have no product; each validation
+    # reports the map instead of raising
+    C = double_cat(3, ring)
+    X = random_representation(C, random.Random(f"misshapen:{ring!r}"))
+    other = QQ if ring != QQ else ZZ
+    comps = {v: Matrix.identity(ring, m.generators) for v, m in X.values.items()}
+    for name, M in X.arrow_maps.items():
+        if not (M.rows and M.cols):
+            continue
+        for bad in (perturbed(M, True), Matrix.zeros(other, M.rows, M.cols)):
+            W = Representation(C, X.values, {**X.arrow_maps, name: bad})
+            report = validate_representation(W)
+            assert not report.ok and name in report.bad_arrows
+            for phi in (RepMorphism(W, X, comps), RepMorphism(X, W, comps)):
+                result = validate_morphism(phi)
+                assert not result["ok"] and ("shape", name) in result["failures"]
+    v = next(iter(comps))
+    result = validate_morphism(RepMorphism(X, X, {**comps, v: Matrix.identity(
+        other, X.value(v).generators)}))
+    assert not result["ok"] and ("shape", format_vertex(v)) in result["failures"]
