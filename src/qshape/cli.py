@@ -18,9 +18,10 @@ Input is bounded: --n and a JSON "n" are at most 32 (``io.MAX_N``), a
 window spans at most 129 columns (``io.MAX_WINDOW``), a rank and the
 rows and cols of a matrix in a JSON file are at most 128
 (``io.MAX_RANK``), a ring modulus, from "mod:M" or a JSON {"mod": M}, is
-below 2**31 (``exactalg.rings.MAX_MODULUS``), and oracle --max-len is
-between 0 and 64 (twice the largest n; the default is 2n).  Other values
-end in exit 1 with a path.
+below 2**31 (``exactalg.rings.MAX_MODULUS``), oracle --max-len is
+between 0 and 64 (twice the largest n; the default is 2n), and demo
+chain-complex --random is between 1 and 10,000 draws (``MAX_RANDOM``).
+Other values end in exit 1 with a path.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ MAX_LEN = 2 * MAX_N
 # so depth 64 costs what depth 3 does on a random double A_32 draw over Z:
 # 0.39 s in homology_report, ~0.8 s in weq of the identity (2-vCPU KVM guest)
 MAX_DEGREE = 2 * MAX_N
+# demo chain-complex --random: ~0.5 ms a draw (2-vCPU KVM guest), ~5 s at most
+MAX_RANDOM = 10_000
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -334,6 +337,8 @@ def _demo_counterexample(args):
 
 
 def _demo_chain_complex(args):
+    if not 1 <= args.random <= MAX_RANDOM:
+        raise SchemaError("--random", f"must be between 1 and {MAX_RANDOM}")
     ring = _parse_ring(args.ring)
     rng = random.Random(args.seed)
     C = build_category(REPETITIVE_AN, 2, (-10, 10), ring, _flag)

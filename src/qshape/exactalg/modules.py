@@ -103,7 +103,9 @@ class PresentedModule:
         if self._normal_form is not None:
             return self._normal_form
         ring = self.ring
-        if ring.is_field:
+        if not self.generators:  # 0 whatever its relations, with no elimination
+            nf = NormalForm(0)
+        elif ring.is_field:
             nf = NormalForm(self.generators - field_rank(self.relations))
         else:
             # Z and Z/p^k: every nonzero diagonal entry kills a generator,
@@ -266,10 +268,10 @@ class ModuleMap:
         return PresentedModule(self.target.ring, self.target.generators, rel)
 
     def is_isomorphism(self) -> bool:
-        if not self.cokernel().is_zero:
-            return False
-        K, _ = self.kernel()
-        return K.is_zero
+        """Onto between modules of one normal form: a surjective endomorphism
+        of a finitely generated module is injective (Vasconcelos 1969;
+        Matsumura, Commutative Ring Theory, Thm 2.4), so no kernel is built."""
+        return self.source.isomorphic(self.target) and self.cokernel().is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +327,11 @@ def middle_homology(f: ModuleMap, g: ModuleMap) -> HomologyData:
     the relations span {c : incl·c ∈ im f + rel_B}, and with C free incl
     is kernel_basis(g) on both, so the group does not depend on the route.
 
-    When C has no generators every element of B is a cycle: the group is
-    B modulo [f | rel_B], f.cokernel(), with the identity as its cycle
-    generators and no elimination; when f is zero too, it is B itself,
-    whose normal form, once computed, is not computed again.  When B has
-    none the group is 0: the cycles are 0 x k, k the nullity of rel_C
-    (its cols less the pivots of C's normal form, the units over Z/p^k),
-    and the relations [I_k | 0], one zero column per column of [f | rel_B].
+    When B or C has no generators every element of B is a cycle: the
+    group is B modulo [f | rel_B], f.cokernel(), with the identity as its
+    cycle generators and no elimination; when f is zero too, as it is when
+    B has none and the group is 0, it is B itself, whose normal form, once
+    computed, is not computed again.
 
     g∘f must vanish in C; NotWellDefined is raised when it does not,
     read off kernel_basis's rows on the one-elimination route, and also
@@ -339,17 +339,9 @@ def middle_homology(f: ModuleMap, g: ModuleMap) -> HomologyData:
     """
     B, C = f.target, g.target
     ring = B.ring
-    if C.generators == 0:
+    if C.generators == 0 or B.generators == 0:
         H = B if f.matrix.is_zero else f.cokernel()
         return HomologyData(H, Matrix.identity(ring, B.generators), B)
-    if B.generators == 0:
-        nf = C.normal_form()
-        pivots = C.generators - nf.free_rank - (len(nf.torsion) if ring.modulus else 0)
-        k = C.relations.cols - pivots
-        zeros = Matrix.zeros(ring, k, f.matrix.cols + B.relations.cols)
-        H = PresentedModule(ring, k, Matrix.hstack([Matrix.identity(ring, k), zeros]))
-        H._normal_form = NormalForm(0)
-        return HomologyData(H, Matrix.zeros(ring, 0, k), B)
     boundaries = Matrix.hstack([f.matrix, B.relations])
     if C.relations.cols:
         if not C.vanishes(g.matrix * f.matrix):

@@ -43,10 +43,10 @@ w = μ(v) on side co and u = σ(w):
   whose τ(u) is side co's σ(v).
 
 So each group is kept on X under its kept key and computed once, and a
-complex whose terms have no generators, as every one off the support on
-ZA_n, is the zero group with no elimination.  Maps read level j at the
-route vertex (_induced), so no resolution grows past level 4, and
-is_weak_equivalence tests each route key once, building no map where
+complex whose middle term has no generators, as every one off the
+support on ZA_n, is the zero group with no elimination.  Maps read level
+j at the route vertex (_induced), so no resolution grows past level 4,
+and is_weak_equivalence tests each route key once, building no map where
 both groups have no generators.  Degrees 0 and 1 are the functors of
 the mesh category itself:
 
@@ -332,7 +332,8 @@ def derived_homology_data(X: Representation, q, side: str, degrees) -> dict:
     key.  Each route vertex with degrees not kept gets one complex of the
     side asked for, to one level past the highest; it equals the kept
     key's, so the group does not depend on the route.  A complex whose
-    three terms have no generators is 0, with no middle_homology call.
+    middle term has no generators is the zero group, that term itself,
+    with no middle_homology call, whatever its ends.
     """
     C, memo = X.category, X._homology
     kept, missing = {}, {}  # missing: route vertex -> {degree j: kept key}
@@ -346,10 +347,8 @@ def derived_homology_data(X: Representation, q, side: str, degrees) -> dict:
         _, maps = _complex_from_resolution(res, X, top + 2)
         for j, key in sorted(wanted.items()):
             f, g = res._engine.ends(maps[j], maps[j + 1])
-            if f.source.generators or f.target.generators or g.target.generators:
-                memo[key] = middle_homology(f, g)
-            else:
-                memo[key] = HomologyData(f.target, Matrix.identity(X.ring, 0), f.target)
+            memo[key] = middle_homology(f, g) if f.target.generators else \
+                HomologyData(f.target, Matrix.identity(X.ring, 0), f.target)
     return {i: memo[key] for i, key in kept.items()}
 
 

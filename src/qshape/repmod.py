@@ -248,13 +248,16 @@ def validate_representation(X: Representation) -> ValidationReport:
 def _corner_sum(C: MeshCategory, corners, support, rank, action):
     """(dims, arrows): the rank at each r of ⊕ over the corners t (in
     order, repeats kept) of R^rank(t, r) at each r in support(t), and the
-    arrows at those r, each acting by the block diagonal of action(a, t)."""
+    arrows at those r, each the block diagonal of action(a, t), read once per t."""
     dims = {}
     for t in corners:
         for r in support(t):
             dims[r] = dims.get(r, 0) + rank(t, r)
-    arrows = {a.name: Matrix.block_diag(C.ring, [action(a, t) for t in corners])
-              for a in C.quiver.arrows if a.source in dims or a.target in dims}
+    arrows = {}
+    for a in C.quiver.arrows:
+        if a.source in dims or a.target in dims:
+            block = {t: action(a, t) for t in dict.fromkeys(corners)}
+            arrows[a.name] = Matrix.block_diag(C.ring, [block[t] for t in corners])
     return dims, arrows
 
 

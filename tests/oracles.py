@@ -10,6 +10,7 @@ states in closed form or by a shorter route.
   support reaches past it.
 * The derived-homology plumbing before its fast paths: middle homology
   by kernel, then coordinates, then relations (three eliminations), the
+  isomorphism test as a zero cokernel and a zero kernel, the
   radical filtration read off every radical basis element, path
   products started from an identity matrix, and stalk complexes paired
   with X's own presentation rather than its pruned model.
@@ -317,6 +318,15 @@ def middle_homology_three_eliminations(f: ModuleMap, g: ModuleMap) -> HomologyDa
         raise NotWellDefined("image of f does not lie in the kernel of g")
     rel = Matrix.hstack([coords, K.relations])
     return HomologyData(PresentedModule(B.ring, K.generators, rel), incl, B)
+
+
+def is_isomorphism_by_kernel(phi: ModuleMap) -> bool:
+    """Whether phi is an isomorphism: its cokernel is 0, and then its
+    kernel, built and put in normal form, is 0 too."""
+    if not phi.cokernel().is_zero:
+        return False
+    K, _ = phi.kernel()
+    return K.is_zero
 
 
 def complex_from_own_presentation(res: StalkResolution, X: Representation,

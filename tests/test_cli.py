@@ -9,7 +9,7 @@ import pytest
 
 from qshape import QQ, ZZ, Zmod, MeshCategory, Matrix, PresentedModule, \
     build_double_an, build_repetitive_an
-from qshape.cli import Report, build_parser, main
+from qshape.cli import MAX_RANDOM, Report, build_parser, main
 from qshape.exactalg import smith
 from qshape.fixtures import counter_morphism
 from qshape.io import (SchemaError, dumps, morphism_json, parse_category,
@@ -52,10 +52,10 @@ def counting_smith(monkeypatch) -> list:
     calls = []
     original = smith._smith
 
-    def counting(entries, rows, cols, m, u=True, v=True):
+    def counting(entries, rows, cols, *args, **kwargs):
         if rows and cols:
             calls.append((rows, cols, tuple(entries)))
-        return original(entries, rows, cols, m, u, v)
+        return original(entries, rows, cols, *args, **kwargs)
     monkeypatch.setattr(smith, "_smith", counting)
     return calls
 
@@ -654,10 +654,11 @@ class TestCommands:
     def test_classify_eliminates_a_dense_value_at_most_twice(self, capsys,
                                                              tmp_path, monkeypatch):
         # one rank-6 value on double A_2 over Z with seeded dense relations in
-        # [-9, 9]: its normal form when X is built, then the kernel of mesh
-        # homology on its pruned relations; H_0 at vertex 1 is the value
-        # itself, whose normal form is kept.  With the values as drawn the
-        # same 6x6 was eliminated three times
+        # [-9, 9]: its normal form, read for the support, is the one
+        # elimination (test_dense_value_is_eliminated_once).  H_0 at vertex
+        # 1, and mesh homology at vertex 2, whose value has no generators,
+        # are the value's pruned model, which inherits that normal form.
+        # With the values as drawn the same 6x6 was eliminated three times
         path, entries = dense_rank_six(tmp_path)
         calls = counting_smith(monkeypatch)
         code, out = run(capsys, "classify", "--input", str(path))
@@ -672,11 +673,10 @@ class TestCommands:
                                             command):
         # the rank-6 file above: one normal form is the only elimination.
         # classify reads the support, so it is the value's own; homology
-        # reads none, so it is that of the value's pruned 5x5 relations,
-        # the third term of a complex whose middle term, X(2), has no
-        # generators.  The kernels that followed it (one for classify, two
-        # for homology) were of such complexes, whose group is 0 with no
-        # elimination
+        # reads none, so it is that of H_0 at vertex 1, the value's pruned
+        # 5x5, when the report describes it.  A complex whose middle term,
+        # X(2), has no generators is 0 with no elimination, whatever its
+        # third term
         path, entries = dense_rank_six(tmp_path)
         relations = Matrix(ZZ, 6, 6, [int(x) for x in entries])
         if command == "homology":
@@ -770,6 +770,20 @@ class TestCommands:
         data = json.loads(out)
         assert code == 0
         assert data["verdicts"]["matches"] == "5/5"
+
+    @pytest.mark.parametrize("value", ["0", "-3", str(MAX_RANDOM + 1)])
+    def test_demo_chain_complex_random_out_of_range_is_refused(self, capsys, value):
+        # -3 exited 2 as a failed verification ("matches": "0/-3"), and
+        # there was no upper bound
+        code, out = run(capsys, "demo", "chain-complex", "--random", value)
+        assert code == 1
+        report = json.loads(out)
+        assert set(report) == {"error", "path"}
+        assert report["path"] == "--random"
+
+    def test_demo_chain_complex_one_draw_is_accepted(self, capsys):
+        code, out = run(capsys, "demo", "chain-complex", "--random", "1")
+        assert code == 0 and json.loads(out)["verdicts"]["matches"] == "1/1"
 
     def test_stdin_input(self, capsys, monkeypatch, rep_file):
         import io as _io
