@@ -14,14 +14,14 @@ least 0 for homology and at least 1 for weq, whose verdict compares
 degrees 1 and up, and at most 64 (``MAX_DEGREE``); another value ends in
 exit 1 with a path.
 
-Input is bounded: --n and a JSON "n" are at most 32 (``io.MAX_N``), a
-window spans at most 129 columns (``io.MAX_WINDOW``), a rank and the
-rows and cols of a matrix in a JSON file are at most 128
-(``io.MAX_RANK``), a ring modulus, from "mod:M" or a JSON {"mod": M}, is
-below 2**31 (``exactalg.rings.MAX_MODULUS``), oracle --max-len is
-between 0 and 64 (twice the largest n; the default is 2n), and demo
-chain-complex --random is between 1 and 10,000 draws (``MAX_RANDOM``).
-Other values end in exit 1 with a path.
+Input is bounded: --n and a JSON "n" are at most 32 (``io.MAX_N``), a window
+spans at most 129 columns (``io.MAX_WINDOW``), a rank and the rows and cols
+of a matrix in a JSON file are at most 128 (``io.MAX_RANK``), a ring
+modulus, from "mod:M" or a JSON {"mod": M}, is below 2**31
+(``exactalg.rings.MAX_MODULUS``), oracle --max-len is between 0 and 64
+(twice the largest n; the default is 2n), demo chain-complex --random is
+between 1 and 10,000 draws (``MAX_RANDOM``), and build's vertices times n**2
+is at most 90,000 (``MAX_BUILD``).  Other values end in exit 1 with a path.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ MAX_LEN = 2 * MAX_N
 MAX_DEGREE = 2 * MAX_N
 # demo chain-complex --random: ~0.5 ms a draw (2-vCPU KVM guest), ~5 s at most
 MAX_RANDOM = 10_000
+# build: ~27 us of CPU per vertex x n**2 (2-vCPU KVM guest); repetitive --n 12 is 84,672
+MAX_BUILD = 90_000
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -125,7 +127,7 @@ def _load_json(path: str):
             raw = f.read()
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise SchemaError("/", f"not valid JSON ({exc})") from None
 
 
@@ -163,6 +165,9 @@ def _max_degree(args, least: int) -> int:
 
 def cmd_build(args):
     C = _category_from_args(args)
+    if (size := len(C.vertices) * C.n ** 2) > MAX_BUILD:
+        raise SchemaError(_flag("window" if args.window else "n"),
+                          f"vertices x n**2 is {size}, above {MAX_BUILD}")
     report = Report("build", verdicts={"ok": True},
                     tables={"bundle": category_bundle(C)})
     return report, EXIT_OK

@@ -15,9 +15,14 @@ There are two ways to build one:
   library has just produced in canonical form: products, stacks,
   selections and elimination outputs.  It stores them as they are, so a
   caller that hands it a non-canonical entry breaks the invariant.
+
+``Matrix.blocks`` alone decides where a block goes in the flat list;
+``hstack``, ``vstack`` and ``block_diag`` are layouts passed to it.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 from ..errors import InvalidParameter
 from .rings import BaseRing
@@ -184,48 +189,50 @@ class Matrix:
     # -- assembly -----------------------------------------------------------------
 
     @staticmethod
+    def blocks(ring: BaseRing, layout, row_dims, col_dims) -> "Matrix":
+        """The block matrix whose block (a, b), row_dims[a] x col_dims[b], is
+        layout[a, b], or zero where layout has no (a, b)."""
+        row_off = [0, *accumulate(row_dims)]
+        col_off = [0, *accumulate(col_dims)]
+        rows, cols = row_off[-1], col_off[-1]
+        out = [ring.zero] * (rows * cols)
+        for (a, b), blk in layout.items():
+            start, width, entries = row_off[a] * cols + col_off[b], blk.cols, blk.entries
+            if blk.rows == 1 or width == cols:  # its rows are adjacent: one slice
+                out[start:start + len(entries)] = entries
+            else:
+                for k in range(0, len(entries), width or 1):
+                    out[start:start + width] = entries[k:k + width]
+                    start += cols
+        return Matrix._trusted(ring, rows, cols, out)
+
+    @staticmethod
     def hstack(matrices) -> "Matrix":
-        matrices = [m for m in matrices]
-        if not matrices:
+        layout = {(0, j): m for j, m in enumerate(matrices)}
+        if not layout:
             raise InvalidParameter("hstack of nothing")
-        ring, rows = matrices[0].ring, matrices[0].rows
-        if any(m.rows != rows or m.ring != ring for m in matrices):
+        ring, rows = layout[0, 0].ring, layout[0, 0].rows
+        if any(m.rows != rows or m.ring != ring for m in layout.values()):
             raise InvalidParameter("hstack shape mismatch")
-        out = []
-        for i in range(rows):
-            for m in matrices:
-                out.extend(m.row(i))
-        return Matrix._trusted(ring, rows, sum(m.cols for m in matrices), out)
+        return Matrix.blocks(ring, layout, [rows], [m.cols for m in layout.values()])
 
     @staticmethod
     def vstack(matrices) -> "Matrix":
-        matrices = [m for m in matrices]
-        if not matrices:
+        layout = {(i, 0): m for i, m in enumerate(matrices)}
+        if not layout:
             raise InvalidParameter("vstack of nothing")
-        ring, cols = matrices[0].ring, matrices[0].cols
-        if any(m.cols != cols or m.ring != ring for m in matrices):
+        ring, cols = layout[0, 0].ring, layout[0, 0].cols
+        if any(m.cols != cols or m.ring != ring for m in layout.values()):
             raise InvalidParameter("vstack shape mismatch")
-        out = []
-        for m in matrices:
-            out.extend(m.entries)
-        return Matrix._trusted(ring, sum(m.rows for m in matrices), cols, out)
+        return Matrix.blocks(ring, layout, [m.rows for m in layout.values()], [cols])
 
     @staticmethod
     def block_diag(ring: BaseRing, matrices) -> "Matrix":
-        matrices = [m for m in matrices]
-        if len(matrices) == 1:  # matrices are immutable, so one block is shared
-            return matrices[0]
-        R = sum(m.rows for m in matrices)
-        C = sum(m.cols for m in matrices)
-        out = [ring.zero] * (R * C)
-        r0 = c0 = 0
-        for m in matrices:
-            for i in range(m.rows):
-                for j in range(m.cols):
-                    out[(r0 + i) * C + (c0 + j)] = m.entries[i * m.cols + j]
-            r0 += m.rows
-            c0 += m.cols
-        return Matrix._trusted(ring, R, C, out)
+        layout = {(k, k): m for k, m in enumerate(matrices)}
+        if len(layout) == 1:  # matrices are immutable, so one block is shared
+            return layout[0, 0]
+        return Matrix.blocks(ring, layout, [m.rows for m in layout.values()],
+                             [m.cols for m in layout.values()])
 
     def take_columns(self, indices) -> "Matrix":
         indices = list(indices)

@@ -169,6 +169,8 @@ class BaseRing:
             raise InvalidParameter(f"entries over {self!r} are strings, got {s!r}")
         if self.kind == INTEGERS:
             return int(s)
+        if "e" in s or "E" in s:  # Fraction("1e10000000") builds 10**(10**7)
+            raise InvalidParameter(f"entries over Q are p/q, with no exponent: {s!r}")
         return Fraction(s)
 
     def to_json(self):

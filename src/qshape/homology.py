@@ -67,7 +67,6 @@ invariant-factor normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 from .errors import InvalidMorphism, InvalidParameter
 from .exactalg import (Matrix, ModuleMap, PresentedModule, middle_homology,
@@ -180,27 +179,11 @@ class StalkResolution:
     def level_matrix(self, i: int, s) -> Matrix:
         """The boundary P_i -> P_{i-1} evaluated at the vertex s."""
         eng = self._engine
-        prev, cur = self.terms[i - 1], self.terms[i]
         blocks = {ab: eng.act_matrix(entry, s)
                   for ab, entry in self.boundaries[i].items()}
-        return _assemble(eng.C.ring, blocks,
-                         [eng.value_dim(r, s) for r in prev],
-                         [eng.value_dim(r, s) for r in cur])
-
-
-def _assemble(ring, blocks, row_dims, col_dims):
-    """The block matrix with blocks[(row block, col block)]; absent blocks
-    are zero."""
-    row_off = [0, *accumulate(row_dims)]
-    col_off = [0, *accumulate(col_dims)]
-    rows, cols = row_off[-1], col_off[-1]
-    out = [ring.zero] * (rows * cols)
-    for (a, b), blk in blocks.items():
-        r0, c0, width = row_off[a], col_off[b], blk.cols
-        for i in range(blk.rows):
-            start = (r0 + i) * cols + c0
-            out[start:start + width] = blk.entries[i * width:(i + 1) * width]
-    return Matrix._trusted(ring, rows, cols, out)
+        return Matrix.blocks(eng.C.ring, blocks,
+                             [eng.value_dim(r, s) for r in self.terms[i - 1]],
+                             [eng.value_dim(r, s) for r in self.terms[i]])
 
 
 def _start_resolution(eng: _Side, q, head, signs=None) -> StalkResolution:
@@ -303,7 +286,7 @@ def _complex_from_resolution(res: StalkResolution, X: Representation,
             row, col = eng.ends(b, a)
             if dims[dst][row] and dims[src][col]:  # else the block is zero
                 blocks[row, col] = eng.x_value_block(X, entry)
-        M = _assemble(X.ring, blocks, dims[dst], dims[src])
+        M = Matrix.blocks(X.ring, blocks, dims[dst], dims[src])
         maps[i] = ModuleMap(modules[src], modules[dst], M, check=False)
     return modules, maps
 

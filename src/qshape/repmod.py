@@ -636,13 +636,12 @@ def _solution_space(ring, shapes, equations) -> Matrix:
     vec(U) are stacked.  An equation is a list of terms (A, U, B), each
     unknown in at most one of them, and reads sum A · U · B = 0.
     """
-    rows = [Matrix.zeros(ring, 0, sum(r * c for r, c in shapes.values()))]
-    for terms in equations:
-        blocks = {U: A.kron(B.transpose()) for A, U, B in terms}
-        height = next(iter(blocks.values())).rows
-        rows.append(Matrix.hstack([blocks.get(U, Matrix.zeros(ring, height, r * c))
-                                   for U, (r, c) in shapes.items()]))
-    return kernel_basis(Matrix.vstack(rows))
+    column = {U: b for b, U in enumerate(shapes)}
+    layout = {(e, column[U]): A.kron(B.transpose())
+              for e, terms in enumerate(equations) for A, U, B in terms}
+    heights = [A.rows * B.cols for (A, _, B), *_ in equations]
+    return kernel_basis(Matrix.blocks(ring, layout, heights,
+                                      [r * c for r, c in shapes.values()]))
 
 
 def _random_point(K: Matrix, rng):

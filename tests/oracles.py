@@ -29,6 +29,8 @@ states in closed form or by a shorter route.
 * Eliminations that build every transform: kernels, normal forms and
   invertibility read off the full (S, U, V), and the rank as the pivot
   count of the reduced row echelon form.
+* Block matrices written entry by entry, the reference for the one
+  block layout routine, Matrix.blocks.
 * Exhaustive checks over finite rings: coset enumeration, splitting and
   Baer's criterion, ideal membership, and maps induced on subquotients.
 """
@@ -47,7 +49,7 @@ from qshape.exactalg import (HomologyData, Matrix, ModuleMap, PresentedModule,
 from qshape.exactalg.modules import NormalForm
 from qshape.exactalg.rings import INTEGERS, INTEGERS_MOD, RATIONALS
 from qshape.exactalg.smith import _rref
-from qshape.homology import (SIDE_CO, StalkResolution, _assemble, _Side,
+from qshape.homology import (SIDE_CO, StalkResolution, _Side,
                              _start_resolution)
 from qshape.quiver import DOUBLE_AN, format_vertex, vertex_key
 from qshape.repmod import (MeshResidual, Representation, RepMorphism,
@@ -66,6 +68,26 @@ def add(ring, a, b):
 def column_matrix(M: Matrix, j) -> Matrix:
     """Column j of M as a one-column matrix."""
     return Matrix._trusted(M.ring, M.rows, 1, M.col(j))
+
+
+def blocks_by_entry(ring, layout, row_dims, col_dims) -> Matrix:
+    """Matrix.blocks written entry by entry: each entry asks which block
+    holds it, and reads that block or zero."""
+    def block_of(dims, k):
+        for b, d in enumerate(dims):
+            if k < d:
+                return b, k
+            k -= d
+
+    rows, cols = sum(row_dims), sum(col_dims)
+    out = []
+    for i in range(rows):
+        a, ii = block_of(row_dims, i)
+        for j in range(cols):
+            b, jj = block_of(col_dims, j)
+            blk = layout.get((a, b))
+            out.append(ring.zero if blk is None else blk[ii, jj])
+    return Matrix(ring, rows, cols, out)
 
 
 def graded_dim(C, p, q, degree: int) -> int:
@@ -348,7 +370,7 @@ def complex_from_own_presentation(res: StalkResolution, X: Representation,
             row, col = eng.ends(b, a)
             if dims[dst][row] and dims[src][col]:
                 blocks[row, col] = eng.x_value_block(X, entry)
-        M = _assemble(X.ring, blocks, dims[dst], dims[src])
+        M = Matrix.blocks(X.ring, blocks, dims[dst], dims[src])
         maps[i] = ModuleMap(modules[src], modules[dst], M, check=False)
     return modules, maps
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -210,6 +211,63 @@ class TestExitCodes:
         start = time.perf_counter()
         code, out = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0
+        assert code == 1
+        report = json.loads(out)
+        assert set(report) == {"error", "path"}
+        assert report["path"] == path
+
+    @pytest.mark.parametrize("ring, entry, path", [
+        ({"mod": 9}, "long int", "/"),
+        ("Z", "long str", "/values/1/relations"),
+        ("Q", '"1e10000000"', "/values/1/relations"),
+        ("Q", '"1E5"', "/values/1/relations"),
+        ("Q", '"2/3e4"', "/values/1/relations"),
+    ], ids=["JSON integer past the digit limit", "Z string past the limit",
+            "Q exponent 1e10000000", "Q exponent 1E5", "Q exponent in p/q"])
+    def test_unbounded_entries_are_refused_quickly(self, capsys, tmp_path,
+                                                   ring, entry, path):
+        # json.loads raised a plain ValueError on a 5,000-digit integer, which
+        # made every --input command print a traceback; Fraction("1e10000000")
+        # builds 10**(10**7), 9.9 s of CPU for a 153-byte file
+        if entry.startswith("long"):
+            limit = sys.get_int_max_str_digits()
+            if not limit:
+                pytest.skip("this interpreter has no integer digit limit")
+            digits = "7" * (limit + 1)
+            entry = digits if entry == "long int" else f'"{digits}"'
+        f = tmp_path / "rep.json"
+        f.write_text(
+            '{"category": {"flavor": "double_an", "n": 2, "ring": %s}, '
+            '"values": {"1": {"rank": 1, "relations": {"rows": 1, "cols": 1, '
+            '"entries": [%s]}}}}' % (json.dumps(ring), entry))
+        start = time.process_time()
+        code, out = run(capsys, "validate", "--input", str(f))
+        assert time.process_time() - start < 1.0
+        assert code == 1
+        report = json.loads(out)
+        assert set(report) == {"error", "path"}
+        assert report["path"] == path
+
+    def test_q_entries_without_exponent_are_read(self, capsys, tmp_path):
+        f = tmp_path / "rep.json"
+        f.write_text(json.dumps({
+            "category": {"flavor": "double_an", "n": 2, "ring": "Q"},
+            "values": {"1": {"rank": 2, "relations": {
+                "rows": 2, "cols": 1, "entries": ["-3/4", "1.5"]}}}}))
+        code, out = run(capsys, "validate", "--input", str(f))
+        assert code == 0 and json.loads(out)["verdicts"]["ok"] is True
+
+    @pytest.mark.parametrize("argv, path", [
+        (["--n", "16"], "--n"),
+        (["--n", "12", "--window", "-64", "64"], "--window"),
+        (["--n", "12", "--window", "-26", "26"], "--window"),
+    ], ids=["--n 16", "--n 12 window (-64, 64)", "--n 12 window (-26, 26)"])
+    def test_oversized_repetitive_build_is_refused(self, capsys, argv, path):
+        # vertices x n**2 above MAX_BUILD: --n 16 took 7.0 s of CPU and printed
+        # 13 MB, --n 12 on (-64, 64) 6.3 s and 11.7 MB; (-26, 26) is 91,584
+        start = time.process_time()
+        code, out = run(capsys, "build", "--flavor", "repetitive_an", *argv)
+        assert time.process_time() - start < 1.0
         assert code == 1
         report = json.loads(out)
         assert set(report) == {"error", "path"}
@@ -614,9 +672,12 @@ class TestCommands:
     @pytest.mark.parametrize("argv", [
         ["serre-check", "--flavor", "repetitive_an", "--n", "16"],
         ["build", "--flavor", "repetitive_an", "--n", "12"],
+        ["build", "--flavor", "repetitive_an", "--n", "8", "--window", "-64",
+         "64"],
         ["dims", "--flavor", "repetitive_an", "--n", "24"],
         ["oracle", "--flavor", "repetitive_an", "--n", "16"],
-    ], ids=["serre-check n=16", "build n=12", "dims n=24", "oracle n=16"])
+    ], ids=["serre-check n=16", "build n=12", "build n=8 window (-64, 64)",
+            "dims n=24", "oracle n=16"])
     def test_repetitive_scans_within_budget(self, capsys, argv):
         # these scans used to ask hom_basis about every vertex pair of the
         # default window (1,040 to 2,328 vertices) and cache each answer; on
