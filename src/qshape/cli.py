@@ -127,7 +127,9 @@ def _load_json(path: str):
             raw = f.read()
     try:
         return json.loads(raw)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+    # JSONDecodeError, an integer past the digit limit, or nesting past the
+    # recursion limit
+    except (ValueError, RecursionError) as exc:
         raise SchemaError("/", f"not valid JSON ({exc})") from None
 
 

@@ -214,6 +214,9 @@ class Matrix:
         ring, rows = layout[0, 0].ring, layout[0, 0].rows
         if any(m.rows != rows or m.ring != ring for m in layout.values()):
             raise InvalidParameter("hstack shape mismatch")
+        wide = [m for m in layout.values() if m.cols]
+        if len(wide) <= 1:  # matrices are immutable, so that block is shared
+            return wide[0] if wide else layout[0, 0]
         return Matrix.blocks(ring, layout, [rows], [m.cols for m in layout.values()])
 
     @staticmethod

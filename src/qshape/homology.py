@@ -44,14 +44,21 @@ w = μ(v) on side co and u = σ(w):
 
 So each group is kept on X under its kept key and computed once, and a
 complex whose middle term has no generators, as every one off the
-support on ZA_n, is the zero group with no elimination.  Maps read level
+support on ZA_n, is the zero group with no elimination.  Each complex is
+kept too, on X's pruned model per (vertex, side), and extended in place,
+so each of its levels is built once (_complex_from_resolution).  By the
+same twin rule side co's level-1 boundary at v is side cn's level-2
+boundary at w: H^0 at v has the cycles of side cn's H_2 at w, and once
+that group is kept, H^0 is read off them with no second kernel
+(_kernel_from_cycles).  Maps read level
 j at the route vertex (_induced), so no resolution grows past level 4,
 and is_weak_equivalence tests each route key once, building no map where
 both groups have no generators.  Degrees 0 and 1 are the functors of
 the mesh category itself:
 
 * the kernel corner K_q(X) is H^0 at q, the kernel of the side-co
-  level-1 boundary X(q) -> ⊕ X(r) over the arrows q -> r;
+  level-1 boundary X(q) -> ⊕ X(r) over the arrows q -> r, which is side
+  cn's level-2 boundary at μ(q);
 * the cokernel corner C_q(X) is H_0 at q, the cokernel of the side-cn
   level-1 boundary ⊕ X(p) -> X(q) over the arrows p -> q;
 * mesh homology at q is H_1 at q: levels 2 -> 1 -> 0 of the side-cn
@@ -71,7 +78,7 @@ from dataclasses import dataclass, field
 from .errors import InvalidMorphism, InvalidParameter
 from .exactalg import (Matrix, ModuleMap, PresentedModule, middle_homology,
                        induced_on_homology)
-from .exactalg.modules import HomologyData
+from .exactalg.modules import HomologyData, preimage_generators
 from .meshcat import MeshCategory
 from .quiver import DOUBLE_AN, format_vertex, vertex_at
 from .repmod import Representation, RepMorphism, validate_morphism
@@ -269,17 +276,28 @@ def _complex_from_resolution(res: StalkResolution, X: Representation,
     Level i carries ⊕_a Y(r_a), and maps[i] runs between levels
     ends(i-1, i): upward on side co (a cochain complex), downward on side
     cn (a chain complex); maps[0] is the zero map between level 0 and 0.
+
+    The complex is kept in place on Y (Representation._complexes) per
+    (vertex, side) with the resolution it pairs, and extended when more
+    levels are asked for, so each level is built once per representation;
+    another resolution object at the same key builds its complex afresh.
     """
     eng = res._engine
     X = X.pruned()[0]
-    values = [[X.value(r) for r in level] for level in res.terms[:levels]]
-    dims = [[m.generators for m in level] for level in values]
-    # every level has a summand, and one summand is its own sum
-    modules = [level[0].direct_sum(*level[1:]) if len(level) > 1 else level[0]
-               for level in values]
-    maps = {0: ModuleMap.zero(*eng.ends(PresentedModule.free(X.ring, 0),
-                                        modules[0]))}
-    for i in range(1, len(values)):
+    key = (res.vertex, res.side)
+    kept = X._complexes.get(key)
+    if kept is None or kept[0] is not res:
+        kept = X._complexes[key] = (res, [], {}, [])
+    _, modules, maps, dims = kept
+    for i in range(len(modules), min(levels, len(res.terms))):
+        level = [X.value(r) for r in res.terms[i]]
+        dims.append([m.generators for m in level])
+        # every level has a summand, and one summand is its own sum
+        modules.append(level[0].direct_sum(*level[1:]) if len(level) > 1 else level[0])
+        if not i:
+            maps[0] = ModuleMap.zero(*eng.ends(PresentedModule.free(X.ring, 0),
+                                               modules[0]))
+            continue
         src, dst = eng.ends(i - 1, i)
         blocks = {}
         for (a, b), entry in res.boundaries[i].items():
@@ -288,6 +306,8 @@ def _complex_from_resolution(res: StalkResolution, X: Representation,
                 blocks[row, col] = eng.x_value_block(X, entry)
         M = Matrix.blocks(X.ring, blocks, dims[dst], dims[src])
         maps[i] = ModuleMap(modules[src], modules[dst], M, check=False)
+    if len(modules) > levels:
+        return modules[:levels], {i: maps[i] for i in range(levels)}
     return modules, maps
 
 
@@ -312,18 +332,25 @@ def derived_homology_data(X: Representation, q, side: str, degrees) -> dict:
     """HomologyData per listed degree for one side at one vertex.
 
     Each degree is read at its _route key and kept on X under its kept
-    key.  Each route vertex with degrees not kept gets one complex of the
-    side asked for, to one level past the highest; it equals the kept
-    key's, so the group does not depend on the route.  A complex whose
-    middle term has no generators is the zero group, that term itself,
-    with no middle_homology call, whatever its ends.
+    key.  H^0 at v is read off side cn's H_2 at μ(v) when that group is
+    kept (_kernel_from_cycles).  Each route vertex with degrees not kept
+    gets one complex of the side asked for, to one level past the highest;
+    it equals the kept key's, so the group does not depend on the route.  A
+    complex whose middle term has no generators is the zero group, that
+    term itself, with no middle_homology call, whatever its ends.
     """
     C, memo = X.category, X._homology
     kept, missing = {}, {}  # missing: route vertex -> {degree j: kept key}
     for i in degrees:
         (v, _, j), kept[i] = _route(C, q, side, i)
-        if kept[i] not in memo:
-            missing.setdefault(v, {})[j] = kept[i]
+        if kept[i] in memo:
+            continue
+        if side == SIDE_CO and j == 0:
+            h0 = _kernel_from_cycles(X, v)
+            if h0 is not None:
+                memo[kept[i]] = h0
+                continue
+        missing.setdefault(v, {})[j] = kept[i]
     for v, wanted in missing.items():
         top = max(wanted)
         res = resolve_stalk(C, v, side, top + 1)
@@ -333,6 +360,39 @@ def derived_homology_data(X: Representation, q, side: str, degrees) -> dict:
             memo[key] = middle_homology(f, g) if f.target.generators else \
                 HomologyData(f.target, Matrix.identity(X.ring, 0), f.target)
     return {i: memo[key] for i, key in kept.items()}
+
+
+def _kernel_from_cycles(X: Representation, v):
+    """H^0 at v from side cn's H_2 at w = μ(v), kept on X, or None when it
+    is not kept.
+
+    Side co's level-1 boundary g: X(v) -> ⊕ X(r) is side cn's level-2
+    boundary at w (see the module docstring), so H_2's cycle generators
+    incl are H^0's, and H^0 is their span modulo rel_B alone, with B = X(v)
+    and C the level-1 term, read off the complex at w.  When C is free,
+    middle_homology's one elimination kernel_basis(g, modulo=[f | rel_B])
+    already gave the coordinates of rel_B's columns, and over Z/p^k the
+    torsion columns after them: H^0's relations are those columns, with no
+    elimination.  Otherwise they are preimage_generators(incl, rel_B), the
+    second of the two eliminations the side-co complex would take.  Where
+    B or C has no generators, every element of B is a cycle and H^0 is B.
+    """
+    C = X.category
+    w = _mu(C, v, SIDE_CO)
+    h2 = X._homology.get((w, SIDE_CN, 2))
+    if h2 is None:
+        return None
+    modules, _ = _complex_from_resolution(resolve_stalk(C, w, SIDE_CN, 3), X, 4)
+    target, B, width = modules[1], modules[2], modules[3].generators
+    incl = h2.cycle_gens
+    if not (B.generators and target.generators):
+        return HomologyData(B, incl, B)
+    if target.relations.cols:
+        rel = preimage_generators(incl, B.relations)
+    else:
+        rel = h2.module.relations
+        rel = rel.take_columns(range(width, rel.cols))
+    return HomologyData(PresentedModule(X.ring, incl.cols, rel), incl, B)
 
 
 def derived_homology(X: Representation, q, side: str = SIDE_CN,

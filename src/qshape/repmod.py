@@ -63,11 +63,15 @@ class Representation:
         # _pruned, from which homology.derived_homology_data builds every
         # stalk complex; it keeps each group in _homology per kept key
         # (vertex, side cn, i <= 3) or (vertex, side co, 0), so side co's
-        # degrees 1-3 share side cn's groups (homology._route);
+        # degrees 1-3 share side cn's groups (homology._route); on the
+        # pruned model, homology._complex_from_resolution keeps each stalk
+        # complex in _complexes per (vertex, side), as (resolution, modules,
+        # maps, summand ranks), extended in place level by level;
         # evaluate_matrix keeps X(coeff * e) in _evaluated per (coeff, e)
         self._support = None
         self._pruned = None
         self._homology = {}
+        self._complexes = {}
         self._evaluated = {}
 
     @property

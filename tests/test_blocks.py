@@ -100,6 +100,24 @@ def test_stacks_are_layouts_of_blocks(ring):
     assert_identical(Matrix.block_diag(ring, []), Matrix.zeros(ring, 0, 0))
 
 
+@pytest.mark.parametrize("ring", RINGS, ids=repr)
+@pytest.mark.parametrize("widths, shared", [
+    ([0], 0), ([0, 0, 0], 0), ([2], 0), ([0, 3], 1), ([0, 1, 0], 1),
+    ([2, 0, 0], 0),
+], ids=["one empty block", "empty blocks only", "one block",
+        "wide block last", "wide block between empty ones", "wide block first"])
+def test_hstack_shares_its_one_wide_block(ring, widths, shared):
+    """With at most one block that has columns, hstack returns that block,
+    or its first block when none has any: matrices are immutable."""
+    rng = random.Random(f"hstack-shared:{ring!r}:{widths}")
+    for rows in (0, 1, 3):
+        side = [random_matrix(ring, rng, rows, w) for w in widths]
+        M = Matrix.hstack(side)
+        assert M is side[shared]
+        assert_identical(M, blocks_by_entry(
+            ring, {(0, j): B for j, B in enumerate(side)}, [rows], widths))
+
+
 def test_each_layout_is_one_construction(monkeypatch):
     built = []
     plain = Matrix._trusted

@@ -248,6 +248,19 @@ class TestExitCodes:
         assert set(report) == {"error", "path"}
         assert report["path"] == path
 
+    def test_deeply_nested_json_is_refused_quickly(self, capsys, tmp_path):
+        # json.loads raises RecursionError, not ValueError, on deep nesting:
+        # this file printed a traceback and nothing on stdout
+        f = tmp_path / "rep.json"
+        f.write_text("[" * 200_000 + "]" * 200_000)
+        start = time.process_time()
+        code, out = run(capsys, "validate", "--input", str(f))
+        assert time.process_time() - start < 1.0
+        assert code == 1
+        report = json.loads(out)
+        assert set(report) == {"error", "path"}
+        assert report["path"] == "/"
+
     def test_q_entries_without_exponent_are_read(self, capsys, tmp_path):
         f = tmp_path / "rep.json"
         f.write_text(json.dumps({

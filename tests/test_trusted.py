@@ -93,7 +93,7 @@ def test_resolutions_and_derived_homology(trusted_checked):
                 MeshCategory(build_repetitive_an(2, (-6, 6)), ring)]
         for C in cats:
             rng = random.Random(f"trusted:{ring!r}:{C.flavor}")
-            for _ in range(4):
+            for _ in range(6):
                 X = random_representation(C, rng)
                 classify_object(X)
                 for q in C.quiver.interior_vertices():
