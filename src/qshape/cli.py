@@ -20,8 +20,10 @@ of a matrix in a JSON file are at most 128 (``io.MAX_RANK``), a ring
 modulus, from "mod:M" or a JSON {"mod": M}, is below 2**31
 (``exactalg.rings.MAX_MODULUS``), oracle --max-len is between 0 and 64
 (twice the largest n; the default is 2n), demo chain-complex --random is
-between 1 and 10,000 draws (``MAX_RANDOM``), and build's vertices times n**2
-is at most 90,000 (``MAX_BUILD``).  Other values end in exit 1 with a path.
+between 1 and 10,000 draws (``MAX_RANDOM``), and vertices times n**2 is at
+most 90,000 for build (``MAX_BUILD``), 400,000 for serre-check and oracle
+(``MAX_SCAN``) and 1,500,000 for dims (``MAX_DIMS``).  Other values end in
+exit 1 with a path.
 """
 
 from __future__ import annotations
@@ -57,6 +59,12 @@ MAX_DEGREE = 2 * MAX_N
 MAX_RANDOM = 10_000
 # build: ~27 us of CPU per vertex x n**2 (2-vCPU KVM guest); repetitive --n 12 is 84,672
 MAX_BUILD = 90_000
+# serre-check and oracle: ~6 us of CPU per vertex x n**2 (2-vCPU KVM guest);
+# repetitive --n 16 is 266,240, and --n 24 took 7.1 s and --n 32 24.9 s
+MAX_SCAN = 400_000
+# dims: ~1.4 us of CPU per vertex x n**2 (2-vCPU KVM guest); repetitive --n 24
+# is 1,340,928 and prints 5.9 MB, and --n 32 took 8.3 s, 299 MB and printed 18 MB
+MAX_DIMS = 1_500_000
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -137,10 +145,15 @@ def _flag(field: str) -> str:
     return f"--{field}"
 
 
-def _category_from_args(args) -> MeshCategory:
+def _category_from_args(args, bound=None) -> MeshCategory:
+    """The category the flags name; with ``bound``, one whose vertices x n**2
+    is above it is refused at --window when one was given, else at --n."""
     window = args.window or (-2 * args.n, 2 * args.n)
-    return build_category(args.flavor, args.n, window, _parse_ring(args.ring),
-                          _flag)
+    C = build_category(args.flavor, args.n, window, _parse_ring(args.ring), _flag)
+    if bound is not None and (size := len(C.vertices) * C.n ** 2) > bound:
+        raise SchemaError(_flag("window" if args.window else "n"),
+                          f"vertices x n**2 is {size}, above {bound}")
+    return C
 
 
 def _vertex_arg(text: str, quiver):
@@ -166,17 +179,14 @@ def _max_degree(args, least: int) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_build(args):
-    C = _category_from_args(args)
-    if (size := len(C.vertices) * C.n ** 2) > MAX_BUILD:
-        raise SchemaError(_flag("window" if args.window else "n"),
-                          f"vertices x n**2 is {size}, above {MAX_BUILD}")
+    C = _category_from_args(args, MAX_BUILD)
     report = Report("build", verdicts={"ok": True},
                     tables={"bundle": category_bundle(C)})
     return report, EXIT_OK
 
 
 def cmd_dims(args):
-    C = _category_from_args(args)
+    C = _category_from_args(args, MAX_DIMS)
     if args.flavor != "double_an":
         grid = {f"{format_vertex(p)}->{format_vertex(q)}": C.d(p, q)
                 for p in C.vertices for q in C.hom_targets(p)}
@@ -215,7 +225,7 @@ def cmd_mult(args):
 
 
 def cmd_serre_check(args):
-    C = _category_from_args(args)
+    C = _category_from_args(args, MAX_SCAN)
     rep = C.serre_report()
     ok = rep.pop("ok")
     return Report("serre-check", verdicts={"ok": ok, **{
@@ -227,7 +237,7 @@ def cmd_serre_check(args):
 def cmd_oracle(args):
     if args.max_len is not None and not 0 <= args.max_len <= MAX_LEN:
         raise SchemaError("--max-len", f"must be between 0 and {MAX_LEN}")
-    C = _category_from_args(args)
+    C = _category_from_args(args, MAX_SCAN)
     max_len = 2 * C.n if args.max_len is None else args.max_len
     mismatches = {}
     for p in C.vertices:

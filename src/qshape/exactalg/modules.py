@@ -17,7 +17,7 @@ from __future__ import annotations
 from ..errors import InvalidParameter, NotWellDefined
 from .matrix import Matrix
 from .rings import INTEGERS, BaseRing
-from .smith import field_rank, kernel_basis, smith_normal_form, solve_matrix
+from .smith import invariant_factors, kernel_basis, solve_matrix
 
 
 class NormalForm:
@@ -97,25 +97,17 @@ class PresentedModule:
     # -- normal form --------------------------------------------------------
 
     def normal_form(self) -> NormalForm:
-        """Computed lazily and cached; the cache write is idempotent.  Over
-        a field it is the rank of the relations, and over Z and Z/p^k the
-        diagonal of their Smith form, built with neither transform."""
+        """Computed lazily and cached; the cache write is idempotent.  Each
+        invariant factor of the relations kills a generator, and those
+        that are not 1 are the torsion factors."""
         if self._normal_form is not None:
             return self._normal_form
-        ring = self.ring
         if not self.generators:  # 0 whatever its relations, with no elimination
             nf = NormalForm(0)
-        elif ring.is_field:
-            nf = NormalForm(self.generators - field_rank(self.relations))
         else:
-            # Z and Z/p^k: every nonzero diagonal entry kills a generator,
-            # and the non-units among them (a unit comes out as 1) are the
-            # torsion factors
-            S, _, _ = smith_normal_form(self.relations, u=False, v=False)
-            diag = [S[i, i] for i in range(min(S.rows, S.cols))]
-            nonzero = [d for d in diag if d != 0]
-            nf = NormalForm(self.generators - len(nonzero),
-                            sorted(d for d in nonzero if d != 1))
+            factors = invariant_factors(self.relations)
+            nf = NormalForm(self.generators - len(factors),
+                            [d for d in factors if d != 1])
         self._normal_form = nf
         return nf
 
@@ -127,9 +119,17 @@ class PresentedModule:
         return self.normal_form().is_zero
 
     def vanishes(self, vectors: Matrix) -> bool:
-        """Whether every column of ``vectors`` is zero in the module; a zero
-        matrix is, with no elimination."""
-        return vectors.is_zero or solve_matrix(self.relations, vectors) is not None
+        """Whether every column of ``vectors`` is zero in the module.  This
+        module maps onto R^g / [relations | vectors], and a surjection
+        between modules of one normal form is injective (``is_isomorphism``),
+        so the vectors vanish exactly when adding them as relations leaves
+        the normal form unchanged.  A zero matrix vanishes with no
+        elimination."""
+        if vectors.is_zero:
+            return True
+        grown = PresentedModule(self.ring, self.generators,
+                                Matrix.hstack([self.relations, vectors]))
+        return grown.normal_form() == self.normal_form()
 
     def isomorphic(self, other: "PresentedModule") -> bool:
         return self.ring == other.ring and self.normal_form() == other.normal_form()
@@ -137,15 +137,12 @@ class PresentedModule:
     # -- predicates decided by the normal form ---------------------------------
 
     def is_projective(self) -> bool:
-        """Fields: always.  Z: free.  Z/p^k: free (sums of Z/p^k)."""
-        if self.ring.is_field:
-            return True
+        """Free: every module over a field, sums of Z over Z and of Z/p^k
+        over Z/p^k."""
         return self.normal_form().is_free
 
     def is_injective(self) -> bool:
-        """Fields: always.  Z: only 0.  Z/p^k: free (the ring is self-injective)."""
-        if self.ring.is_field:
-            return True
+        """Z: only 0.  Fields and Z/p^k: free (the ring is self-injective)."""
         if self.ring.kind == INTEGERS:
             return self.is_zero
         return self.normal_form().is_free

@@ -11,11 +11,15 @@ Each ring's arithmetic stays in that ring, and there are two eliminations:
 * Q and Z/p: row echelon form ``_rref``, on the raw entries (Fractions
   over Q, ints mod p over Z/p), reduced for kernels and solving.
 
-Over Z and Z/p^k each caller builds only the transforms of U*M*V = S it
-reads: solving builds all three, kernels S and V, the mesh projections of
-``hom_basis_oracle`` S and U, and normal forms and invertibility the
-diagonal of S alone.  No step on S or V reads U, so S and V do not depend
-on which transforms are built.  A kernel taken modulo vectors X of ker M
+Yes/no questions read ``invariant_factors``, the nonzero diagonal of the
+Smith form with no transform built (over a field, one 1 per pivot of
+forward elimination): normal forms, invertibility, and whether vectors
+vanish in a module, which compares two normal forms.  Over Z and Z/p^k
+transforms of U*M*V = S are built only where coordinates are read:
+kernels build V, solving (``coordinates_mod``) and the mesh projections
+of ``hom_basis_oracle`` take the full (S, U, V) of ``smith_normal_form``.
+No step on S or V reads U, so S and V do not depend on which transforms
+are built.  A kernel taken modulo vectors X of ker M
 (``kernel_basis(M, modulo=X)``, the middle homology of a complex into a
 module with no relations) also carries V⁻¹·X, applying each column
 operation on V to X as its inverse row operation; the coordinates of X
@@ -173,10 +177,8 @@ def _snf_int(entries, rows, cols):
     return _smith(entries, rows, cols, 0)
 
 
-def smith_normal_form(M: Matrix, *, u=True, v=True):
-    """(S, U, V) with U*M*V = S over Z or Z/p^k, from ``_smith``; a
-    transform turned off by ``u`` or ``v`` is not built and comes back as
-    None.
+def smith_normal_form(M: Matrix):
+    """(S, U, V) with U*M*V = S over Z or Z/p^k, from ``_smith``.
 
     The diagonal satisfies d1 | d2 | ...; over Z the entries are >= 0,
     over Z/p^k they are powers of p below p^k (or 0).  Raises
@@ -185,14 +187,13 @@ def smith_normal_form(M: Matrix, *, u=True, v=True):
     ring = M.ring
     if ring.kind == RATIONALS:
         raise UnsupportedRing("Smith normal form is for Z and Z/p^k")
-    if ring.kind == INTEGERS and u and v:
+    if ring.kind == INTEGERS:
         S, U, V = _snf_int(M.entries, M.rows, M.cols)
     else:
-        S, U, V = _smith(M.entries, M.rows, M.cols, ring.modulus or 0, u, v)
+        S, U, V = _smith(M.entries, M.rows, M.cols, ring.modulus)
 
     def matrix(lists, rows, cols):
-        return None if lists is None else \
-            Matrix._trusted(ring, rows, cols, [x for row in lists for x in row])
+        return Matrix._trusted(ring, rows, cols, [x for row in lists for x in row])
     return (matrix(S, M.rows, M.cols), matrix(U, M.rows, M.rows),
             matrix(V, M.cols, M.cols))
 
@@ -379,15 +380,26 @@ def solve_matrix(M: Matrix, B: Matrix):
 solve = solve_matrix
 
 
+# ---------------------------------------------------------------------------
+# invariant factors: every yes/no question, with no transform
+# ---------------------------------------------------------------------------
+
+def invariant_factors(M: Matrix) -> list:
+    """The nonzero diagonal d1 | d2 | ... of the Smith form of M, with a
+    unit read as 1, and no transform built: ``[1] * field_rank(M)`` over a
+    field, ``_smith`` with neither U nor V over Z and Z/p^k."""
+    if M.ring.is_field:
+        return [1] * field_rank(M)
+    S, _, _ = _smith(M.entries, M.rows, M.cols, M.ring.modulus or 0,
+                     u=False, v=False)
+    return [d for d in (S[i][i] for i in range(min(M.rows, M.cols))) if d]
+
+
 def matrix_is_invertible(M: Matrix) -> bool:
-    """Square and invertible over the ring; a 1x1 matrix is decided by
+    """Square with every invariant factor 1; a 1x1 matrix is decided by
     whether its entry is a unit, with no elimination."""
     if M.rows != M.cols:
         return False
-    ring = M.ring
     if M.rows == 1:
-        return ring.is_unit(M[0, 0])
-    if ring.is_field:
-        return field_rank(M) == M.rows
-    S, _, _ = smith_normal_form(M, u=False, v=False)
-    return all(ring.is_unit(S[i, i]) for i in range(M.rows))
+        return M.ring.is_unit(M[0, 0])
+    return invariant_factors(M) == [1] * M.rows

@@ -30,10 +30,11 @@ MAX_N = 32
 # [-10000, 10000] took 2.3 s on a 2-vCPU Xeon guest.
 MAX_WINDOW = 4 * MAX_N + 1
 
-# Ranks and matrix dimensions read from input are at most MAX_RANK.  The
-# Smith form of a g x r relation matrix builds g x g and r x r transforms:
-# over Z, H_0..H_1 at one vertex with a 256 x 256 diagonal relation matrix
-# took 4.3 s, and with a 1 x 1000 zero one 52 s; at 128, 0.6 s and 0.15 s.
+# Ranks and matrix dimensions read from input are at most MAX_RANK.  Normal
+# forms build no transform, but a kernel of a g x r matrix builds an r x r
+# one and a solve also a g x g one: over Z, H_0..H_1 at one vertex with a
+# 256 x 256 diagonal relation matrix took 4.3 s, and with a 1 x 1000 zero
+# one 52 s; at 128, 0.6 s and 0.15 s.
 MAX_RANK = 128
 
 

@@ -440,7 +440,7 @@ class MeshCategory:
                     if ring.is_field:
                         proj = kernel_basis(mesh.transpose()).transpose()
                     else:
-                        S, U, _ = smith_normal_form(mesh, v=False)
+                        S, U, _ = smith_normal_form(mesh)
                         diagonal = [S[i, i] for i in range(min(size, S.cols)) if S[i, i]]
                         if any(d != 1 for d in diagonal):
                             raise UnsupportedRing(

@@ -19,12 +19,12 @@ from qshape.homology import (SIDE_CN, SIDE_CO, classify_object,
                              mesh_homology, mesh_homology_map, zero_test)
 from qshape.repmod import (cofree_at, complex_to_rep, free_at,
                            kernel_of_morphism, random_complex,
-                           random_free_representation, random_morphism,
                            random_representation, representable_rep,
                            stalk_rep, validate_representation)
 
 from oracles import (brute_force_injective, brute_force_projective, divides,
                      elements, radical_basis)
+from samplers import random_free_representation, random_morphism
 
 
 def _report(number, name, t0, budget=None):

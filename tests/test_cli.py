@@ -286,6 +286,24 @@ class TestExitCodes:
         assert set(report) == {"error", "path"}
         assert report["path"] == path
 
+    @pytest.mark.parametrize("argv, path", [
+        (["serre-check", "--n", "32"], "--n"),
+        (["oracle", "--n", "16", "--window", "-64", "64"], "--window"),
+        (["dims", "--n", "32"], "--n"),
+    ], ids=["serre-check --n 32", "oracle --n 16 window (-64, 64)",
+            "dims --n 32"])
+    def test_oversized_repetitive_scan_is_refused(self, capsys, argv, path):
+        # vertices x n**2 above MAX_SCAN or MAX_DIMS: serre-check --n 32 took
+        # 24.9 s of CPU and 246 MB, dims --n 32 8.3 s, 299 MB and printed
+        # 18 MB; oracle --n 16 on (-64, 64) is 528,384 (--n 16 is 266,240)
+        start = time.process_time()
+        code, out = run(capsys, argv[0], "--flavor", "repetitive_an", *argv[1:])
+        assert time.process_time() - start < 1.0
+        assert code == 1
+        report = json.loads(out)
+        assert set(report) == {"error", "path"}
+        assert report["path"] == path
+
     @pytest.mark.parametrize("argv, category, path", [
         (["build", "--flavor", "repetitive_an", "--n", "2", "--window",
           "-100000", "100000"], None, "--window"),

@@ -618,13 +618,6 @@ class TestTransformsOnDemand:
             assert module.normal_form() == normal_form_full(module), M
             assert matrix_is_invertible(M) == is_invertible_full(M), M
 
-    def test_smith_normal_form_returns_none_for_a_transform_not_built(self):
-        M = Matrix(ZZ, 2, 3, [2, 4, 6, 1, 3, 5])
-        S, U, V = smith_normal_form(M)
-        assert smith_normal_form(M, u=False) == (S, None, V)
-        assert smith_normal_form(M, v=False) == (S, U, None)
-        assert smith_normal_form(M, u=False, v=False) == (S, None, None)
-
     @pytest.mark.parametrize("ring", [QQ, Zmod(2), Zmod(3), Zmod(5)], ids=repr)
     def test_field_rank_is_the_pivot_count_of_the_reduced_form(self, ring):
         rng = random.Random(f"forward elimination {ring!r}")

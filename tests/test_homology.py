@@ -20,13 +20,13 @@ from qshape.homology import (SIDE_CN, SIDE_CO, classify_object,
 from qshape.quiver import DOUBLE_AN, format_vertex
 from qshape.repmod import (Representation, cofree_at, free_at,
                            identity_morphism, kernel_of_morphism,
-                           random_free_representation, random_morphism,
                            random_representation, representable_rep,
                            stalk_rep, validate_representation, zero_morphism)
 
 import oracles
 from oracles import (basis_indexed_resolution, column_matrix, radical_filtration,
                      radical_in, radical_out)
+from samplers import random_free_representation, random_morphism
 
 
 ALL_RINGS = (ZZ, QQ, Zmod(3), Zmod(4), Zmod(9))

@@ -11,9 +11,8 @@ from qshape.errors import InvalidParameter, UnsupportedFlavor, WindowTooSmall
 from qshape.quiver import format_vertex, vertex_key
 from qshape.repmod import (ChainComplex, Representation, RepMorphism,
                            cofree_at, complex_to_rep, degree_vertex,
-                           free_at, hom_space_basis, identity_morphism,
+                           free_at, identity_morphism,
                            kernel_of_morphism, random_complex,
-                           random_free_representation, random_morphism,
                            random_representation, rep_to_complex,
                            representable_rep, representable_sum, stalk_rep,
                            ValidationReport, validate_morphism,
@@ -23,6 +22,7 @@ from oracles import (cofree_at_every_vertex, free_at_every_vertex,
                      random_representation_by_cokernel,
                      representable_sum_by_folding, validate_morphism_by_window_scan,
                      validate_representation_by_window_scan)
+from samplers import hom_space_basis, random_free_representation, random_morphism
 
 
 def double_cat(n, ring=ZZ):

@@ -1,4 +1,5 @@
-"""Golden output of the seeded samplers in ``qshape.repmod``.
+"""Golden output of the seeded samplers in ``qshape.repmod`` and
+``samplers.py``.
 
 ``tests/data/samplers_golden.json`` pins, as ``representation_json`` /
 ``morphism_json`` output:
@@ -30,8 +31,9 @@ from qshape import MeshCategory, QQ, ZZ, Zmod, build_double_an, \
     build_repetitive_an
 from qshape.io import morphism_json, representation_json, value_json
 from qshape.repmod import (complex_to_rep, random_complex,
-                           random_free_representation, random_morphism,
                            random_representation, rep_to_complex)
+
+from samplers import random_free_representation, random_morphism
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "samplers_golden.json"
 DRAWS = 3
