@@ -78,19 +78,6 @@ class PresentedModule:
     def free(ring: BaseRing, rank: int) -> "PresentedModule":
         return PresentedModule(ring, rank)
 
-    @staticmethod
-    def cyclic(ring: BaseRing, d) -> "PresentedModule":
-        return PresentedModule(ring, 1, Matrix(ring, 1, 1, [d]))
-
-    @staticmethod
-    def from_invariant_factors(ring: BaseRing, factors) -> "PresentedModule":
-        """Module ⊕ R/(d) for the listed d (0 giving a free summand)."""
-        factors = [ring.canon(d) for d in factors]
-        rel = Matrix(ring, len(factors), len(factors),
-                     [factors[i] if i == j else ring.zero
-                      for i in range(len(factors)) for j in range(len(factors))])
-        return PresentedModule(ring, len(factors), rel)
-
     def __repr__(self):
         return f"PresentedModule({self.describe()!r} over {self.ring!r})"
 

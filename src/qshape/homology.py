@@ -44,17 +44,25 @@ w = μ(v) on side co and u = σ(w):
 
 So each group is kept on X under its kept key and computed once, and a
 complex whose middle term has no generators, as every one off the
-support on ZA_n, is the zero group with no elimination.  Each complex is
-kept too, on X's pruned model per (vertex, side), and extended in place,
-so each of its levels is built once (_complex_from_resolution).  By the
+support on ZA_n, is the zero group with no elimination.  That rule is
+decided before any resolution: level j <= 3's summand vertices are
+closed forms (q, the far ends of the arrows at q, μ(q), σ(q);
+_level_vertices), so where none carries a generator on X's pruned model
+_zero_group keeps the zero group with no resolution or complex built.
+is_weak_equivalence and mesh_homology_data ask it first; the complexes
+of derived_homology_data, whose groups are mostly live, apply the same
+rule to the middle term they build.  Each complex is kept too, on X's
+pruned model per (vertex, side), and extended in place, so each of its
+levels is built once (_complex_from_resolution).  By the
 same twin rule side co's level-1 boundary at v is side cn's level-2
 boundary at w: H^0 at v has the cycles of side cn's H_2 at w, and once
 that group is kept, H^0 is read off them with no second kernel
 (_kernel_from_cycles).  Maps read level
 j at the route vertex (_induced), so no resolution grows past level 4,
 and is_weak_equivalence tests each route key once, building no map where
-both groups have no generators.  Degrees 0 and 1 are the functors of
-the mesh category itself:
+both groups have no generators and no complex where both middle terms
+have none.  Degrees 0 and 1 are the functors of the mesh category
+itself:
 
 * the kernel corner K_q(X) is H^0 at q, the kernel of the side-co
   level-1 boundary X(q) -> ⊕ X(r) over the arrows q -> r, which is side
@@ -328,6 +336,38 @@ def _route(C: MeshCategory, q, side: str, i: int):
     return (v, side, j), kept
 
 
+def _level_vertices(C: MeshCategory, v, side: str, j: int):
+    """The summand vertices of level j <= 3 of the resolution at v, read in
+    closed form with nothing built: v, the far ends of the arrows at v,
+    μ(v) and σ(v) (resolve_stalk).  The far ends are the sources of the
+    mesh's arms at v on side cn and at μ(v) on side co (_Side.head)."""
+    if j == 0:
+        return (v,)
+    if j == 1:
+        at = _mu(C, v, SIDE_CO) if side == SIDE_CO else v
+        return tuple(a.source for a in C.quiver.mesh_at(at).arrows)
+    return (_mu(C, v, side) if j == 2 else _sigma(C, v, side, 1),)
+
+
+def _zero_group(X: Representation, route):
+    """The group at a route key (v, side, j <= 3) when level j's summands
+    carry no generator on X's pruned model, or None.  That complex's
+    middle term has no generators, so its group is 0 whatever its ends:
+    it is kept on X under its kept key, with no resolution, complex or
+    elimination (_level_vertices)."""
+    v, side, j = route
+    C = X.category
+    values = X.pruned()[0].values
+    if any(r in values for r in _level_vertices(C, v, side, j)):
+        return None
+    kept = _route(C, v, side, j)[1]
+    group = X._homology.get(kept)
+    if group is None:
+        zero = PresentedModule.free(X.ring, 0)
+        group = X._homology[kept] = HomologyData(zero, Matrix.identity(X.ring, 0), zero)
+    return group
+
+
 def derived_homology_data(X: Representation, q, side: str, degrees) -> dict:
     """HomologyData per listed degree for one side at one vertex.
 
@@ -462,8 +502,11 @@ def mesh_homology_data(X: Representation, q) -> HomologyData:
     Levels 2 -> 1 -> 0 of the side-cn stalk complex are the mesh complex
     X(tau q) -> ⊕ X(p_i) -> X(q), each entry signed by its basis element
     rather than by its arrow, which negates summands: no homology changes.
+    Where no X(p_i) has a generator on the pruned model the group is the
+    kept zero group (_zero_group), with no resolution or complex built.
     """
-    return derived_homology_data(X, q, SIDE_CN, (1,))[1]
+    return (_zero_group(X, (q, SIDE_CN, 1))
+            or derived_homology_data(X, q, SIDE_CN, (1,))[1])
 
 
 def mesh_homology(X: Representation, q) -> PresentedModule:
@@ -527,7 +570,9 @@ class ClassificationVerdict:
 
 def classify_object(X: Representation) -> ClassificationVerdict:
     """Exactness via vanishing mesh homology; projectivity and injectivity
-    by combining it with corner projectivity/injectivity.
+    by combining it with corner projectivity/injectivity.  A probe whose
+    mesh has no generator in its middle term is read as 0 with nothing
+    built (mesh_homology_data).
 
     The mesh-homology characterization of the exact class is only
     theorem-backed over hereditary base rings (Z, Q, Z/p); over Z/p^k
@@ -619,28 +664,38 @@ def is_weak_equivalence(phi: RepMorphism, max_degree: int = 2) -> dict:
     vertex.  Depth 3 decides every degree, as H_i(phi) at q is
     H_{i-3}(phi) at σ(q) for i >= 4; the default depth 2 omits H_3.
     Each (probe, degree) entry reads the verdict of its _route key, tested
-    once at the first probe that reaches it; where the groups of both ends
-    have no generators, as off the support, the verdict is True with no
-    map built.  The groups of source and target are kept on them, so a
-    later mesh_homology_map or classify_object on either computes none of
-    them again.  When the radical squares to zero, degree one alone
-    decides, which is cross-checked."""
+    once at the first probe that reaches it.  Where the middle terms of
+    both ends have no generators, as at nearly every probe off the
+    support, the key is read off the closed-form level vertices
+    (_zero_group): both zero groups are kept and the verdict is True, with
+    no resolution, complex or map built.  Where the groups of both ends
+    have no generators the verdict is True with no map built.  The groups
+    of source and target are kept on them, so a later mesh_homology_map
+    or classify_object on either computes none of them again.  When the
+    radical squares to zero, degree one alone decides, which is
+    cross-checked."""
     if max_degree < 1:
         raise InvalidParameter("max_degree must be at least 1: the verdict "
                                "compares degrees 1 and up")
     check = validate_morphism(phi)
     if not check["ok"]:
         raise InvalidMorphism(str(check["failures"]))
-    C = phi.source.category
+    C, ends = phi.source.category, (phi.source, phi.target)
     decided = {}  # route key -> whether H(φ) there is an isomorphism
     table = {}
     for q in _cn_probes(phi.source, phi.target, max_degree):
         keys = {i: _route(C, q, SIDE_CN, i)[0] for i in range(1, max_degree + 1)}
         # the least degree of each key not yet decided
         least = {key: i for i, key in reversed(keys.items()) if key not in decided}
+        for key in list(least):
+            # each end keeps its zero group, even where the other's is live;
+            # where both are zero the key is an isomorphism
+            if all([_zero_group(Z, key) for Z in ends]):
+                decided[key] = True
+                del least[key]
         if least:
             dx, dy = (derived_homology_data(Z, q, SIDE_CN, sorted(least.values()))
-                      for Z in (phi.source, phi.target))
+                      for Z in ends)
             for key, i in least.items():
                 # a map between groups with no generators is an isomorphism
                 live = dx[i].module.generators or dy[i].module.generators

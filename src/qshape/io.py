@@ -208,20 +208,6 @@ def representation_json(X: Representation):
     }
 
 
-def morphism_json(phi: RepMorphism):
-    return {
-        "category": phi.source.category.quiver.spec_json()
-                    | {"ring": phi.source.ring.to_json()},
-        "source": {k: v for k, v in representation_json(phi.source).items()
-                   if k != "category"},
-        "target": {k: v for k, v in representation_json(phi.target).items()
-                   if k != "category"},
-        "components": {format_vertex(v): M.to_json()
-                       for v, M in sorted(phi.components.items(),
-                                          key=lambda kv: format_vertex(kv[0]))},
-    }
-
-
 def category_bundle(C: MeshCategory):
     """Bases, graded dimensions, multiplication tables, and Serre data."""
     verts = [format_vertex(v) for v in C.vertices]

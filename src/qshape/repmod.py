@@ -10,7 +10,7 @@ The standard constructions live here:
 
 * free_at      (corepresentable ⊗ module: value M^rank Q(q, r) at r),
 * cofree_at    (module-valued dual of the representable at q),
-* representable_rep, representable_sum (one rule with the two above),
+* representable_sum (⊕ Q(t, -), one rule with the two above),
 * stalk_rep    (M at one vertex, zero arrows),
 * kernel_of_morphism, direct sums,
 * the bridge between bounded chain complexes and representations of
@@ -289,10 +289,6 @@ def stalk_rep(C: MeshCategory, q, M: PresentedModule) -> Representation:
     return Representation(C, {q: M}, {})
 
 
-def representable_rep(C: MeshCategory, p) -> Representation:
-    return free_at(C, p, PresentedModule.free(C.ring, 1))
-
-
 def representable_sum(C: MeshCategory, vertices) -> Representation:
     """⊕ Q(t, -) over the vertices t, in order and with repeats; each arrow
     acts by the block diagonal of its left multiplications."""
@@ -390,15 +386,6 @@ def kernel_of_morphism(phi: RepMorphism):
                 f"kernel is not closed under {a.name}; phi is not natural")
     K = Representation(X.category, values, arrows)
     return K, incl
-
-
-def zero_morphism(X: Representation, Y: Representation) -> RepMorphism:
-    return RepMorphism(X, Y, {})
-
-
-def identity_morphism(X: Representation) -> RepMorphism:
-    return RepMorphism(X, X, {v: Matrix.identity(X.ring, m.generators)
-                              for v, m in X.values.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Seeded samplers over a finite field for the property suites.
+"""Seeded samplers over a finite field for the property suites, and the
+small constructors and serializers that only the suites use.
 
 Two solvers, hom_space_basis and the mesh sampler behind
 random_free_representation, take matrices as unknowns.  With U
@@ -12,8 +13,10 @@ row of Kronecker products, and its solutions are one kernel.
 
 from qshape.errors import InvalidParameter
 from qshape.exactalg import Matrix, PresentedModule, kernel_basis
+from qshape.io import representation_json
 from qshape.meshcat import MeshCategory
-from qshape.repmod import Representation, RepMorphism
+from qshape.quiver import format_vertex
+from qshape.repmod import Representation, RepMorphism, free_at
 
 
 def random_free_representation(C: MeshCategory, rng) -> Representation:
@@ -116,3 +119,50 @@ def random_morphism(X: Representation, Y: Representation, rng) -> RepMorphism:
     representations over a finite field."""
     shapes, K = _hom_system(X, Y)
     return RepMorphism(X, Y, _unstack(X.ring, shapes, _random_point(K, rng)))
+
+
+# ---------------------------------------------------------------------------
+# constructors and serializers the suites share
+# ---------------------------------------------------------------------------
+
+def cyclic(ring, d) -> PresentedModule:
+    """R/(d) on one generator."""
+    return PresentedModule(ring, 1, Matrix(ring, 1, 1, [d]))
+
+
+def from_invariant_factors(ring, factors) -> PresentedModule:
+    """Module ⊕ R/(d) for the listed d (0 giving a free summand)."""
+    factors = [ring.canon(d) for d in factors]
+    rel = Matrix(ring, len(factors), len(factors),
+                 [factors[i] if i == j else ring.zero
+                  for i in range(len(factors)) for j in range(len(factors))])
+    return PresentedModule(ring, len(factors), rel)
+
+
+def representable_rep(C: MeshCategory, p) -> Representation:
+    """Q(p, -)."""
+    return free_at(C, p, PresentedModule.free(C.ring, 1))
+
+
+def zero_morphism(X: Representation, Y: Representation) -> RepMorphism:
+    return RepMorphism(X, Y, {})
+
+
+def identity_morphism(X: Representation) -> RepMorphism:
+    return RepMorphism(X, X, {v: Matrix.identity(X.ring, m.generators)
+                              for v, m in X.values.items()})
+
+
+def morphism_json(phi: RepMorphism):
+    """A morphism as the CLI reads it (io.parse_morphism)."""
+    return {
+        "category": phi.source.category.quiver.spec_json()
+                    | {"ring": phi.source.ring.to_json()},
+        "source": {k: v for k, v in representation_json(phi.source).items()
+                   if k != "category"},
+        "target": {k: v for k, v in representation_json(phi.target).items()
+                   if k != "category"},
+        "components": {format_vertex(v): M.to_json()
+                       for v, M in sorted(phi.components.items(),
+                                          key=lambda kv: format_vertex(kv[0]))},
+    }

@@ -19,12 +19,13 @@ from qshape.homology import (SIDE_CN, SIDE_CO, classify_object,
                              mesh_homology, mesh_homology_map, zero_test)
 from qshape.repmod import (cofree_at, complex_to_rep, free_at,
                            kernel_of_morphism, random_complex,
-                           random_representation, representable_rep,
-                           stalk_rep, validate_representation)
+                           random_representation, stalk_rep,
+                           validate_representation)
 
 from oracles import (brute_force_injective, brute_force_projective, divides,
                      elements, radical_basis)
-from samplers import random_free_representation, random_morphism
+from samplers import (cyclic, from_invariant_factors, random_free_representation,
+                      random_morphism, representable_rep)
 
 
 def _report(number, name, t0, budget=None):
@@ -215,10 +216,10 @@ def test_criterion_11_corner_identities():
     t0 = time.time()
     modules = {
         ZZ: [PresentedModule.free(ZZ, 1),
-             PresentedModule.from_invariant_factors(ZZ, [2, 0])],
+             from_invariant_factors(ZZ, [2, 0])],
         Zmod(3): [PresentedModule.free(Zmod(3), 2)],
         Zmod(4): [PresentedModule.free(Zmod(4), 1),
-                  PresentedModule.cyclic(Zmod(4), 2)],
+                  cyclic(Zmod(4), 2)],
     }
     fixtures = []
     for ring, mods in modules.items():
@@ -267,10 +268,10 @@ def test_criterion_12_exact_linear_algebra_oracles():
     small = []
     for m in (2, 3):
         ring = Zmod(m)
-        small += [PresentedModule.from_invariant_factors(ring, fs)
+        small += [from_invariant_factors(ring, fs)
                   for fs in ([], [0], [0, 0])]
     ring = Zmod(4)
-    small += [PresentedModule.from_invariant_factors(ring, fs)
+    small += [from_invariant_factors(ring, fs)
               for fs in ([], [2], [0], [2, 2], [2, 0], [2, 2, 2])]
     for module in small:
         if len(elements(module)) > 8:

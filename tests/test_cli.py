@@ -13,12 +13,13 @@ from qshape import QQ, ZZ, Zmod, MeshCategory, Matrix, PresentedModule, \
 from qshape.cli import MAX_RANDOM, Report, build_parser, main
 from qshape.exactalg import smith
 from qshape.fixtures import counter_morphism
-from qshape.io import (SchemaError, dumps, morphism_json, parse_category,
-                       parse_morphism, parse_representation,
-                       representation_json)
+from qshape.io import (SchemaError, dumps, parse_category, parse_morphism,
+                       parse_representation, representation_json)
 from qshape.homology import homology_report
 from qshape.quiver import format_vertex, parse_vertex
 from qshape.repmod import Representation, free_at
+
+from samplers import cyclic, morphism_json
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 DATA = Path(__file__).resolve().parent / "data"
@@ -114,7 +115,7 @@ class TestSchemas:
 
     def test_representation_round_trip(self):
         C = MeshCategory(build_double_an(2), Zmod(4))
-        X = free_at(C, 1, PresentedModule.cyclic(Zmod(4), 2))
+        X = free_at(C, 1, cyclic(Zmod(4), 2))
         data = representation_json(X)
         Y = parse_representation(json.loads(dumps(data)))
         assert representation_json(Y) == data

@@ -30,9 +30,11 @@ from qshape import MeshCategory, Matrix, QQ, ZZ, Zmod, build_double_an, \
     build_repetitive_an
 from qshape.cli import main
 from qshape.fixtures import counter_morphism
-from qshape.io import morphism_json, representation_json
+from qshape.io import representation_json
 from qshape.quiver import format_vertex
 from qshape.repmod import RepMorphism, random_representation
+
+from samplers import morphism_json
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "data" / "cli_golden.json"

@@ -21,7 +21,9 @@ from qshape import QQ, ZZ, Zmod, Matrix, MeshCategory, PresentedModule, \
     build_double_an, build_repetitive_an
 from qshape.homology import classify_object, is_weak_equivalence
 from qshape.repmod import (Representation, cofree_at, free_at,
-                           random_representation, stalk_rep, zero_morphism)
+                           random_representation, stalk_rep)
+
+from samplers import zero_morphism
 
 RINGS = (ZZ, QQ, Zmod(3), Zmod(4), Zmod(9))
 QUIVERS = {"double A_2": lambda: build_double_an(2),

@@ -145,6 +145,8 @@ def test_pruned_model_matches_the_own_presentation(ring, monkeypatch):
             m.setattr(homology, "_complex_from_resolution",
                       complex_from_own_presentation)
             m.setattr(homology, "_transported", lambda phi, r: phi.component(r))
+            # the zero rule reads the pruned model, which this route never builds
+            m.setattr(homology, "_zero_group", lambda X, route: None)
             want = decisions(Y, morphisms(Y))
         for shapes in want[2::2]:
             maps += len(shapes)

@@ -11,18 +11,19 @@ from qshape.errors import InvalidParameter, UnsupportedFlavor, WindowTooSmall
 from qshape.quiver import format_vertex, vertex_key
 from qshape.repmod import (ChainComplex, Representation, RepMorphism,
                            cofree_at, complex_to_rep, degree_vertex,
-                           free_at, identity_morphism,
-                           kernel_of_morphism, random_complex,
+                           free_at, kernel_of_morphism, random_complex,
                            random_representation, rep_to_complex,
-                           representable_rep, representable_sum, stalk_rep,
+                           representable_sum, stalk_rep,
                            ValidationReport, validate_morphism,
-                           validate_representation, zero_morphism)
+                           validate_representation)
 
 from oracles import (cofree_at_every_vertex, free_at_every_vertex,
                      random_representation_by_cokernel,
                      representable_sum_by_folding, validate_morphism_by_window_scan,
                      validate_representation_by_window_scan)
-from samplers import hom_space_basis, random_free_representation, random_morphism
+from samplers import (cyclic, hom_space_basis, identity_morphism,
+                      random_free_representation, random_morphism,
+                      representable_rep, zero_morphism)
 
 
 def double_cat(n, ring=ZZ):
@@ -41,7 +42,7 @@ class TestValidation:
                 assert validate_representation(
                     free_at(C, q, PresentedModule.free(ZZ, 1))).ok
                 assert validate_representation(
-                    cofree_at(C, q, PresentedModule.cyclic(ZZ, 4))).ok
+                    cofree_at(C, q, cyclic(ZZ, 4))).ok
 
     def test_identity_arrows_violate_mesh(self):
         C = double_cat(2)
@@ -119,7 +120,7 @@ class TestStandardConstructions:
     def test_direct_sum_validates(self):
         C = double_cat(3)
         X = free_at(C, 1, PresentedModule.free(ZZ, 1))
-        Y = cofree_at(C, 2, PresentedModule.cyclic(ZZ, 2))
+        Y = cofree_at(C, 2, cyclic(ZZ, 2))
         assert validate_representation(X.direct_sum(Y)).ok
 
 

@@ -29,11 +29,11 @@ import pytest
 
 from qshape import MeshCategory, QQ, ZZ, Zmod, build_double_an, \
     build_repetitive_an
-from qshape.io import morphism_json, representation_json, value_json
+from qshape.io import representation_json, value_json
 from qshape.repmod import (complex_to_rep, random_complex,
                            random_representation, rep_to_complex)
 
-from samplers import random_free_representation, random_morphism
+from samplers import morphism_json, random_free_representation, random_morphism
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "samplers_golden.json"
 DRAWS = 3

@@ -3,18 +3,23 @@
 ``perfbench/tracing.py`` wraps library functions and methods by name from
 outside the package, so renaming or removing one breaks the traced
 benchmark run.  Here the tracer is installed and uninstalled without
-running a workload: every elimination entry point it names must be
-replaced under the library's own name, and every patch must be undone.
+running a workload: every elimination entry point and every homology
+name it patches must be replaced under the library's own name, and every
+patch must be undone.
 """
 
 import importlib.util
 from pathlib import Path
 
+from qshape import homology
 from qshape.exactalg import smith
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 WRAPPED = ("smith_normal_form", "_snf_int", "field_rank", "matrix_is_invertible",
            "solve", "solve_matrix", "kernel_basis")
+HOMOLOGY = ("resolve_stalk", "derived_homology_data", "mesh_homology_data",
+            "is_weak_equivalence", "classify_object", "_cn_probes",
+            "middle_homology")
 
 
 def load_tracing():
@@ -25,18 +30,20 @@ def load_tracing():
 
 
 def test_tracer_installs_and_uninstalls():
-    originals = {name: getattr(smith, name) for name in WRAPPED}
+    originals = {(owner, name): getattr(owner, name)
+                 for owner, names in ((smith, WRAPPED), (homology, HOMOLOGY))
+                 for name in names}
     tracer = load_tracing().Tracer()
     try:
         tracer.install()
         patches = list(tracer._patches)
-        for name, original in originals.items():
-            assert getattr(smith, name) is not original, name
+        for (owner, name), original in originals.items():
+            assert getattr(owner, name) is not original, name
         for owner, attr, original in patches:
             assert getattr(owner, attr) is not original, (owner, attr)
     finally:
         tracer.uninstall()
     for owner, attr, original in patches:
         assert getattr(owner, attr) is original, (owner, attr)
-    for name, original in originals.items():
-        assert getattr(smith, name) is original, name
+    for (owner, name), original in originals.items():
+        assert getattr(owner, name) is original, name

@@ -19,10 +19,12 @@ from qshape.cli import main
 from qshape.homology import (SIDE_CN, SIDE_CO, classify_object,
                              derived_homology, homology_report,
                              is_weak_equivalence, zero_test)
-from qshape.io import dumps, morphism_json, representation_json
+from qshape.io import dumps, representation_json
 from qshape.repmod import (Representation, RepMorphism, free_at,
                            random_representation, stalk_rep,
                            validate_representation)
+
+from samplers import morphism_json
 
 RINGS = (ZZ, QQ, Zmod(3), Zmod(9))
 SHAPES = ((2, (-3, 3)), (3, (-4, 4)), (2, (-6, 6)), (4, (-6, 6)))
