@@ -49,9 +49,9 @@ decided before any resolution: level j <= 3's summand vertices are
 closed forms (q, the far ends of the arrows at q, μ(q), σ(q);
 _level_vertices), so where none carries a generator on X's pruned model
 _zero_group keeps the zero group with no resolution or complex built.
-is_weak_equivalence and mesh_homology_data ask it first; the complexes
-of derived_homology_data, whose groups are mostly live, apply the same
-rule to the middle term they build.  Each complex is kept too, on X's
+is_weak_equivalence, mesh_homology_data and derived_homology_map ask it
+first; the complexes of derived_homology_data, whose groups are mostly
+live, apply the same rule to the middle term they build.  Each complex is kept too, on X's
 pruned model per (vertex, side), and extended in place, so each of its
 levels is built once (_complex_from_resolution).  By the
 same twin rule side co's level-1 boundary at v is side cn's level-2
@@ -130,7 +130,10 @@ class _Side:
     @staticmethod
     def _terms(entry, act) -> Matrix:
         """Sum of act(coeff, e) over the terms of a boundary entry, which
-        always has one."""
+        always has one; a one-term entry, as every closed-form one is, is
+        act(coeff, e) itself."""
+        if len(entry) == 1:
+            return act(*entry[0])
         terms = [act(coeff, e) for coeff, e in entry]
         return sum(terms[1:], terms[0])
 
@@ -234,13 +237,16 @@ def resolve_stalk(C: MeshCategory, q, side: str, length: int) -> StalkResolution
     This is Ω³S_q ≅ S_σ(q) (see the module docstring).  μ and σ are
     closed forms in the row and column of q (_mu, _sigma): the rules read
     coordinates only, so every vertex of ZA_n has its resolution, inside
-    the window or not.  Results are cached on the category, and a cached
+    the window or not.  Results are cached on the category, next to the
+    one _Side per side that every resolution there shares, and a cached
     resolution is extended in place when a longer one is asked for.
     """
     key = (q, side)
     res = C._resolution_cache.get(key)
     if res is None:
-        eng = _Side(C, side)
+        eng = C._side_cache.get(side)
+        if eng is None:
+            eng = C._side_cache[side] = _Side(C, side)
         res = _start_resolution(eng, q, eng.head(q), eng.signs[1])
         C._resolution_cache[key] = res
     while res.length() < length:
@@ -466,10 +472,17 @@ def _transported(phi: RepMorphism, r) -> Matrix:
 
 
 def derived_homology_map(phi: RepMorphism, q, side: str, degree: int) -> ModuleMap:
-    """The induced map on one derived homology group."""
-    hx, hy = (derived_homology_data(Z, q, side, (degree,))[degree]
-              for Z in (phi.source, phi.target))
-    return _induced(phi, _route(phi.source.category, q, side, degree)[0], hx, hy)
+    """The induced map on one derived homology group.  Where the middle
+    terms of both ends have no generators at the route key, it is the map
+    between their kept zero groups (_zero_group), with no resolution,
+    complex or map built."""
+    ends = (phi.source, phi.target)
+    route = _route(phi.source.category, q, side, degree)[0]
+    zeros = [_zero_group(Z, route) for Z in ends]
+    if all(zeros):
+        return ModuleMap.zero(zeros[0].module, zeros[1].module)
+    hx, hy = (derived_homology_data(Z, q, side, (degree,))[degree] for Z in ends)
+    return _induced(phi, route, hx, hy)
 
 
 # ---------------------------------------------------------------------------

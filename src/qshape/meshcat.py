@@ -66,7 +66,11 @@ class MeshCategory:
         self._hom_cache: dict = {}
         self._left_mult_cache: dict = {}
         self._right_mult_cache: dict = {}
+        self._path_cache: dict = {}
+        # homology.resolve_stalk's resolutions per (vertex, side), and its
+        # one homology._Side per side
         self._resolution_cache: dict = {}
+        self._side_cache: dict = {}
 
     # -- flavor ------------------------------------------------------------
 
@@ -168,6 +172,16 @@ class MeshCategory:
             w = nxt
         return sign, arrows
 
+    def signed_path(self, elt: BasisElement):
+        """(sign, arrow names) of basis_path(elt), kept per element in the
+        category's path table, so each element's path is walked once
+        whichever representation evaluates it."""
+        path = self._path_cache.get(elt)
+        if path is None:
+            sign, arrows = self.basis_path(elt)
+            path = self._path_cache[elt] = (sign, tuple(a.name for a in arrows))
+        return path
+
     # -- multiplication matrices ----------------------------------------------------
 
     def left_mult_matrix(self, coeff, g: BasisElement, p) -> Matrix:
@@ -182,27 +196,40 @@ class MeshCategory:
 
     def _mult_matrix(self, cache, key, src, tgt) -> Matrix:
         """Composition with coeff * g, for key = (side, coeff, g, vertex),
-        from the basis of Q(src) to that of Q(tgt).  Structure constants are
-        0 or 1, so f goes to coeff times the element of degree deg f + deg g.
-        An inexact coeff (a float, a bool, a non-integral Fraction over Z or
+        from the basis of Q(src) to that of Q(tgt): the one entry rule
+        (_mult_entries) in its plain orientation, kept per key; cofree
+        arrows read the same rule transposed (arrow_right_mult_dual).  An
+        inexact coeff (a float, a bool, a non-integral Fraction over Z or
         Z/m) raises InvalidParameter, as the Matrix constructor does, even
         on a warm cache where 1 is stored (1.0 and True hash like 1)."""
         side, coeff, g, vertex = key
         coeff = self.ring.element(coeff)
         key = (side, coeff, g, vertex)
         out = cache.get(key)
-        if out is not None:
-            return out
+        if out is None:
+            out = cache[key] = self._mult_entries(coeff, g, src, tgt)
+        return out
+
+    def _mult_entries(self, coeff, g: BasisElement, src, tgt,
+                      transpose: bool = False) -> Matrix:
+        """The one entry rule of composition with coeff * g, from the basis
+        of Q(src) to that of Q(tgt): structure constants are 0 or 1, so f
+        goes to coeff times the element of degree deg f + deg g.  Laid out
+        as that matrix, or, with transpose, as its transpose, written
+        directly; coeff must already be a ring element."""
         src_basis, tgt_basis = self.hom_basis(*src), self.hom_basis(*tgt)
         row_of = {b.degree: i for i, b in enumerate(tgt_basis)}
-        cols = len(src_basis)
-        entries = [self.ring.zero] * (len(tgt_basis) * cols)
+        rows, cols = len(tgt_basis), len(src_basis)
+        entries = [self.ring.zero] * (rows * cols)
+        # entry (i, j) sits at i * cols + j, and at j * rows + i transposed
+        di, dj = (1, rows) if transpose else (cols, 1)
         for j, f in enumerate(src_basis):
             i = row_of.get(f.degree + g.degree)
             if i is not None:
-                entries[i * cols + j] = coeff
-        out = cache[key] = Matrix._trusted(self.ring, len(tgt_basis), cols, entries)
-        return out
+                entries[i * di + j * dj] = coeff
+        if transpose:
+            rows, cols = cols, rows
+        return Matrix._trusted(self.ring, rows, cols, entries)
 
     def arrow_left_mult(self, arrow: Arrow, p) -> Matrix:
         """Left composition by the arrow itself (signs included)."""
@@ -212,6 +239,13 @@ class MeshCategory:
     def arrow_right_mult(self, arrow: Arrow, r) -> Matrix:
         coeff, elt = self.arrow_elt(arrow)
         return self.right_mult_matrix(coeff, elt, r)
+
+    def arrow_right_mult_dual(self, arrow: Arrow, r) -> Matrix:
+        """The transpose of arrow_right_mult(arrow, r), Q(source, r)* ->
+        Q(target, r)* on dual bases, written directly and not kept."""
+        coeff, elt = self.arrow_elt(arrow)
+        return self._mult_entries(coeff, elt, (arrow.target, r),
+                                  (arrow.source, r), transpose=True)
 
     def arrow_mult_matrix(self, p: int, q: int, star: bool) -> Matrix:
         """Closed form for left composition by a_q (or a_q*) on the basis

@@ -136,6 +136,22 @@ class TestEvaluateMatrix:
                     assert X.evaluate_matrix(Fraction(16, 1), e) == \
                         want.scale(16)
 
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_minus_one_negates_the_path_product(self, ring):
+        # -1 times a path of sign +1 takes the negation branch, and times a
+        # path of sign -1 returns the product as it is; both flavors
+        signs = set()
+        for k, C in enumerate(categories(ring)):
+            X = draws(C, 400 + k, count=1)[0]
+            for q in C.vertices:
+                for e in radical_out(C, q, 0):
+                    want = evaluate_from_identity(X, e).scale(-1)
+                    assert X.evaluate_matrix(-1, e) == want
+                    assert X.evaluate_matrix(ring.neg(ring.one), e) == want
+                    if X.value(e.source).generators and X.value(e.target).generators:
+                        signs.add(C.basis_path(e)[0])
+        assert signs == {ring.one, ring.neg(ring.one)}
+
     @pytest.mark.parametrize("coeff", [1.0, True, Fraction(1, 2)],
                              ids=["1.0", "True", "1/2"])
     def test_inexact_coefficients_are_refused(self, coeff):

@@ -11,8 +11,9 @@ patch must be undone.
 import importlib.util
 from pathlib import Path
 
-from qshape import homology
+from qshape import MeshCategory, PresentedModule, ZZ, build_double_an, homology
 from qshape.exactalg import smith
+from qshape.repmod import cofree_at
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 WRAPPED = ("smith_normal_form", "_snf_int", "field_rank", "matrix_is_invertible",
@@ -47,3 +48,17 @@ def test_tracer_installs_and_uninstalls():
         assert getattr(owner, attr) is original, (owner, attr)
     for (owner, name), original in originals.items():
         assert getattr(owner, name) is original, name
+
+
+def test_tracer_sees_the_stalk_complex_assembly():
+    # the stalk complex's blocks are read through evaluate_matrix, the
+    # name the tracer wraps, so no fast path hides the assembly from it
+    C = MeshCategory(build_double_an(4), ZZ)
+    X = cofree_at(C, 2, PresentedModule.free(ZZ, 1))
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        homology.derived_homology(X, 2, homology.SIDE_CN, 3)
+    finally:
+        tracer.uninstall()
+    assert tracer.summary()["repmod.evaluate.calls"] > 0
