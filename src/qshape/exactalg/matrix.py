@@ -231,11 +231,14 @@ class Matrix:
 
     @staticmethod
     def block_diag(ring: BaseRing, matrices) -> "Matrix":
-        layout = {(k, k): m for k, m in enumerate(matrices)}
-        if len(layout) == 1:  # matrices are immutable, so one block is shared
-            return layout[0, 0]
-        return Matrix.blocks(ring, layout, [m.rows for m in layout.values()],
-                             [m.cols for m in layout.values()])
+        matrices = list(matrices)
+        if len(matrices) == 1:  # matrices are immutable, so one block is shared
+            return matrices[0]
+        rows, cols = [m.rows for m in matrices], [m.cols for m in matrices]
+        if not any(cols):  # no entry to lay out
+            return Matrix.zeros(ring, sum(rows), 0)
+        return Matrix.blocks(ring, {(k, k): m for k, m in enumerate(matrices)},
+                             rows, cols)
 
     def take_columns(self, indices) -> "Matrix":
         indices = list(indices)

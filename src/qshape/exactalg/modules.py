@@ -198,13 +198,11 @@ class PresentedModule:
             tuple(kept)
 
     def direct_sum(self, *others: "PresentedModule") -> "PresentedModule":
-        """self ⊕ others[0] ⊕ ..., with one block-diagonal relation matrix,
-        or none to lay out when no summand has a relation."""
+        """self ⊕ others[0] ⊕ ..., with one block-diagonal relation matrix."""
         summands = (self, *others)
         if any(m.ring != self.ring for m in others):
             raise InvalidParameter("ring mismatch")
-        rel = Matrix.block_diag(self.ring, [m.relations for m in summands]) \
-            if any(m.relations.cols for m in summands) else None
+        rel = Matrix.block_diag(self.ring, [m.relations for m in summands])
         return PresentedModule(self.ring, sum(m.generators for m in summands), rel)
 
 

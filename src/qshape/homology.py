@@ -130,12 +130,14 @@ class _Side:
     @staticmethod
     def _terms(entry, act) -> Matrix:
         """Sum of act(coeff, e) over the terms of a boundary entry, which
-        always has one; a one-term entry, as every closed-form one is, is
-        act(coeff, e) itself."""
-        if len(entry) == 1:
-            return act(*entry[0])
-        terms = [act(coeff, e) for coeff, e in entry]
-        return sum(terms[1:], terms[0])
+        always has one: the closed forms write one term per entry, and only
+        a cover that picks a kernel vector (the test oracles') may write
+        more."""
+        (coeff, e), *rest = entry
+        out = act(coeff, e)
+        for coeff, e in rest:
+            out = out + act(coeff, e)
+        return out
 
     def act_matrix(self, entry, s) -> Matrix:
         """Component at s of the boundary entry: summand-b coords to summand-a."""

@@ -66,7 +66,6 @@ class MeshCategory:
         self._hom_cache: dict = {}
         self._left_mult_cache: dict = {}
         self._right_mult_cache: dict = {}
-        self._path_cache: dict = {}
         # homology.resolve_stalk's resolutions per (vertex, side), and its
         # one homology._Side per side
         self._resolution_cache: dict = {}
@@ -171,16 +170,6 @@ class MeshCategory:
             arrows.append(self.quiver.arrow_between(w, nxt))
             w = nxt
         return sign, arrows
-
-    def signed_path(self, elt: BasisElement):
-        """(sign, arrow names) of basis_path(elt), kept per element in the
-        category's path table, so each element's path is walked once
-        whichever representation evaluates it."""
-        path = self._path_cache.get(elt)
-        if path is None:
-            sign, arrows = self.basis_path(elt)
-            path = self._path_cache[elt] = (sign, tuple(a.name for a in arrows))
-        return path
 
     # -- multiplication matrices ----------------------------------------------------
 

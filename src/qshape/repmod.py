@@ -58,9 +58,7 @@ class Representation:
         # pruned model, homology._complex_from_resolution keeps each stalk
         # complex in _complexes per (vertex, side), as (resolution, modules,
         # maps, summand ranks), extended in place level by level;
-        # evaluate_matrix keeps X(coeff * e) in _evaluated per (coeff, e),
-        # reading e's path off the category's table (signed_path), which
-        # outlives X and serves every representation over the category
+        # evaluate_matrix keeps X(coeff * e) in _evaluated per (coeff, e)
         self._support = None
         self._pruned = None
         self._homology = {}
@@ -128,13 +126,12 @@ class Representation:
         coeff must be an exact element of the ring, as in ``Matrix.scale``.
         Where X vanishes at either end, which is everywhere off the window,
         the matrix is zero; otherwise elt's path stays in the window, and
-        the product of its arrow maps, read off the category's path table
-        (MeshCategory.signed_path), starts from the first arrow's matrix,
-        so only an identity element builds an identity matrix.  When coeff
-        times the path's sign is one, the product is returned as it is,
-        and when it is -1 the product is negated.  The result is kept on X
-        under (coeff, elt), coeff read through ring.element first, so a
-        repeated call returns the same matrix."""
+        the product of X's arrow maps along it, read by arrow name, starts
+        from the first arrow's matrix, so only an identity element builds
+        an identity matrix; when coeff times the path's sign is one, the
+        product is returned as it is.  The result is kept on X under
+        (coeff, elt), coeff read through ring.element first, so a repeated
+        call returns the same matrix."""
         ring = self.ring
         coeff = ring.element(coeff)
         key = (coeff, elt)
@@ -146,20 +143,18 @@ class Representation:
         if not rows or not cols:
             out = Matrix.zeros(ring, rows, cols)
         else:
-            sign, names = self.category.signed_path(elt)
-            if not names:
+            sign, arrows = self.category.basis_path(elt)
+            if not arrows:
                 out = Matrix.identity(ring, cols)
             else:
                 maps = self.arrow_maps
-                for k, name in enumerate(names):
-                    M = maps.get(name)
+                for k, arrow in enumerate(arrows):
+                    M = maps.get(arrow.name)
                     if M is None:  # an arrow X holds no map for is zero
-                        M = self.arrow_matrix(name)
+                        M = self.arrow_matrix(arrow)
                     out = M if not k else M * out
             scalar = ring.mul(coeff, sign)
-            if scalar == ring.neg(ring.one):
-                out = -out
-            elif scalar != ring.one:
+            if scalar != ring.one:
                 out = out.scale(scalar)
         self._evaluated[key] = out
         return out
@@ -254,18 +249,17 @@ def _corner_sum(C: MeshCategory, corners, support, rank, action):
     """(dims, arrows): the rank at each r of ⊕ over the corners t (in
     order, repeats kept) of R^rank(t, r) at each r in support(t), and the
     arrows at those r, each the block diagonal of action(a, t), read once per
-    t; for one corner, action(a, t) itself."""
+    t (for one corner, action(a, t) itself)."""
     dims = {}
     for t in corners:
         for r in support(t):
             dims[r] = dims.get(r, 0) + rank(t, r)
-    live = [a for a in C.quiver.arrows if a.source in dims or a.target in dims]
-    if len(corners) == 1:
-        return dims, {a.name: action(a, corners[0]) for a in live}
+    distinct = dict.fromkeys(corners)
     arrows = {}
-    for a in live:
-        block = {t: action(a, t) for t in dict.fromkeys(corners)}
-        arrows[a.name] = Matrix.block_diag(C.ring, [block[t] for t in corners])
+    for a in C.quiver.arrows:
+        if a.source in dims or a.target in dims:
+            block = {t: action(a, t) for t in distinct}
+            arrows[a.name] = Matrix.block_diag(C.ring, [block[t] for t in corners])
     return dims, arrows
 
 
@@ -279,8 +273,7 @@ def _tensor_functor(C: MeshCategory, M: PresentedModule, corners, support,
     dims, arrows = _corner_sum(C, corners, support, rank, action) \
         if M.generators else ({}, {})
     values = {r: PresentedModule(C.ring, dims[r] * M.generators,
-                                 Matrix.block_diag(C.ring, [M.relations] * dims[r])
-                                 if M.relations.cols else None)
+                                 Matrix.block_diag(C.ring, [M.relations] * dims[r]))
               for r in sorted(dims, key=vertex_key)}
     if M.generators != 1:  # A ⊗ 1_M is A itself for M of one generator
         one = Matrix.identity(C.ring, M.generators)

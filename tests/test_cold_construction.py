@@ -2,11 +2,12 @@
 agree with the routes they skip.
 
 * ``cofree_at`` writes each arrow matrix in its transposed layout, with
-  no kept right multiplication, no transpose and no block layout.
+  no kept right multiplication, no transpose and no block layout
+  (``Matrix.blocks``).
 * A relation-free direct sum of presented modules lays out no relation
-  matrix; a mixed one still takes the block-diagonal route.
-* Each basis element's path is walked once per category, whichever
-  representation evaluates it (``MeshCategory.signed_path``).
+  matrix; a mixed one still lays its relations out block by block.
+* A boundary entry of several terms, which only a kernel-vector cover
+  writes, acts and is evaluated as the sum of its terms.
 * ``derived_homology_map`` builds nothing where both ends are zero at the
   route key, and its maps agree with the mesh-complex oracle.
 """
@@ -20,10 +21,9 @@ from qshape import Matrix, MeshCategory, PresentedModule, QQ, ZZ, Zmod, \
 from qshape import homology
 from qshape.fixtures import counter_morphism
 from qshape.homology import _cn_probes, mesh_homology_map
-from qshape.repmod import (Representation, RepMorphism, cofree_at,
-                           random_representation)
+from qshape.repmod import RepMorphism, cofree_at, random_representation
 
-from oracles import mesh_homology_map_by_mesh_complex, radical_out
+from oracles import mesh_homology_map_by_mesh_complex
 
 RINGS = (ZZ, QQ, Zmod(3), Zmod(4), Zmod(9))
 
@@ -48,7 +48,7 @@ def counting(monkeypatch, owner, name, calls, static=False):
 def test_cofree_builds_no_scaffolding(ring, monkeypatch):
     transposes, layouts = [], []
     counting(monkeypatch, Matrix, "transpose", transposes)
-    counting(monkeypatch, Matrix, "block_diag", layouts, static=True)
+    counting(monkeypatch, Matrix, "blocks", layouts, static=True)
     # the values and arrows equal cofree_at_every_vertex's
     # (test_repmod.py::TestAgainstLongRoutes)
     one = PresentedModule.free(ring, 1)
@@ -59,19 +59,26 @@ def test_cofree_builds_no_scaffolding(ring, monkeypatch):
     assert not transposes and not layouts
 
 
+def laid_out(ring, summands):
+    """The relation matrices of the summands laid out block by block."""
+    rel = [m.relations for m in summands]
+    return Matrix.blocks(ring, {(k, k): m for k, m in enumerate(rel)},
+                         [m.rows for m in rel], [m.cols for m in rel])
+
+
 @pytest.mark.parametrize("ring", RINGS, ids=repr)
 def test_relation_free_sums_lay_out_nothing(ring, monkeypatch):
     rng = random.Random(f"sums:{ring!r}")
     free = [PresentedModule.free(ring, g) for g in (0, 1, 2, 3)]
     torsion = PresentedModule(ring, 1, Matrix(ring, 1, 1, [3]))
     layouts = []
-    counting(monkeypatch, Matrix, "block_diag", layouts, static=True)
+    counting(monkeypatch, Matrix, "blocks", layouts, static=True)
     for count in range(4):
         for _ in range(5):
             first, *others = [rng.choice(free) for _ in range(count + 1)]
             got = first.direct_sum(*others)
             assert not layouts
-            rel = Matrix.block_diag(ring, [m.relations for m in (first, *others)])
+            rel = laid_out(ring, (first, *others))
             assert got.generators == rel.rows
             assert got.relations == rel
             layouts.clear()
@@ -80,30 +87,38 @@ def test_relation_free_sums_lay_out_nothing(ring, monkeypatch):
             rng.shuffle(mixed)
             got = first.direct_sum(*mixed)
             assert len(layouts) == 1
-            want = Matrix.block_diag(ring, [m.relations for m in (first, *mixed)])
+            want = laid_out(ring, (first, *mixed))
             assert got.generators == want.rows
             assert got.relations == want
             layouts.clear()
 
 
 @pytest.mark.parametrize("ring", (ZZ, Zmod(9)), ids=repr)
-def test_paths_are_walked_once_per_category(ring, monkeypatch):
-    walked = []
-    counting(monkeypatch, MeshCategory, "basis_path", walked)
-    for k, C in enumerate(categories(ring)):
-        rng = random.Random(k)
-        X = random_representation(C, rng)
-        Y = Representation(C, X.values, X.arrow_maps)  # nothing kept
-        for q in C.vertices:
-            for e in radical_out(C, q, 0):
-                X.evaluate_matrix(1, e)
-        # the elements X evaluated where it is nonzero at both ends
-        elements = [e for _, e in walked]
-        assert elements
-        walked.clear()
-        for e in elements:
-            assert Y.evaluate_matrix(-1, e) == -X.evaluate_matrix(1, e)
-        assert not walked
+def test_entries_of_several_terms_are_summed(ring):
+    sums = 0
+    for k, C in enumerate(categories(ring)[1:4]):  # double A_3..A_5
+        X = random_representation(C, random.Random(k))
+        for side in (homology.SIDE_CO, homology.SIDE_CN):
+            eng = homology._Side(C, side)
+            for p in C.vertices:
+                for q in C.vertices:
+                    basis = C.hom_basis(p, q)
+                    if len(basis) < 2:
+                        continue
+                    entry = tuple((ring.element(c + 2), e)
+                                  for c, e in enumerate(basis))
+                    terms = [(term,) for term in entry]
+                    for s in C.vertices:
+                        want = eng.act_matrix(terms[0], s)
+                        for term in terms[1:]:
+                            want = want + eng.act_matrix(term, s)
+                        assert eng.act_matrix(entry, s) == want
+                    want = eng.x_value_block(X, terms[0])
+                    for term in terms[1:]:
+                        want = want + eng.x_value_block(X, term)
+                    assert eng.x_value_block(X, entry) == want
+                    sums += 1
+    assert sums
 
 
 def counter_morphisms(ring):

@@ -138,8 +138,8 @@ class TestEvaluateMatrix:
 
     @pytest.mark.parametrize("ring", RINGS, ids=str)
     def test_minus_one_negates_the_path_product(self, ring):
-        # -1 times a path of sign +1 takes the negation branch, and times a
-        # path of sign -1 returns the product as it is; both flavors
+        # -1 times a path of sign +1 scales the product, and times a path
+        # of sign -1 returns the product as it is; both flavors
         signs = set()
         for k, C in enumerate(categories(ring)):
             X = draws(C, 400 + k, count=1)[0]
