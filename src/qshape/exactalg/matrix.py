@@ -234,11 +234,14 @@ class Matrix:
         matrices = list(matrices)
         if len(matrices) == 1:  # matrices are immutable, so one block is shared
             return matrices[0]
-        rows, cols = [m.rows for m in matrices], [m.cols for m in matrices]
-        if not any(cols):  # no entry to lay out
-            return Matrix.zeros(ring, sum(rows), 0)
+        height = width = 0
+        for m in matrices:
+            height += m.rows
+            width += m.cols
+        if not width:  # no entry to lay out
+            return Matrix.zeros(ring, height, 0)
         return Matrix.blocks(ring, {(k, k): m for k, m in enumerate(matrices)},
-                             rows, cols)
+                             [m.rows for m in matrices], [m.cols for m in matrices])
 
     def take_columns(self, indices) -> "Matrix":
         indices = list(indices)

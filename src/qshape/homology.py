@@ -133,10 +133,10 @@ class _Side:
         always has one: the closed forms write one term per entry, and only
         a cover that picks a kernel vector (the test oracles') may write
         more."""
-        (coeff, e), *rest = entry
-        out = act(coeff, e)
-        for coeff, e in rest:
-            out = out + act(coeff, e)
+        out = None
+        for coeff, e in entry:
+            term = act(coeff, e)
+            out = term if out is None else out + term
         return out
 
     def act_matrix(self, entry, s) -> Matrix:

@@ -254,13 +254,11 @@ def _corner_sum(C: MeshCategory, corners, support, rank, action):
     for t in corners:
         for r in support(t):
             dims[r] = dims.get(r, 0) + rank(t, r)
-    distinct = dict.fromkeys(corners)
-    arrows = {}
-    for a in C.quiver.arrows:
-        if a.source in dims or a.target in dims:
-            block = {t: action(a, t) for t in distinct}
-            arrows[a.name] = Matrix.block_diag(C.ring, [block[t] for t in corners])
-    return dims, arrows
+    live = [a for a in C.quiver.arrows if a.source in dims or a.target in dims]
+    acts = {t: [action(a, t) for a in live] for t in dict.fromkeys(corners)}
+    # per live arrow, its blocks in corner order
+    blocks = zip(*(acts[t] for t in corners))
+    return dims, {a.name: Matrix.block_diag(C.ring, b) for a, b in zip(live, blocks)}
 
 
 def _tensor_functor(C: MeshCategory, M: PresentedModule, corners, support,
