@@ -51,10 +51,10 @@ _level_vertices), so where none carries a generator on X's pruned model
 _zero_group keeps the zero group with no resolution or complex built.
 is_weak_equivalence, mesh_homology_data and derived_homology_map ask it
 first; the complexes of derived_homology_data, whose groups are mostly
-live, apply the same rule to the middle term they build.  Each complex is kept too, on X's
-pruned model per (vertex, side), and extended in place, so each of its
-levels is built once (_complex_from_resolution).  By the
-same twin rule side co's level-1 boundary at v is side cn's level-2
+live, apply the same rule to the middle term they build.  Each complex
+is kept too, on X's pruned model per (vertex, side), and extended in
+place, so each of its levels is built once (_complex_from_resolution).
+By the same twin rule side co's level-1 boundary at v is side cn's level-2
 boundary at w: H^0 at v has the cycles of side cn's H_2 at w, and once
 that group is kept, H^0 is read off them with no second kernel
 (_kernel_from_cycles).  Maps read level
